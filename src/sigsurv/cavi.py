@@ -9,7 +9,10 @@ order omega -> psi -> phi -> theta; beta~ is a data-only constant.
 
 The theta update solves mu~ = Sigma~ A, Sigma~ = (I + U C U^T)^(-1)
 where U stacks event-time and grid-node Jacobian columns and C is a
-nonnegative diagonal of weights. When the parameter count m exceeds the
+nonnegative diagonal of weights. Every grid quantity lives on the P
+live (subject, node) pairs only, those with nonzero trapezoid weight,
+packed subject-major (see HazardContext); a pair with zero weight adds
+nothing to any integral or to U C U^T. When the parameter count m exceeds the
 effective rank, the solve runs through the Woodbury identity on the
 R x R system (with U' = U C^(1/2), the small matrix I + U'^T U' has
 eigenvalues >= 1); otherwise a dense m x m Cholesky is used. Both paths
@@ -75,11 +78,14 @@ def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class SigmaDense:
     """Dense covariance with the operations the sweep and the predictor
     need: quadratic forms J Sigma J^T row-wise, matvec, diagonal, and a
-    Cholesky square root for sampling."""
+    Cholesky square root for sampling. `effective_rank` is the number
+    of nonzero-weight columns of the factor it was solved from, when it
+    came from one (None otherwise)."""
 
-    def __init__(self, mat: np.ndarray):
+    def __init__(self, mat: np.ndarray, effective_rank: int | None = None):
         mat = np.asarray(mat, dtype=float)
         self.mat = 0.5 * (mat + mat.T)
+        self.effective_rank = effective_rank
         self._chol: np.ndarray | None = None
 
     @property
@@ -108,12 +114,12 @@ class SigmaDense:
 @dataclass
 class LowRankFactor:
     """Factor form of B = (1/2)(I_m + U C U^T): U (m, R) stacks the
-    event-time Jacobian columns (first N) then the grid-node columns
-    (N*K, node-major within observation); C holds the R nonnegative
-    diagonal weights. Zero-weight columns (censored events, nodes past
-    y_i) are dropped internally before any solve — they contribute
-    nothing to U C U^T, which is the censoring partition at the
-    linear-algebra level."""
+    event-time Jacobian columns (first N, one per subject) then the
+    grid columns (P live pairs, subject-major, node-ascending within a
+    subject), so R = N + P; C holds the R nonnegative diagonal weights.
+    Zero-weight columns (censored events) are dropped internally before
+    any solve — they contribute nothing to U C U^T, which is the
+    censoring partition at the linear-algebra level."""
 
     U: np.ndarray
     C: np.ndarray
@@ -219,7 +225,9 @@ class LowRankFactor:
 class VariationalState:
     """All variational parameters plus the cached linearized moments:
     m~ and s~ are the posterior mean of g and the square root of its
-    posterior second moment at grid nodes / event times."""
+    posterior second moment at the live grid pairs / event times. The
+    per-pair arrays (lam_q, m_grid, s_grid) are packed in the live-pair
+    order of the LinearizedModel."""
 
     alpha_tilde: float
     beta_tilde: float
@@ -227,10 +235,10 @@ class VariationalState:
     sigma: SigmaDense | LowRankFactor
     c_tilde: np.ndarray      # (N,)
     e_omega: np.ndarray      # (N,)
-    lam_q: np.ndarray        # (N, K)
+    lam_q: np.ndarray        # (P,)
     e_log_phi: float
-    m_grid: np.ndarray       # (N, K)
-    s_grid: np.ndarray       # (N, K)
+    m_grid: np.ndarray       # (P,)
+    s_grid: np.ndarray       # (P,)
     m_event: np.ndarray      # (N,)
     s_event: np.ndarray      # (N,)
 
@@ -261,12 +269,10 @@ class CaviResult:
 
 def _moments(lin: LinearizedModel, mu, sigma):
     """m~ = g_map + J^T (mu~ - theta_map) and s~ = sqrt(m~^2 + J Sigma J^T)
-    at all cached grid nodes and event times."""
+    at all cached live grid pairs and event times."""
     shift = mu - lin.theta_ref
-    N, K, m = lin.J_grid.shape
     m_grid = lin.g_grid + lin.J_grid @ shift
-    q_grid = sigma.quad_rows(lin.J_grid.reshape(N * K, m)).reshape(N, K)
-    s_grid = np.sqrt(m_grid**2 + q_grid)
+    s_grid = np.sqrt(m_grid**2 + sigma.quad_rows(lin.J_grid))
     m_event = lin.g_event + lin.J_event @ shift
     q_event = sigma.quad_rows(lin.J_event)
     s_event = np.sqrt(m_event**2 + q_event)
@@ -285,7 +291,7 @@ def init_state(
     alpha_tilde = phi_map * beta_tilde
     sigma = SigmaDense(np.eye(theta_map.size))
     m_grid, s_grid, m_event, s_event = _moments(lin, theta_map, sigma)
-    N, K = m_grid.shape
+    N = ctx.n_obs
     return VariationalState(
         alpha_tilde=alpha_tilde,
         beta_tilde=beta_tilde,
@@ -293,7 +299,7 @@ def init_state(
         sigma=sigma,
         c_tilde=np.zeros(N),
         e_omega=np.full(N, 0.25),
-        lam_q=np.zeros((N, K)),
+        lam_q=np.zeros_like(m_grid),
         e_log_phi=float(digamma(alpha_tilde) - np.log(beta_tilde)),
         m_grid=m_grid,
         s_grid=s_grid,
@@ -313,7 +319,7 @@ def update_omega(state: VariationalState, lin: LinearizedModel,
 
 def update_psi(state: VariationalState, lin: LinearizedModel,
                ctx: HazardContext) -> VariationalState:
-    """Thinned-process rates at the grid nodes:
+    """Thinned-process rates at the live grid pairs:
     lambda_i(t) = (t^(rho-1)/Z) sigma(s~) exp(-(m~+s~)/2 + E[log phi]),
     using the moments and E[log phi] cached by the previous sweep."""
     expo = -0.5 * (state.m_grid + state.s_grid) + state.e_log_phi
@@ -324,7 +330,7 @@ def update_psi(state: VariationalState, lin: LinearizedModel,
             stacklevel=2,
         )
         expo = np.minimum(expo, _EXP_CLAMP)
-    lam_q = ctx.base_grid * sigmoid(state.s_grid) * np.exp(expo)
+    lam_q = ctx.base_live * sigmoid(state.s_grid) * np.exp(expo)
     return replace(state, lam_q=lam_q)
 
 
@@ -334,7 +340,7 @@ def update_phi(state: VariationalState, ctx: HazardContext) -> VariationalState:
     immediately from the new alpha~."""
     ds = ctx.dataset
     alpha = ctx.prior.alpha0 + float(ds.delta.sum()) + float(
-        (ctx.grid.weights * state.lam_q).sum()
+        (ctx.w_live * state.lam_q).sum()
     )
     e_log_phi = float(digamma(alpha) - np.log(state.beta_tilde))
     return replace(state, alpha_tilde=alpha, e_log_phi=e_log_phi)
@@ -345,14 +351,12 @@ def build_factor(
 ) -> LowRankFactor:
     """U and C for B = (1/2)(I + U C U^T): event columns carry
     delta_i E[omega_i]; grid columns carry the folded quadrature weight
-    v_ik lambda_ik tau_ik with tau = pg_mean(1, s~)."""
-    ds, grid = ctx.dataset, ctx.grid
-    N, K, m = lin.J_grid.shape
+    v_ik lambda_ik tau_ik with tau = pg_mean(1, s~), one per live pair."""
     tau = pg_mean(1.0, state.s_grid)
-    c_event = ds.delta * state.e_omega
-    c_grid = grid.weights * state.lam_q * tau
-    U = np.concatenate([lin.J_event, lin.J_grid.reshape(N * K, m)], axis=0).T
-    C = np.concatenate([c_event, c_grid.ravel()])
+    c_event = ctx.dataset.delta * state.e_omega
+    c_grid = ctx.w_live * state.lam_q * tau
+    U = np.concatenate([lin.J_event, lin.J_grid], axis=0).T
+    C = np.concatenate([c_event, c_grid])
     return LowRankFactor(U=U, C=C)
 
 
@@ -362,15 +366,13 @@ def _assemble_A(state: VariationalState, lin: LinearizedModel,
     - (I1_i + 2 (I2_i - I3_i theta_map)) ], with r = g_map - J^T theta_map
     the linearization offset; I1 integrates lambda J, I2/I3 integrate the
     PG-weighted lambda g J and lambda J J^T."""
-    ds, grid = ctx.dataset, ctx.grid
-    N, K, m = lin.J_grid.shape
     off_event = lin.g_event - lin.J_event @ lin.theta_ref
     off_grid = lin.g_grid - lin.J_grid @ lin.theta_ref
     tau = pg_mean(1.0, state.s_grid)
-    vlam = grid.weights * state.lam_q
-    w_event = 0.5 * ds.delta * (1.0 - 2.0 * state.e_omega * off_event)
+    vlam = ctx.w_live * state.lam_q
+    w_event = 0.5 * ctx.dataset.delta * (1.0 - 2.0 * state.e_omega * off_event)
     w_grid = -0.5 * (vlam + 2.0 * vlam * tau * off_grid)
-    return lin.J_event.T @ w_event + lin.J_grid.reshape(N * K, m).T @ w_grid.ravel()
+    return lin.J_event.T @ w_event + lin.J_grid.T @ w_grid
 
 
 def update_theta(
@@ -393,7 +395,8 @@ def update_theta(
         B = factor.assemble_B()
         L = _chol_with_jitter(B, "dense B")
         inv = _cho_solve(L, np.eye(m))
-        sigma: SigmaDense | LowRankFactor = SigmaDense(0.5 * inv)
+        sigma: SigmaDense | LowRankFactor = SigmaDense(
+            0.5 * inv, effective_rank=factor.effective_rank)
         mu = 0.5 * _cho_solve(L, A)
     elif method == "woodbury":
         sigma = factor
@@ -458,8 +461,8 @@ def run_cavi(
     converged = False
     message = "iteration cap reached"
     it = 0
+    blocks = _blocks(state)  # carried over: one sigma.diag() per sweep
     for it in range(max_iter):
-        old_blocks = _blocks(state)
         new_state = cavi_sweep(state, lin, ctx, method=method)
         if not new_state.finite():
             raise ConvergenceError(
@@ -473,7 +476,9 @@ def run_cavi(
                 ),
             )
         state = new_state
-        rel = _max_rel_change(old_blocks, _blocks(state))
+        new_blocks = _blocks(state)
+        rel = _max_rel_change(blocks, new_blocks)
+        blocks = new_blocks
         rel_trace.append(rel)
         if rel < tol:
             converged = True

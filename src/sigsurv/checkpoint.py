@@ -117,11 +117,17 @@ def save_checkpoint(path, body: dict, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (meta, body) with arrays decoded."""
+    """Returns (meta, body) with arrays decoded. Only files written in
+    this version's format (`meta.format`) are accepted."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "body" not in doc or "meta" not in doc:
+    if not isinstance(doc, dict) or "body" not in doc or "meta" not in doc:
         raise InputError(f"{path}: not a checkpoint file")
+    fmt = doc["meta"].get("format") if isinstance(doc["meta"], dict) else None
+    if fmt != _FORMAT_VERSION:
+        raise InputError(
+            f"{path}: checkpoint format {fmt!r}, expected {_FORMAT_VERSION}"
+        )
     return doc["meta"], _decode(doc["body"])
 
 

@@ -178,7 +178,7 @@ def _load_training_data(args, cfg):
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
 
-    from .cavi import run_cavi
+    from .cavi import LowRankFactor, run_cavi
     from .checkpoint import fit_to_doc, save_checkpoint
     from .hazard import BaselinePrior, build_context
     from .map_em import run_em
@@ -205,6 +205,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         tol=cfg["cavi_tol"], max_iter=cfg["cavi_max_iter"],
     )
 
+    sigma = cavi.state.sigma
     diagnostics = {
         "em": {
             "iterations": em.n_iter,
@@ -217,6 +218,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "converged": bool(cavi.converged),
             "final_rel_change": float(cavi.rel_trace[-1]),
             "message": cavi.message,
+            "covariance": ("woodbury" if isinstance(sigma, LowRankFactor)
+                           else "dense"),
+            "effective_rank": sigma.effective_rank,
+            "live_pairs": int(ctx.w_live.size),
+            "live_pair_frac": ctx.w_live.size / ctx.live.size,
         },
         "data": {"n": ds.n, "n_events": ds.n_events, "p": ds.p},
     }

@@ -32,6 +32,12 @@ class FeatureStats:
     std: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.shape[-1] != self.mean.shape[0]:
+            raise InputError(
+                f"data has {X.shape[-1]} feature columns, the training "
+                f"statistics have {self.mean.shape[0]}"
+            )
         return (X - self.mean) / self.std
 
     def to_doc(self) -> dict:
@@ -132,9 +138,12 @@ def _parse_cell(text: str, where: str) -> float:
     if token.lower() in _MISSING_TOKENS:
         return np.nan
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise InputError(f"non-numeric cell {text!r} at {where}") from None
+    if not np.isfinite(value):
+        raise InputError(f"non-finite cell {text!r} at {where}")
+    return value
 
 
 def load_csv(path, schema: dict, stats: FeatureStats | None = None):

@@ -97,7 +97,12 @@ class HazardContext:
     quadrature grid, the normalizer Z at grid nodes / event times, the
     phi-free baseline factor t^(rho-1)/Z at the same points, per-subject
     integrals of that factor, and the resulting constant rate term
-    phi_rate = beta0 + sum_i int_0^{y_i} t^(rho-1)/Z dt."""
+    phi_rate = beta0 + sum_i int_0^{y_i} t^(rho-1)/Z dt.
+
+    EM works on the full (N, K) grid. CAVI works on the P live pairs
+    only, the (subject, node) pairs with nonzero trapezoid weight
+    (`live`), packed subject-major; `w_live` and `base_live` are the
+    weights and baseline factor in that order."""
 
     model: MlpModel
     prior: BaselinePrior
@@ -109,6 +114,9 @@ class HazardContext:
     base_event: np.ndarray   # (N,)
     int_base: np.ndarray     # (N,) quadrature of base_grid rows
     phi_rate: float
+    live: np.ndarray         # (N, K) bool, weights > 0
+    w_live: np.ndarray       # (P,) weights at live pairs
+    base_live: np.ndarray    # (P,) base_grid at live pairs
 
     @property
     def n_obs(self) -> int:
@@ -148,6 +156,7 @@ def build_context(
     base_event = _t_power(dataset.y_norm, prior.rho) / Z_event
     int_base = grid.integrate(base_grid)
     phi_rate = prior.beta0 + float(int_base.sum())
+    live = grid.live_mask()
     return HazardContext(
         model=model,
         prior=prior,
@@ -159,6 +168,9 @@ def build_context(
         base_event=base_event,
         int_base=int_base,
         phi_rate=phi_rate,
+        live=live,
+        w_live=grid.weights[live],
+        base_live=base_grid[live],
     )
 
 

@@ -242,14 +242,17 @@ class LinearizedModel:
 
     g_lin(t, x; theta) = g(t, x; theta_ref) + J(t, x)^T (theta - theta_ref)
 
-    Caches g and J at every grid node for every training subject
-    (covering all t_k <= y_i) and at each (y_i, x_i).
+    Caches g and J at each (y_i, x_i) and at the P live grid pairs
+    (t_k, x_i), those with nonzero trapezoid weight, packed
+    subject-major (the order of `grid.weights[grid.live_mask()]`).
+    Pairs with zero weight contribute nothing to any quadrature and
+    are not evaluated.
     """
 
     model: MlpModel
     theta_ref: np.ndarray
-    g_grid: np.ndarray  # (N, K)
-    J_grid: np.ndarray  # (N, K, m)
+    g_grid: np.ndarray  # (P,)
+    J_grid: np.ndarray  # (P, m)
     g_event: np.ndarray  # (N,)
     J_event: np.ndarray  # (N, m)
 
@@ -258,7 +261,7 @@ class LinearizedModel:
         return self.model.n_params
 
     def g_lin_grid(self, theta) -> np.ndarray:
-        """(N, K) linearized values at the cached grid points."""
+        """(P,) linearized values at the cached live grid pairs."""
         d = np.asarray(theta, dtype=float) - self.theta_ref
         return self.g_grid + self.J_grid @ d
 
@@ -291,15 +294,12 @@ def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
         raise ValueError("theta_map must be finite")
     X = dataset.X
     y = dataset.y_norm
-    N = X.shape[0]
-    K = grid.n_nodes
 
-    T_all = np.tile(grid.nodes, N)
-    X_all = np.repeat(X, K, axis=0)
-    g_grid = forward_batch(model, T_all, X_all, theta_map).reshape(N, K)
-    J_grid = jacobian_batch(model, T_all, X_all, theta_map).reshape(
-        N, K, model.n_params
-    )
+    subject, node = np.nonzero(grid.live_mask())
+    T_live = grid.nodes[node]
+    X_live = X[subject]
+    g_grid = forward_batch(model, T_live, X_live, theta_map)
+    J_grid = jacobian_batch(model, T_live, X_live, theta_map)
     g_event = forward_batch(model, y, X, theta_map)
     J_event = jacobian_batch(model, y, X, theta_map)
     return LinearizedModel(

@@ -144,6 +144,12 @@ class QuadratureGrid:
         """(N, K) boolean mask of nodes with t_k <= y_i."""
         return self.nodes[None, :] <= self.y[:, None]
 
+    def live_mask(self) -> np.ndarray:
+        """(N, K) boolean mask of the pairs with nonzero weight. Taken
+        in C order (subject-major), the mask gives the packed layout of
+        every per-pair array in the linearized model and in CAVI."""
+        return self.weights > 0.0
+
     def integrate(self, values) -> np.ndarray:
         """Row-wise integral of per-node values: (N, K) or (K,) -> (N,)."""
         values = np.asarray(values, dtype=float)

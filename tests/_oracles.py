@@ -301,3 +301,64 @@ def woodbury_dense_inverse(U, C) -> np.ndarray:
     m = U.shape[0]
     B = 0.5 * (np.eye(m) + (U * C) @ U.T)
     return 0.5 * np.linalg.inv(B)
+
+
+def cavi_sweep_all_pairs(J_grid, g_grid, J_event, g_event, theta_ref,
+                         weights, base_grid, delta, alpha0, alpha, beta):
+    """One CAVI sweep (omega, psi, phi, theta) from the MAP-matched start
+    (mu = theta_ref, Sigma = I, E[log phi] = psi(alpha) - log beta),
+    evaluated at every (subject, node) pair of the full grid: J_grid is
+    (N, K, m) and g_grid (N, K). Integrals are weight-masked sums over
+    all N*K pairs, so pairs with zero weight drop out by multiplication
+    rather than by being skipped. The Gaussian factor is a dense
+    inverse. Returns a dict of the swept quantities; per-pair ones are
+    (N, K)."""
+    delta = np.asarray(delta, dtype=float)
+    m = theta_ref.size
+
+    def sig(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    def pg1(c):
+        c = np.asarray(c, dtype=float)
+        safe = np.where(np.abs(c) < 1e-8, 1.0, c)
+        return np.where(np.abs(c) < 1e-8, 0.25, np.tanh(safe / 2.0) / (2.0 * safe))
+
+    def moments(mu, Sigma):
+        shift = mu - theta_ref
+        mg = g_grid + np.einsum("nkm,m->nk", J_grid, shift)
+        sg = np.sqrt(mg**2 + np.einsum("nkm,ml,nkl->nk", J_grid, Sigma, J_grid))
+        me = g_event + J_event @ shift
+        se = np.sqrt(me**2 + np.einsum("nm,ml,nl->n", J_event, Sigma, J_event))
+        return mg, sg, me, se
+
+    e_log_phi0 = digamma_euler_maclaurin(alpha) - math.log(beta)
+    m_grid, s_grid, _, s_event = moments(theta_ref, np.eye(m))
+
+    c = delta * s_event
+    e_omega = pg1(c)
+    lam = base_grid * sig(s_grid) * np.exp(-0.5 * (m_grid + s_grid) + e_log_phi0)
+    new_alpha = alpha0 + delta.sum() + float((weights * lam).sum())
+    e_log_phi = digamma_euler_maclaurin(new_alpha) - math.log(beta)
+
+    tau = pg1(s_grid)
+    vlam = weights * lam
+    off_event = g_event - J_event @ theta_ref
+    off_grid = g_grid - np.einsum("nkm,m->nk", J_grid, theta_ref)
+    B = 0.5 * (np.eye(m)
+               + np.einsum("n,nm,nl->ml", delta * e_omega, J_event, J_event)
+               + np.einsum("nk,nkm,nkl->ml", vlam * tau, J_grid, J_grid))
+    A = (np.einsum("n,nm->m", 0.5 * delta * (1.0 - 2.0 * e_omega * off_event),
+                   J_event)
+         - np.einsum("nk,nkm->m", 0.5 * vlam * (1.0 + 2.0 * tau * off_grid),
+                     J_grid))
+    Sigma = 0.5 * np.linalg.inv(B)
+    mu = Sigma @ A
+    m_grid, s_grid, m_event, s_event = moments(mu, Sigma)
+    return {
+        "c_tilde": c, "e_omega": e_omega, "lam_q": lam,
+        "alpha_tilde": new_alpha, "e_log_phi": e_log_phi,
+        "mu_tilde": mu, "sigma": Sigma,
+        "m_grid": m_grid, "s_grid": s_grid,
+        "m_event": m_event, "s_event": s_event,
+    }

@@ -21,10 +21,11 @@ from sigsurv.cavi import (
 from sigsurv.data import Dataset
 from sigsurv.errors import InputError, NumericalError
 from sigsurv.hazard import BaselinePrior, build_context
-from sigsurv.net import MlpModel, linearize
+from sigsurv.net import MlpModel, forward_batch, jacobian_batch, linearize
 from sigsurv.numkit import RngStream, digamma, pg_mean
 
-from _oracles import psi_rate_scalar, woodbury_dense_inverse
+from _oracles import (cavi_sweep_all_pairs, psi_rate_scalar,
+                      woodbury_dense_inverse)
 
 
 def _small_problem(seed=0, n=6, layers=(3, 4, 1), n_nodes=12, theta_scale=0.3):
@@ -122,21 +123,20 @@ def test_update_psi_scales_with_phi_moment():
 
 
 def test_update_psi_matches_scalar_oracle():
-    ctx, lin, _, state = _small_problem(seed=5, n=9, n_nodes=16)
+    ctx, lin, _, state = _small_problem(seed=5, n=14, n_nodes=16)
     rng = np.random.default_rng(44)
-    N, K = state.m_grid.shape
-    m = rng.normal(scale=1.5, size=(N, K))
-    s = np.abs(m) + rng.uniform(0.0, 2.0, size=(N, K))
+    P = state.m_grid.size
+    m = rng.normal(scale=1.5, size=P)
+    s = np.abs(m) + rng.uniform(0.0, 2.0, size=P)
     elp = 0.37
     new = update_psi(replace(state, m_grid=m, s_grid=s, e_log_phi=elp),
                      lin, ctx)
     count = 0
-    for i in range(N):
-        for k in range(K):
-            want = psi_rate_scalar(m[i, k], s[i, k], elp,
-                                   ctx.base_grid[i, k])
-            assert abs(new.lam_q[i, k] - want) <= 1e-12 * max(want, 1e-6)
-            count += 1
+    for p, (i, k) in enumerate(zip(*np.nonzero(ctx.grid.weights > 0))):
+        want = psi_rate_scalar(m[p], s[p], elp, ctx.base_grid[i, k])
+        assert abs(new.lam_q[p] - want) <= 1e-12 * max(want, 1e-6)
+        count += 1
+    assert count == P
     assert count >= 100
 
 
@@ -310,8 +310,7 @@ def test_update_theta_posterior_moments_valid():
     new = cavi_sweep(state, lin, ctx, method="dense")
     gap = new.s_grid**2 - new.m_grid**2
     assert np.all(gap >= -1e-12)
-    N, K, m = lin.J_grid.shape
-    quad = new.sigma.quad_rows(lin.J_grid.reshape(N * K, m)).reshape(N, K)
+    quad = new.sigma.quad_rows(lin.J_grid)
     assert np.allclose(gap, quad, rtol=1e-8, atol=1e-10)
     eigs = np.linalg.eigvalsh(new.sigma.dense())
     assert eigs.min() > -1e-10
@@ -330,6 +329,31 @@ def test_update_theta_prior_recovery_with_zero_weights():
     new = update_theta(silent, lin, ctx0, method="auto")
     assert np.allclose(new.mu_tilde, 0.0, rtol=0, atol=1e-12)
     assert np.allclose(new.sigma.diag(), 1.0, rtol=0, atol=1e-12)
+
+
+def test_cavi_sweep_matches_all_pairs_oracle():
+    # the packed sweep against one over the full (N, K) grid, with the
+    # network re-linearized at every pair and weight-masked sums
+    ctx, lin, theta_map, state = _small_problem(seed=18)
+    ds, grid = ctx.dataset, ctx.grid
+    N, K = grid.weights.shape
+    T_all = np.tile(grid.nodes, N)
+    X_all = np.repeat(ds.X, K, axis=0)
+    J_all = jacobian_batch(ctx.model, T_all, X_all, theta_map)
+    g_all = forward_batch(ctx.model, T_all, X_all, theta_map)
+    want = cavi_sweep_all_pairs(
+        J_all.reshape(N, K, -1), g_all.reshape(N, K), lin.J_event,
+        lin.g_event, theta_map, grid.weights, ctx.base_grid, ds.delta,
+        ctx.prior.alpha0, state.alpha_tilde, state.beta_tilde)
+    got = cavi_sweep(state, lin, ctx)
+    live = grid.weights > 0
+    close = dict(rtol=1e-12, atol=1e-12)
+    for name in ("alpha_tilde", "e_log_phi", "mu_tilde", "c_tilde",
+                 "e_omega", "m_event", "s_event"):
+        assert np.allclose(getattr(got, name), want[name], **close), name
+    for name in ("lam_q", "m_grid", "s_grid"):
+        assert np.allclose(getattr(got, name), want[name][live], **close), name
+    assert np.allclose(got.sigma.dense(), want["sigma"], **close)
 
 
 # ------------------------------------------------------------- full loop

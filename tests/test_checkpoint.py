@@ -61,6 +61,21 @@ def test_save_load_checkpoint(tmp_path):
         load_checkpoint(bad)
 
 
+def test_load_checkpoint_rejects_other_format(tmp_path):
+    path = tmp_path / "fit.json"
+    save_checkpoint(path, {"phi": 2.0})
+    doc = json.loads(path.read_text())
+    for fmt in (99, None, "1"):
+        doc["meta"]["format"] = fmt
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=f"checkpoint format {fmt!r}"):
+            load_checkpoint(path)
+    del doc["meta"]["format"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="checkpoint format None"):
+        load_checkpoint(path)
+
+
 def test_fit_doc_roundtrip_dense(small_fit):
     cfg = config_hash({"layers": list(small_fit.model.layer_sizes)})
     body = fit_to_doc(small_fit.model, small_fit.prior, small_fit.stats,

@@ -121,6 +121,39 @@ def test_fit_config_file(workdir, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_fit_writes_cavi_diagnostics(workdir, tmp_path):
+    # 30 subjects, 16 nodes, m = 29: dense; 8 subjects, 3 nodes: woodbury
+    small = tmp_path / "small.csv"
+    assert main(["synth", "--n", "8", "--out", str(small), "--seed", "5"]) == 0
+    ck = tmp_path / "small.json"
+    assert main(["fit", "--data", str(small), "--out", str(ck),
+                 "--hidden", "4", "--grid-k", "3", "--seed", "3"]) == 0
+    for path, n, k, covariance in ((workdir / "model.json", 30, 16, "dense"),
+                                   (ck, 8, 3, "woodbury")):
+        _, body = load_checkpoint(path)
+        diag = body["diagnostics"]["cavi"]
+        n_events = body["diagnostics"]["data"]["n_events"]
+        assert diag["covariance"] == covariance
+        assert 0 < diag["live_pairs"] < n * k
+        assert diag["live_pair_frac"] == diag["live_pairs"] / (n * k)
+        assert diag["effective_rank"] == n_events + diag["live_pairs"]
+        m = 29  # (4 + 1) * 4 + 4 + 4 + 1 parameters
+        assert (diag["effective_rank"] < m) == (covariance == "woodbury")
+
+
+def test_fit_rejects_infinite_covariate(workdir, tmp_path, capsys):
+    header, rows = _read_csv(workdir / "train.csv")
+    rows[3][2] = "inf"
+    bad = tmp_path / "inf.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    rc = main(["fit", "--data", str(bad), "--out", str(tmp_path / "x.json"),
+               "--hidden", "4", "--grid-k", "16"])
+    assert rc == 2
+    assert "non-finite cell 'inf'" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_fit_input_errors(tmp_path, capsys):
     missing = main(["fit", "--data", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "x.json")])
@@ -167,6 +200,20 @@ def test_predict_missing_checkpoint(workdir, tmp_path):
                "--data", str(workdir / "test.csv"),
                "--out", str(tmp_path / "p.csv")])
     assert rc == 2
+
+
+def test_predict_eval_reject_other_feature_count(workdir, tmp_path, capsys):
+    header, rows = _read_csv(workdir / "test.csv")
+    narrow = tmp_path / "narrow.csv"
+    with open(narrow, "w", newline="") as fh:
+        csv.writer(fh).writerows([header[:-1], *(r[:-1] for r in rows)])
+    common = ["--checkpoint", str(workdir / "model.json"), "--data",
+              str(narrow), "--draws", "20", "--grid-points", "5"]
+    assert main(["predict", *common, "--out", str(tmp_path / "p.csv")]) == 2
+    assert main(["eval", *common]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error: data has 3 feature columns, the "
+                     "training statistics have 4") == 2
 
 
 # ------------------------------------------------------------------- eval

@@ -95,6 +95,27 @@ def test_load_csv_rejects_malformed_files(tmp_path):
                  SCHEMA)
 
 
+def test_load_csv_rejects_infinite_cells(tmp_path):
+    for i, cell in enumerate(("inf", "-inf", "Infinity", "1e400")):
+        path = _write(tmp_path, f"inf{i}.csv",
+                      f"time,event,a\n2.0,1,0.5\n1.0,0,{cell}\n")
+        with pytest.raises(InputError,
+                           match=f"non-finite cell '{cell}' at .*:3:a"):
+            load_csv(path, SCHEMA)
+    path = _write(tmp_path, "inf_time.csv", "time,event,a\ninf,1,0.5\n")
+    with pytest.raises(InputError, match="non-finite cell 'inf' at .*:2:time"):
+        load_csv(path, SCHEMA)
+
+
+def test_training_stats_reject_other_feature_count(tmp_path):
+    train = _write(tmp_path, "tr.csv",
+                   "time,event,a,b\n1.0,1,0.0,1.0\n2.0,0,2.0,3.0\n")
+    test = _write(tmp_path, "te.csv", "time,event,a\n1.5,1,10.0\n")
+    _, stats = load_csv(train, SCHEMA)
+    with pytest.raises(InputError, match="1 feature columns.* have 2"):
+        load_csv(test, SCHEMA, stats=stats)
+
+
 # -------------------------------------------------------- standardization
 
 

@@ -268,7 +268,7 @@ def test_linearize_unit_direction_moves_by_jacobian_column(small_fit):
         theta = theta_ref.copy()
         theta[j] += eps
         moved = lin.g_lin_grid(theta) - lin.g_grid
-        want = eps * lin.J_grid[:, :, j]
+        want = eps * lin.J_grid[:, j]
         assert np.max(np.abs(moved - want)) < 1e-12
 
 
@@ -278,13 +278,13 @@ def test_linearize_small_ball_gap(small_fit):
     model, ctx = small_fit.model, small_fit.ctx
     theta_ref = small_fit.em.theta_map
     rng = np.random.default_rng(41)
-    N, K = lin.g_grid.shape
-    T_tile = np.tile(ctx.grid.nodes, N)
-    X_rep = np.repeat(small_fit.ds.X, K, axis=0)
+    subject, node = np.nonzero(ctx.grid.live_mask())
+    T_live = ctx.grid.nodes[node]
+    X_live = small_fit.ds.X[subject]
     for _ in range(5):
         d = rng.normal(size=theta_ref.size)
         d *= 0.01 / np.linalg.norm(d)
-        exact = forward_batch(model, T_tile, X_rep, theta_ref + d).reshape(N, K)
+        exact = forward_batch(model, T_live, X_live, theta_ref + d)
         gap = np.max(np.abs(lin.g_lin_grid(theta_ref + d) - exact))
         assert gap < 1e-3
 
@@ -305,8 +305,29 @@ def test_linearize_shapes(small_fit):
     lin = small_fit.lin
     ds, ctx = small_fit.ds, small_fit.ctx
     m = small_fit.model.n_params
+    n_live = int(np.count_nonzero(ctx.grid.weights > 0))
+    assert 0 < n_live < ds.n * ctx.grid.n_nodes
     assert isinstance(lin, LinearizedModel)
-    assert lin.g_grid.shape == (ds.n, ctx.grid.n_nodes)
-    assert lin.J_grid.shape == (ds.n, ctx.grid.n_nodes, m)
+    assert lin.g_grid.shape == (n_live,)
+    assert lin.J_grid.shape == (n_live, m)
     assert lin.g_event.shape == (ds.n,)
     assert lin.J_event.shape == (ds.n, m)
+
+
+def test_linearize_packed_rows_are_the_live_pairs_in_order(small_fit):
+    # row p of the packed caches is the network at the p-th pair with
+    # nonzero weight, scanning subjects in order and nodes within each
+    lin, ctx, ds = small_fit.lin, small_fit.ctx, small_fit.ds
+    model, theta_ref = small_fit.model, small_fit.em.theta_map
+    weights, nodes = ctx.grid.weights, ctx.grid.nodes
+    p = 0
+    for i in range(ds.n):
+        for k in range(ctx.grid.n_nodes):
+            if weights[i, k] == 0.0:
+                continue
+            J = jacobian(model, nodes[k], ds.X[i], theta_ref)
+            g = forward(model, nodes[k], ds.X[i], theta_ref)
+            assert np.allclose(lin.J_grid[p], J, rtol=1e-13, atol=1e-13)
+            assert abs(lin.g_grid[p] - g) <= 1e-13 * max(1.0, abs(g))
+            p += 1
+    assert p == lin.J_grid.shape[0]
