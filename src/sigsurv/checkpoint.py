@@ -119,8 +119,11 @@ def save_checkpoint(path, body: dict, meta: dict | None = None) -> None:
 def load_checkpoint(path):
     """Returns (meta, body) with arrays decoded. Only files written in
     this version's format (`meta.format`) are accepted."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # truncated, not JSON, or not UTF-8 text
+        raise InputError(f"{path}: not a checkpoint file ({exc})") from exc
     if not isinstance(doc, dict) or "body" not in doc or "meta" not in doc:
         raise InputError(f"{path}: not a checkpoint file")
     fmt = doc["meta"].get("format") if isinstance(doc["meta"], dict) else None

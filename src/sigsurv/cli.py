@@ -104,6 +104,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         raise InputError("tolerances must be positive")
     if not 0.0 < cfg["level"] < 1.0:
         raise InputError("level must be in (0, 1)")
+    for key in ("em_max_iter", "m_step_iters", "cavi_max_iter"):
+        if cfg[key] < 1:
+            raise InputError(f"{key} must be >= 1, got {cfg[key]}")
     return cfg
 
 
@@ -265,8 +268,6 @@ def _prediction_times(fit, cfg, t_hi=None):
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    import csv
-
     from .data import load_csv
     from .numkit import RngStream
     from .predict import mean_survival_matrix
@@ -276,20 +277,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ds, _ = load_csv(args.data, _schema(cfg), stats=fit.stats)
     times = _prediction_times(fit, cfg, args.t_hi)
     rng = RngStream.from_seed(cfg["seed"])
-    _, per_subject = mean_survival_matrix(
+    curves, band = mean_survival_matrix(
         fit.post, fit.model, fit.prior, fit.theta_map, fit.t_max,
         ds.X, times, rng, n_draws=cfg["draws"], level=cfg["level"],
     )
+    # the bytes csv.writer would write for these rows (no cell needs
+    # quoting), one format per row
+    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
+    t = times.tolist()
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject", "time", "mean", "median", "lo", "hi"])
-        for i, ps in enumerate(per_subject):
-            for j, t in enumerate(ps.times):
-                writer.writerow(
-                    [i, f"{t:.17g}", f"{ps.mean[j]:.17g}", f"{ps.median[j]:.17g}",
-                     f"{ps.lo[j]:.17g}", f"{ps.hi[j]:.17g}"]
-                )
-    print(f"wrote {len(per_subject) * times.size} rows to {args.out}")
+        fh.write("subject,time,mean,median,lo,hi\r\n")
+        for i in range(curves.n):
+            fh.writelines(
+                row % (i, *cells) for cells in zip(
+                    t, curves.values[i].tolist(), band.median[i].tolist(),
+                    band.lo[i].tolist(), band.hi[i].tolist())
+            )
+    print(f"wrote {curves.n * times.size} rows to {args.out}")
     return EXIT_OK
 
 
@@ -350,13 +354,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .cavi import LowRankFactor
+    from .cavi import LowRankFactor, SigmaDense
+    from .checkpoint import PosteriorParams
     from .data import gen_synthetic, standardize, Dataset
     from .hazard import (BaselinePrior, build_context, sample_marked_pp_batch,
                          sample_pg_series)
     from .map_em import run_em
     from .net import MlpModel, forward, forward_batch, jacobian
     from .numkit import RngStream, build_grid, pg_f, pg_mean
+    from .predict import mean_survival_matrix
 
     cfg = _merge_config(args)
     rng = RngStream.from_seed(cfg["seed"])
@@ -462,6 +468,25 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     record("quadrature-linear", err < 1e-4, f"err={err:.2e} tol=1e-4")
     wsum = abs(float(g64.weights[0].sum()) - 1.0)
     record("quadrature-weight-sum", wsum < 1e-12, f"err={wsum:.2e} tol=1e-12")
+
+    # 7. Batched posterior predictive: a point-mass posterior at phi0
+    # over a silent network (theta = 0, so sigmoid(g) = 1/2 = Z) gives
+    # the hazard phi0 and every subject's curve exp(-phi0 t)
+    r7 = rng.child(7)
+    model7 = MlpModel((4, 8, 1))
+    m7 = model7.n_params
+    phi0 = 1.7
+    point_mass = PosteriorParams(alpha_tilde=phi0 * 1e10, beta_tilde=1e10,
+                                 e_log_phi=float(np.log(phi0)),
+                                 mu_tilde=np.zeros(m7),
+                                 sigma=SigmaDense(1e-20 * np.eye(m7)))
+    t7 = np.linspace(0.0, 1.0, 21)
+    curves7, band7 = mean_survival_matrix(
+        point_mass, model7, prior, np.zeros(m7), 1.0,
+        r7.gen.standard_normal((5, 3)), t7, r7, n_draws=64)
+    err = max(float(np.max(np.abs(v - np.exp(-phi0 * t7))))
+              for v in (curves7.values, band7.lo, band7.hi))
+    record("predict-point-mass", err < 1e-3, f"max err={err:.2e} tol=1e-3")
 
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:

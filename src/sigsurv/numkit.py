@@ -40,16 +40,15 @@ _PG_MEAN_TAYLOR_CUTOFF = 1e-4
 def sigmoid(z):
     """Logistic function 1/(1 + exp(-z)), numerically stable.
 
-    Evaluates exp only on the non-growing branch so |z| up to the
-    float64 exponent range saturates gracefully to 0 or 1 instead of
-    overflowing.
+    Evaluates exp only on the non-growing branch, e = exp(-|z|), so |z|
+    up to the float64 exponent range saturates gracefully to 0 or 1
+    instead of overflowing: 1/(1 + e) for z >= 0, e/(1 + e) below.
+    -|z| is taken as min(z, -z), which passes a NaN through with its
+    sign.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

@@ -5,6 +5,12 @@ the (possibly low-rank) Gaussian factor, evaluates the linearized
 hazard on the requested time grid, integrates it cumulatively by
 trapezoid from t = 0, and exponentiates the negative. Bands are
 equal-tailed pointwise quantiles across draws.
+
+Subjects are processed in chunks: one chunk's (t, x) rows go through
+one forward pass and one Jacobian at theta_MAP, and the linearized
+hazard of every draw comes from one matrix product with the draws'
+offsets from theta_MAP. A chunk is sized so its Jacobian holds about
+_CHUNK_FLOATS floats; only per-subject summaries outlive the chunk.
 """
 
 from __future__ import annotations
@@ -22,10 +28,17 @@ from .numkit import RngStream, sigmoid
 
 __all__ = [
     "PosteriorSurvival",
+    "SurvivalBands",
     "credible_band",
     "sample_survival",
     "mean_survival_matrix",
 ]
+
+# Jacobian floats per chunk of subjects (2 MB): a chunk holds
+# max(1, _CHUNK_FLOATS // (Tq * m)) subjects for a Tq-point grid and m
+# network parameters. The draw-sized arrays of a chunk are Tq * S floats
+# per subject for S draws.
+_CHUNK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -49,18 +62,34 @@ class PosteriorSurvival:
         return self.curves.shape[0]
 
 
-def credible_band(samples: np.ndarray, level: float):
-    """Equal-tailed pointwise quantile band over draws (rows). `level`
-    must lie strictly inside (0, 1); at least 20 draws required."""
+@dataclass(frozen=True)
+class SurvivalBands:
+    """Pointwise posterior median and equal-tailed (lo, hi) band at
+    `level` for n subjects on a shared grid, each (n, T); below 20
+    draws (lo, hi) is the draws' (min, max). `flagged_extrapolation`
+    marks grids that extend beyond the training horizon."""
+
+    median: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    level: float
+    flagged_extrapolation: bool
+
+
+def credible_band(samples: np.ndarray, level: float, axis: int = 0,
+                  with_median: bool = False):
+    """Equal-tailed pointwise quantile band over draws along `axis`
+    (rows by default). `level` must lie strictly inside (0, 1); at
+    least 20 draws required. Returns (lo, hi), or (median, lo, hi) from
+    the same quantile pass with `with_median`."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if not 0.0 < level < 1.0:
         raise InputError("level must be strictly between 0 and 1")
-    if samples.shape[0] < 20:
+    if samples.shape[axis] < 20:
         raise InputError("need at least 20 draws for a quantile band")
     a = 1.0 - level
-    lo = np.quantile(samples, a / 2.0, axis=0)
-    hi = np.quantile(samples, 1.0 - a / 2.0, axis=0)
-    return lo, hi
+    q = ([0.5] if with_median else []) + [a / 2.0, 1.0 - a / 2.0]
+    return tuple(np.quantile(samples, q, axis=axis))
 
 
 def _prep_times(times, t_max: float):
@@ -88,56 +117,52 @@ def _draw_posterior(post, theta_map: np.ndarray, rng: RngStream,
                     n_draws: int):
     """Draw (phi, theta) jointly from the variational factors. phi is
     drawn before theta so the draw stream layout is stable for a given
-    seed."""
+    seed. Returns phi (S,) and the theta draws' offsets from theta_map,
+    (m, S)."""
     alpha, beta = float(post.alpha_tilde), float(post.beta_tilde)
     phi_draws = rng.gen.gamma(alpha, 1.0 / beta, size=n_draws)
     z = rng.gen.standard_normal((theta_map.size, n_draws))
     theta_draws = post.mu_tilde[:, None] + post.sigma.sqrt_matvec(z)  # (m, S)
-    return phi_draws, theta_draws
+    return phi_draws, theta_draws - theta_map[:, None]
 
 
-def _curves_for_subject(
-    model, prior, theta_map, tq, prepend_zero, x,
-    phi_draws, theta_draws,
-) -> np.ndarray:
-    """Survival curves (draws x times) for one subject under the given
-    posterior draws: linearized hazard on the grid, cumulative
-    trapezoid, exponentiate-negate."""
-    X_rep = np.tile(x, (tq.size, 1))
-    base = baseline_factor(model, prior, tq, X_rep)          # (Tq,)
-    g_map = forward_batch(model, tq, X_rep, theta_map)       # (Tq,)
-    J = jacobian_batch(model, tq, X_rep, theta_map)          # (Tq, m)
+def _survival_draws(model, prior, theta_map, tq, prepend_zero, X,
+                    phi_draws, shift) -> np.ndarray:
+    """Survival curves (B, T, S) for the B rows of X under the S draws:
+    the linearized hazard on all B * Tq (t, x) rows from one Jacobian
+    and one matrix product with the theta offsets `shift`, a cumulative
+    trapezoid along time, exponentiate-negate."""
+    B, Tq, S = X.shape[0], tq.size, phi_draws.size
+    T_rows = np.tile(tq, B)
+    X_rows = np.repeat(X, Tq, axis=0)
+    base = baseline_factor(model, prior, T_rows, X_rows)          # (B*Tq,)
+    g_map = forward_batch(model, T_rows, X_rows, theta_map)       # (B*Tq,)
+    J = jacobian_batch(model, T_rows, X_rows, theta_map)          # (B*Tq, m)
 
-    g_lin = g_map[:, None] + J @ (theta_draws - theta_map[:, None])  # (Tq, S)
+    g_lin = g_map[:, None] + J @ shift                            # (B*Tq, S)
     lam = phi_draws[None, :] * base[:, None] * sigmoid(g_lin)
-    dt = np.diff(tq)
+    lam = lam.reshape(B, Tq, S)
     cum = np.zeros_like(lam)
-    if tq.size > 1:
-        cum[1:, :] = np.cumsum(
-            0.5 * (lam[1:, :] + lam[:-1, :]) * dt[:, None], axis=0
+    if Tq > 1:
+        cum[:, 1:, :] = np.cumsum(
+            0.5 * (lam[:, 1:, :] + lam[:, :-1, :]) * np.diff(tq)[:, None],
+            axis=1,
         )
     surv = np.exp(-cum)
-    if prepend_zero:
-        surv = surv[1:, :]
-    return surv.T  # (S, T)
+    return surv[:, 1:, :] if prepend_zero else surv
 
 
-def _posterior_from_curves(times, curves, level: float,
-                           flagged: bool) -> PosteriorSurvival:
-    n_draws = curves.shape[0]
-    lo, hi = credible_band(curves, level) if n_draws >= 20 else (
-        curves.min(axis=0), curves.max(axis=0)
-    )
-    return PosteriorSurvival(
-        times=times,
-        curves=curves,
-        mean=curves.mean(axis=0),
-        median=np.quantile(curves, 0.5, axis=0),
-        lo=lo,
-        hi=hi,
-        level=level,
-        flagged_extrapolation=flagged,
-    )
+def _summarize(surv: np.ndarray, level: float):
+    """(mean, median, lo, hi) over the draw axis, the last one; (lo,
+    hi) falls back to (min, max) below 20 draws."""
+    mean = surv.mean(axis=-1)
+    if surv.shape[-1] >= 20:
+        median, lo, hi = credible_band(surv, level, axis=-1,
+                                       with_median=True)
+    else:
+        median = np.quantile(surv, 0.5, axis=-1)
+        lo, hi = surv.min(axis=-1), surv.max(axis=-1)
+    return mean, median, lo, hi
 
 
 def sample_survival(
@@ -161,11 +186,20 @@ def sample_survival(
     theta_map = np.asarray(theta_map, dtype=float)
     x = np.asarray(x, dtype=float).ravel()
     times, tq, prepend_zero, flagged = _prep_times(times, t_max)
-    phi_draws, theta_draws = _draw_posterior(post, theta_map, rng, n_draws)
-    curves = _curves_for_subject(
-        model, prior, theta_map, tq, prepend_zero, x, phi_draws, theta_draws
+    phi_draws, shift = _draw_posterior(post, theta_map, rng, n_draws)
+    surv = _survival_draws(model, prior, theta_map, tq, prepend_zero,
+                           x[None, :], phi_draws, shift)[0]   # (T, S)
+    mean, median, lo, hi = _summarize(surv, level)
+    return PosteriorSurvival(
+        times=times,
+        curves=surv.T,
+        mean=mean,
+        median=median,
+        lo=lo,
+        hi=hi,
+        level=level,
+        flagged_extrapolation=flagged,
     )
-    return _posterior_from_curves(times, curves, level, flagged)
 
 
 def mean_survival_matrix(
@@ -184,23 +218,21 @@ def mean_survival_matrix(
     shared set of posterior draws (common random numbers across
     subjects, so between-subject curve differences reflect covariates
     rather than Monte-Carlo noise). Returns (SurvivalCurves of the
-    means, list of per-subject PosteriorSurvival)."""
+    means, SurvivalBands of the per-subject median and band)."""
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
     theta_map = np.asarray(theta_map, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     times, tq, prepend_zero, flagged = _prep_times(times, t_max)
-    phi_draws, theta_draws = _draw_posterior(post, theta_map, rng, n_draws)
-    per_subject = []
-    means = []
-    for i in range(X.shape[0]):
-        sub_curves = _curves_for_subject(
-            model, prior, theta_map, tq, prepend_zero, X[i],
-            phi_draws, theta_draws,
-        )
-        ps = _posterior_from_curves(times, sub_curves, level, flagged)
-        per_subject.append(ps)
-        means.append(ps.mean)
-    curves = SurvivalCurves(times=np.asarray(times, dtype=float),
-                            values=np.vstack(means))
-    return curves, per_subject
+    phi_draws, shift = _draw_posterior(post, theta_map, rng, n_draws)
+    per_chunk = max(1, _CHUNK_FLOATS // (tq.size * theta_map.size))
+    out = np.empty((4, X.shape[0], times.size))
+    for start in range(0, X.shape[0], per_chunk):
+        rows = slice(start, start + per_chunk)
+        surv = _survival_draws(model, prior, theta_map, tq, prepend_zero,
+                               X[rows], phi_draws, shift)
+        out[:, rows] = _summarize(surv, level)
+    mean, median, lo, hi = out
+    return (SurvivalCurves(times=times, values=mean),
+            SurvivalBands(median=median, lo=lo, hi=hi, level=level,
+                          flagged_extrapolation=flagged))

@@ -25,6 +25,21 @@ def sigmoid_decimal(z, digits: int = 50) -> Decimal:
     return Decimal(1) / (Decimal(1) + (-zd).exp())
 
 
+def sigmoid_masked(z):
+    """The logistic function by boolean-mask indexing: 1/(1+exp(-z))
+    on z >= 0 and exp(z)/(1+exp(z)) elsewhere, each branch exp'ing
+    only its own entries. Scalars give a float."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 # Bernoulli numbers B_2..B_12 over their indices, for the asymptotic tail.
 _BERN = (
     (2, 1.0 / 6.0),
@@ -362,3 +377,54 @@ def cavi_sweep_all_pairs(J_grid, g_grid, J_event, g_event, theta_ref,
         "m_grid": m_grid, "s_grid": s_grid,
         "m_event": m_event, "s_event": s_event,
     }
+
+
+# ----------------------------------------------------------------- predict
+
+def predictive_per_subject(post, g_and_J, rho, theta_map, t_max, X, times,
+                           rng, n_draws, level):
+    """Posterior predictive survival one subject at a time: the draws
+    (phi from its Gamma factor, then theta = mu + Sigma^(1/2) z), then
+    per subject the linearized hazard on the grid (t = 0 prepended when
+    absent), a cumulative trapezoid along time and exp(-.), reduced over
+    draws to the mean, the median and an equal-tailed band (min/max
+    below 20 draws). `g_and_J(t_norm, X_rep)` returns the network value
+    and Jacobian at theta_map on those rows; the baseline is
+    t^(rho-1) / (1/2). Returns (mean, median, lo, hi), each (n, T)."""
+    theta_map = np.asarray(theta_map, dtype=float)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    t_norm = np.asarray(times, dtype=float) / float(t_max)
+    prepend_zero = t_norm[0] > 0.0
+    tq = np.concatenate([[0.0], t_norm]) if prepend_zero else t_norm
+
+    phi = rng.gen.gamma(float(post.alpha_tilde), 1.0 / float(post.beta_tilde),
+                        size=n_draws)
+    z = rng.gen.standard_normal((theta_map.size, n_draws))
+    theta = post.mu_tilde[:, None] + post.sigma.sqrt_matvec(z)
+
+    t_pow = (np.ones_like(tq) if rho == 1.0
+             else np.maximum(tq, 1e-12) ** (rho - 1.0))
+    base = t_pow / 0.5
+    out = {"mean": [], "median": [], "lo": [], "hi": []}
+    for x in X:
+        g, J = g_and_J(tq, np.tile(x, (tq.size, 1)))
+        g_lin = g[:, None] + J @ (theta - theta_map[:, None])
+        lam = phi[None, :] * base[:, None] * sigmoid_masked(g_lin)
+        cum = np.zeros_like(lam)
+        if tq.size > 1:
+            cum[1:, :] = np.cumsum(
+                0.5 * (lam[1:, :] + lam[:-1, :]) * np.diff(tq)[:, None],
+                axis=0)
+        surv = np.exp(-cum)
+        curves = (surv[1:, :] if prepend_zero else surv).T  # (S, T)
+        if n_draws >= 20:
+            a = 1.0 - level
+            lo = np.quantile(curves, a / 2.0, axis=0)
+            hi = np.quantile(curves, 1.0 - a / 2.0, axis=0)
+        else:
+            lo, hi = curves.min(axis=0), curves.max(axis=0)
+        out["mean"].append(curves.mean(axis=0))
+        out["median"].append(np.quantile(curves, 0.5, axis=0))
+        out["lo"].append(lo)
+        out["hi"].append(hi)
+    return tuple(np.vstack(out[k]) for k in ("mean", "median", "lo", "hi"))

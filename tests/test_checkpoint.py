@@ -76,6 +76,17 @@ def test_load_checkpoint_rejects_other_format(tmp_path):
         load_checkpoint(path)
 
 
+def test_load_checkpoint_rejects_truncated_or_non_json(tmp_path):
+    path = tmp_path / "fit.json"
+    save_checkpoint(path, {"phi": 2.0})
+    whole = path.read_bytes()
+    for raw in (b'{"meta": ', whole[: len(whole) // 2], b"", b"\xff\xfe{}",
+                b"not json"):
+        path.write_bytes(raw)
+        with pytest.raises(InputError, match="not a checkpoint file"):
+            load_checkpoint(path)
+
+
 def test_fit_doc_roundtrip_dense(small_fit):
     cfg = config_hash({"layers": list(small_fit.model.layer_sizes)})
     body = fit_to_doc(small_fit.model, small_fit.prior, small_fit.stats,

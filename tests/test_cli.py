@@ -1,6 +1,7 @@
 """Command-line workflows: synth -> fit -> predict/eval, plus selftest."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -8,8 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from sigsurv.checkpoint import body_bytes, load_checkpoint
+from sigsurv.checkpoint import body_bytes, fit_from_doc, load_checkpoint
 from sigsurv.cli import main
+from sigsurv.data import load_csv
+from sigsurv.numkit import RngStream
+from sigsurv.predict import mean_survival_matrix
 
 
 def _read_csv(path):
@@ -168,6 +172,20 @@ def test_fit_input_errors(tmp_path, capsys):
     assert rc == 2
 
 
+def test_fit_rejects_zero_iteration_caps(workdir, tmp_path, capsys):
+    ck = tmp_path / "capped.json"
+    common = ["fit", "--data", str(workdir / "train.csv"), "--out", str(ck),
+              "--hidden", "4", "--grid-k", "16"]
+    cfg = tmp_path / "m0.cfg"
+    cfg.write_text("m_step_iters = 0\n")
+    for extra, key in ((["--em-max-iter", "0"], "em_max_iter"),
+                       (["--cavi-max-iter", "-1"], "cavi_max_iter"),
+                       (["--config", str(cfg)], "m_step_iters")):
+        assert main([*common, *extra]) == 2
+        assert f"input error: {key} must be >= 1" in capsys.readouterr().err
+    assert not ck.exists()
+
+
 # ---------------------------------------------------------------- predict
 
 
@@ -193,6 +211,46 @@ def test_predict_csv_output(workdir, tmp_path, capsys):
         assert np.all(np.diff(mean) <= 1e-12)
         assert np.all((lo <= median + 1e-12) & (median <= hi + 1e-12))
         assert np.all((mean >= 0.0) & (mean <= 1.0))
+
+
+def test_predict_csv_is_csv_writer_bytes(workdir, tmp_path, capsys):
+    # the rows are the library's means and bands, written as csv.writer
+    # writes them
+    out = tmp_path / "pred.csv"
+    rc = main(["predict", "--checkpoint", str(workdir / "model.json"),
+               "--data", str(workdir / "test.csv"), "--out", str(out),
+               "--draws", "30", "--grid-points", "7", "--seed", "2"])
+    assert rc == 0
+    capsys.readouterr()
+    fit = fit_from_doc(load_checkpoint(workdir / "model.json")[1])
+    ds, _ = load_csv(workdir / "test.csv", {"time_col": "time",
+                                            "event_col": "event",
+                                            "feature_cols": "rest"},
+                     stats=fit.stats)
+    times = np.linspace(0.0, fit.t_max, 7)
+    curves, band = mean_survival_matrix(
+        fit.post, fit.model, fit.prior, fit.theta_map, fit.t_max, ds.X,
+        times, RngStream.from_seed(2), n_draws=30, level=0.9)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["subject", "time", "mean", "median", "lo", "hi"])
+    for i in range(ds.n):
+        for j, t in enumerate(times):
+            writer.writerow([i] + [f"{v:.17g}" for v in (
+                t, curves.values[i, j], band.median[i, j], band.lo[i, j],
+                band.hi[i, j])])
+    assert out.read_bytes() == want.getvalue().encode("ascii")
+
+
+def test_predict_eval_reject_truncated_checkpoint(workdir, tmp_path, capsys):
+    ck = tmp_path / "cut.json"
+    ck.write_text('{"meta": ')
+    common = ["--checkpoint", str(ck), "--data", str(workdir / "test.csv")]
+    assert main(["predict", *common, "--out", str(tmp_path / "p.csv")]) == 2
+    assert main(["eval", *common]) == 2
+    err = capsys.readouterr().err
+    assert err.count("not a checkpoint file") == 2
+    assert "Traceback" not in err
 
 
 def test_predict_missing_checkpoint(workdir, tmp_path):
@@ -259,8 +317,9 @@ def test_eval_constant_half_baseline(workdir, tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "9/9 checks passed" in out
-    assert out.count("[ok]") == 9
+    assert "10/10 checks passed" in out
+    assert out.count("[ok]") == 10
+    assert "[ok] predict-point-mass" in out
 
 
 def test_selftest_detects_sabotage(capsys):

@@ -12,7 +12,6 @@ from sigsurv.hazard import (
     BaselinePrior,
     baseline_factor,
     build_context,
-    expect_sigmoid_gaussian,
     hazard_batch,
     log_likelihood,
     log_posterior,
@@ -49,28 +48,6 @@ def test_prior_validation():
     for bad in [dict(alpha0=0.0), dict(beta0=-1.0), dict(rho=0.0)]:
         with pytest.raises(InputError):
             BaselinePrior(**bad)
-
-
-# ---------------------------------------------- sigmoid-Gaussian moment
-
-
-def test_expect_sigmoid_gaussian_zero_variance():
-    for m in (-3.0, 0.0, 1.7):
-        assert abs(expect_sigmoid_gaussian(m, 0.0) - sigmoid(m)) < 1e-15
-
-
-def test_expect_sigmoid_gaussian_accuracy_vs_mc():
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(300_000)
-    for m in (-2.0, -0.5, 0.0, 0.8, 2.0):
-        for v in (0.25, 1.0, 4.0, 9.0):
-            mc = sigmoid(m + math.sqrt(v) * z).mean()
-            assert abs(expect_sigmoid_gaussian(m, v) - mc) < 0.01
-
-
-def test_expect_sigmoid_gaussian_rejects_negative_variance():
-    with pytest.raises(InputError):
-        expect_sigmoid_gaussian(0.0, -1e-3)
 
 
 # ----------------------------------------------------------- normalizer

@@ -23,7 +23,7 @@ from sigsurv.numkit import (
     sigmoid,
 )
 
-from _oracles import digamma_euler_maclaurin, pg_series_draws
+from _oracles import digamma_euler_maclaurin, pg_series_draws, sigmoid_masked
 
 
 # ------------------------------------------------------------- sigmoid
@@ -65,6 +65,23 @@ def test_sigmoid_vector_shape_and_scalar_type():
     out = sigmoid(np.zeros((3, 4)))
     assert out.shape == (3, 4)
     assert isinstance(sigmoid(1.2), float)
+
+
+def test_sigmoid_bit_identical_to_masked_formula():
+    rng = np.random.default_rng(5)
+    edges = np.array([0.0, -0.0, 800.0, -800.0, 1e6, -1e6, 36.7, -36.7,
+                      745.2, -745.2, 5e-324, -5e-324, np.inf, -np.inf,
+                      np.nan, -np.nan])
+    for z in (edges, rng.normal(scale=10.0, size=(40, 7)),
+              np.linspace(-50.0, 50.0, 1001)):
+        got, want = sigmoid(z), sigmoid_masked(z)
+        assert got.shape == want.shape
+        # compare bit patterns: NaNs and signed zeros included
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for z in (0.0, -0.0, 800.0, -800.0, 3.25, -3.25, np.nan):
+        got, want = sigmoid(z), sigmoid_masked(z)
+        assert isinstance(got, float)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
 # ---------------------------------------------------------------- pg_f

@@ -5,12 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sigsurv.cavi import SigmaDense
+from sigsurv import predict
+from sigsurv.cavi import LowRankFactor, SigmaDense
 from sigsurv.errors import InputError
 from sigsurv.hazard import BaselinePrior
-from sigsurv.net import MlpModel
+from sigsurv.net import MlpModel, forward_batch, jacobian_batch
 from sigsurv.numkit import RngStream
 from sigsurv.predict import credible_band, mean_survival_matrix, sample_survival
+
+from _oracles import predictive_per_subject
 
 
 def _degenerate_posterior(phi0: float, m: int):
@@ -143,30 +146,112 @@ def test_credible_band_coverage():
 
 # ------------------------------------------------------- subject batches
 
+# A BLAS may round the rows of a matrix product differently when the
+# product is small: OpenBLAS switches to its small-matrix kernel at
+# M * N * K <= 1e6 on some CPUs. The batched core's product has more
+# rows than one subject's, so exact equality with the per-subject loop
+# holds when one subject's product (Tq * draws * m) is above that size.
+_SMALL_GEMM = 10**6
+
 
 def test_mean_survival_matrix_common_draws(small_fit, root):
     args = _fit_args(small_fit)
     times = np.linspace(0.0, small_fit.ds.t_max, 25)
     X = np.vstack([small_fit.ds.X[0], small_fit.ds.X[3], small_fit.ds.X[0]])
-    curves, per_subject = mean_survival_matrix(X=X, times=times,
-                                               rng=root.child(777),
-                                               n_draws=80, **args)
+    n_draws = 120  # one subject's product 25 * 120 * 385 > _SMALL_GEMM
+    curves, band = mean_survival_matrix(X=X, times=times,
+                                        rng=root.child(777),
+                                        n_draws=n_draws, **args)
     assert curves.values.shape == (3, 25)
-    assert len(per_subject) == 3
+    assert np.array_equal(curves.times, np.asarray(times))
+    for arr in (band.median, band.lo, band.hi):
+        assert arr.shape == (3, 25)
+    assert band.level == 0.9 and not band.flagged_extrapolation
     # identical covariates under shared draws give bit-identical curves
-    assert np.array_equal(per_subject[0].curves, per_subject[2].curves)
     assert np.array_equal(curves.values[0], curves.values[2])
+    for arr in (band.median, band.lo, band.hi):
+        assert np.array_equal(arr[0], arr[2])
+    # the means are the one-subject posterior means under the same draws
     for i in range(3):
-        assert np.array_equal(curves.values[i], per_subject[i].mean)
-        assert np.array_equal(per_subject[i].times, np.asarray(times))
+        ps = sample_survival(x=X[i], times=times, rng=root.child(777),
+                             n_draws=n_draws, **args)
+        assert np.array_equal(curves.values[i], ps.mean)
+        assert np.array_equal(band.median[i], ps.median)
+        assert np.array_equal(band.lo[i], ps.lo)
+        assert np.array_equal(band.hi[i], ps.hi)
 
 
 def test_mean_survival_matrix_single_row(small_fit, root):
     args = _fit_args(small_fit)
     times = np.linspace(0.0, small_fit.ds.t_max, 9)
-    curves, per_subject = mean_survival_matrix(X=small_fit.ds.X[0],
-                                               times=times,
-                                               rng=root.child(7), n_draws=40,
-                                               **args)
+    curves, band = mean_survival_matrix(X=small_fit.ds.X[0], times=times,
+                                        rng=root.child(7), n_draws=40,
+                                        **args)
     assert curves.values.shape == (1, 9)
-    assert len(per_subject) == 1
+    assert band.median.shape == band.lo.shape == band.hi.shape == (1, 9)
+
+
+# ------------------------------------------- batched core vs per subject
+
+# (5, 32, 32, 1) has m = 1281 parameters, so a chunk of a 65- or
+# 66-point grid holds 3 subjects and 7 subjects split 3 + 3 + 1.
+_WIDE = (5, 32, 32, 1)
+
+
+def _wide_problem(seed):
+    """A network far from silent and a posterior with a low-rank
+    covariance, so every draw moves every subject's curve."""
+    rng = RngStream.from_seed(seed)
+    model = MlpModel(_WIDE)
+    theta_map = model.random_theta(rng, scale=0.3)
+    m = model.n_params
+    post = SimpleNamespace(
+        alpha_tilde=40.0, beta_tilde=30.0,
+        mu_tilde=theta_map + 0.05 * rng.gen.standard_normal(m),
+        sigma=LowRankFactor(U=rng.gen.standard_normal((m, 12)),
+                            C=rng.gen.uniform(0.5, 2.0, size=12)),
+    )
+    X = rng.gen.standard_normal((7, 4))
+    return model, theta_map, post, X
+
+
+def _assert_matches_oracle(times, n_draws, level=0.9, t_max=2.5):
+    model, theta_map, post, X = _wide_problem(31)
+    tq_size = times.size + (times[0] > 0)
+    assert predict._CHUNK_FLOATS // (tq_size * model.n_params) == 3
+    assert tq_size * n_draws * model.n_params > _SMALL_GEMM
+
+    curves, band = mean_survival_matrix(
+        post, model, BaselinePrior(), theta_map, t_max, X, times,
+        RngStream.from_seed(4), n_draws=n_draws, level=level)
+
+    def g_and_J(tq, X_rep):
+        return (forward_batch(model, tq, X_rep, theta_map),
+                jacobian_batch(model, tq, X_rep, theta_map))
+
+    mean, median, lo, hi = predictive_per_subject(
+        post, g_and_J, 1.0, theta_map, t_max, X, times,
+        RngStream.from_seed(4), n_draws, level)
+    assert np.array_equal(curves.values, mean)
+    assert np.array_equal(band.median, median)
+    assert np.array_equal(band.lo, lo)
+    assert np.array_equal(band.hi, hi)
+    # the curves move between subjects and the band has width
+    assert np.ptp(mean[:, -1]) > 1e-3
+    assert np.all(hi[:, -1] - lo[:, -1] > 1e-3)
+    return curves, band
+
+
+def test_mean_survival_matrix_matches_per_subject_oracle_across_chunks():
+    _assert_matches_oracle(np.linspace(0.0, 2.5, 65), n_draws=60)
+
+
+def test_mean_survival_matrix_matches_per_subject_oracle_few_draws():
+    # below 20 draws the band is the draws' (min, max)
+    _assert_matches_oracle(np.linspace(0.0, 2.5, 65), n_draws=19)
+
+
+def test_mean_survival_matrix_matches_per_subject_oracle_without_zero():
+    # integration starts at t = 0 even when the grid does not hold it
+    _assert_matches_oracle(np.linspace(0.1, 2.5, 65), n_draws=40,
+                           level=0.8)
