@@ -270,12 +270,10 @@ class CaviResult:
 def _moments(lin: LinearizedModel, mu, sigma):
     """m~ = g_map + J^T (mu~ - theta_map) and s~ = sqrt(m~^2 + J Sigma J^T)
     at all cached live grid pairs and event times."""
-    shift = mu - lin.theta_ref
-    m_grid = lin.g_grid + lin.J_grid @ shift
+    m_grid = lin.g_lin_grid(mu)
     s_grid = np.sqrt(m_grid**2 + sigma.quad_rows(lin.J_grid))
-    m_event = lin.g_event + lin.J_event @ shift
-    q_event = sigma.quad_rows(lin.J_event)
-    s_event = np.sqrt(m_event**2 + q_event)
+    m_event = lin.g_lin_event(mu)
+    s_event = np.sqrt(m_event**2 + sigma.quad_rows(lin.J_event))
     return m_grid, s_grid, m_event, s_event
 
 
@@ -379,30 +377,24 @@ def update_theta(
     state: VariationalState,
     lin: LinearizedModel,
     ctx: HazardContext,
-    method: str = "auto",
 ) -> VariationalState:
     """mu~ = (1/2) B^(-1) A and Sigma~ = (1/2) B^(-1); afterwards the
-    cached moments m~, s~ are recomputed everywhere. `method`:
-    "dense" (m x m Cholesky), "woodbury" (R x R solve through the
-    factor), or "auto" (woodbury exactly when m exceeds the effective
-    rank)."""
+    cached moments m~, s~ are recomputed everywhere. The solve runs
+    through the factor's R x R Woodbury system when the parameter count
+    m exceeds the effective rank, and through a dense m x m Cholesky
+    otherwise."""
     factor = build_factor(state, lin, ctx)
     A = _assemble_A(state, lin, ctx)
     m = factor.dim
-    if method == "auto":
-        method = "woodbury" if m > factor.effective_rank else "dense"
-    if method == "dense":
+    if m > factor.effective_rank:
+        sigma: SigmaDense | LowRankFactor = factor
+        mu = factor.sigma_matvec(A)  # = (1/2) B^(-1) A
+    else:
         B = factor.assemble_B()
         L = _chol_with_jitter(B, "dense B")
         inv = _cho_solve(L, np.eye(m))
-        sigma: SigmaDense | LowRankFactor = SigmaDense(
-            0.5 * inv, effective_rank=factor.effective_rank)
+        sigma = SigmaDense(0.5 * inv, effective_rank=factor.effective_rank)
         mu = 0.5 * _cho_solve(L, A)
-    elif method == "woodbury":
-        sigma = factor
-        mu = factor.sigma_matvec(A)  # = (1/2) B^(-1) A
-    else:
-        raise InputError(f"unknown solve method {method!r}")
     m_grid, s_grid, m_event, s_event = _moments(lin, mu, sigma)
     return replace(
         state, mu_tilde=mu, sigma=sigma,
@@ -414,14 +406,13 @@ def cavi_sweep(
     state: VariationalState,
     lin: LinearizedModel,
     ctx: HazardContext,
-    method: str = "auto",
 ) -> VariationalState:
     """One full coordinate sweep in the fixed order omega, psi, phi,
     theta."""
     state = update_omega(state, lin, ctx)
     state = update_psi(state, lin, ctx)
     state = update_phi(state, ctx)
-    state = update_theta(state, lin, ctx, method=method)
+    state = update_theta(state, lin, ctx)
     return state
 
 
@@ -450,7 +441,6 @@ def run_cavi(
     phi_map: float,
     tol: float = 1e-6,
     max_iter: int = 1000,
-    method: str = "auto",
 ) -> CaviResult:
     """Iterate sweeps from the MAP-matched initialization until the
     largest blockwise relative change across (alpha~, mu~, diag Sigma~,
@@ -463,7 +453,7 @@ def run_cavi(
     it = 0
     blocks = _blocks(state)  # carried over: one sigma.diag() per sweep
     for it in range(max_iter):
-        new_state = cavi_sweep(state, lin, ctx, method=method)
+        new_state = cavi_sweep(state, lin, ctx)
         if not new_state.finite():
             raise ConvergenceError(
                 f"non-finite variational state at sweep {it + 1}",

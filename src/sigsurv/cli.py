@@ -104,9 +104,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         raise InputError("tolerances must be positive")
     if not 0.0 < cfg["level"] < 1.0:
         raise InputError("level must be in (0, 1)")
-    for key in ("em_max_iter", "m_step_iters", "cavi_max_iter"):
-        if cfg[key] < 1:
-            raise InputError(f"{key} must be >= 1, got {cfg[key]}")
+    for key, low in (("em_max_iter", 1), ("m_step_iters", 1),
+                     ("cavi_max_iter", 1), ("grid_k", 2), ("grid_points", 2)):
+        if cfg[key] < low:
+            raise InputError(f"{key} must be >= {low}, got {cfg[key]}")
     return cfg
 
 
@@ -225,7 +226,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                            else "dense"),
             "effective_rank": sigma.effective_rank,
             "live_pairs": int(ctx.w_live.size),
-            "live_pair_frac": ctx.w_live.size / ctx.live.size,
+            "live_pair_frac": ctx.w_live.size / ctx.grid.weights.size,
         },
         "data": {"n": ds.n, "n_events": ds.n_events, "p": ds.p},
     }

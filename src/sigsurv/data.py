@@ -1,5 +1,5 @@
 """Right-censored survival datasets: container, CSV ingestion with
-standardization, the synthetic benchmark generator, and k-fold splits.
+standardization, and the synthetic benchmark generator.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "standardize",
     "load_csv",
     "gen_synthetic",
-    "kfold",
 ]
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -122,16 +121,6 @@ class Dataset:
     def y_norm(self) -> np.ndarray:
         return self.y / self.t_max
 
-    def with_t_max(self, t_max: float) -> "Dataset":
-        """Same data, re-normalized against a (training) horizon."""
-        return Dataset(X=self.X, y=self.y, delta=self.delta, t_max=t_max)
-
-    def subset(self, idx) -> "Dataset":
-        idx = np.asarray(idx)
-        return Dataset(
-            X=self.X[idx], y=self.y[idx], delta=self.delta[idx], t_max=self.t_max
-        )
-
 
 def _parse_cell(text: str, where: str) -> float:
     token = text.strip()
@@ -225,18 +214,3 @@ def gen_synthetic(n: int, rng: RngStream) -> Dataset:
     X = np.column_stack([g.astype(float), noise])
     return Dataset(X=X, y=y, delta=delta)
 
-
-def kfold(n: int, k: int, rng: RngStream):
-    """Disjoint covering train/test index splits; sizes differ by <= 1."""
-    if k < 2:
-        raise InputError("k must be >= 2")
-    if n < k:
-        raise InputError("need at least k observations")
-    perm = rng.gen.permutation(n)
-    folds = np.array_split(perm, k)
-    splits = []
-    for i in range(k):
-        test = np.sort(folds[i])
-        train = np.sort(np.concatenate([folds[j] for j in range(k) if j != i]))
-        splits.append((train, test))
-    return splits

@@ -32,12 +32,10 @@ __all__ = [
     "normalizer_Z",
     "baseline_factor",
     "build_context",
-    "hazard_batch",
     "log_likelihood",
     "log_prior",
     "log_posterior",
     "sample_pg_series",
-    "sample_marked_pp",
     "sample_marked_pp_batch",
 ]
 
@@ -84,44 +82,31 @@ def baseline_factor(model: MlpModel, prior: BaselinePrior, T, X):
 
 @dataclass(frozen=True)
 class HazardContext:
-    """Per-dataset caches shared by the likelihood, EM, and CAVI:
-    quadrature grid, the normalizer Z at grid nodes / event times, the
-    phi-free baseline factor t^(rho-1)/Z at the same points, per-subject
-    integrals of that factor, and the resulting constant rate term
-    phi_rate = beta0 + sum_i int_0^{y_i} t^(rho-1)/Z dt.
+    """Per-dataset caches shared by the likelihood, EM, and CAVI: the
+    quadrature grid, the phi-free baseline factor t^(rho-1)/Z at the
+    event times and at the grid pairs, and the resulting constant rate
+    term phi_rate = beta0 + sum_i int_0^{y_i} t^(rho-1)/Z dt.
 
-    EM works on the full (N, K) grid. CAVI works on the P live pairs
-    only, the (subject, node) pairs with nonzero trapezoid weight
-    (`live`), packed subject-major; `w_live` and `base_live` are the
-    weights and baseline factor in that order."""
+    Grid quantities hold only the P live pairs, the (subject, node)
+    pairs with nonzero trapezoid weight, packed subject-major (C order
+    of `grid.live_mask()`); a pair with zero weight adds nothing to any
+    quadrature. `t_live` and `x_live` are the network inputs at those
+    pairs, `w_live` and `base_live` their weights and baseline factor."""
 
     model: MlpModel
     prior: BaselinePrior
     dataset: Dataset
     grid: QuadratureGrid
-    Z_grid: np.ndarray       # (N, K)
-    Z_event: np.ndarray      # (N,)
-    base_grid: np.ndarray    # (N, K) t^(rho-1)/Z at nodes
-    base_event: np.ndarray   # (N,)
-    int_base: np.ndarray     # (N,) quadrature of base_grid rows
+    t_live: np.ndarray       # (P,) node times
+    x_live: np.ndarray       # (P, p) subject covariates
+    w_live: np.ndarray       # (P,) trapezoid weights
+    base_live: np.ndarray    # (P,) t^(rho-1)/Z at the live pairs
+    base_event: np.ndarray   # (N,) t^(rho-1)/Z at the event times
     phi_rate: float
-    live: np.ndarray         # (N, K) bool, weights > 0
-    w_live: np.ndarray       # (P,) weights at live pairs
-    base_live: np.ndarray    # (P,) base_grid at live pairs
 
     @property
     def n_obs(self) -> int:
         return self.dataset.n
-
-
-def _tiled_inputs(dataset: Dataset, grid: QuadratureGrid):
-    """(time, covariate) rows for every (observation, node) pair, laid
-    out so a reshape to (N, K) puts observation i in row i."""
-    N = dataset.n
-    K = grid.n_nodes
-    T = np.tile(grid.nodes, N)
-    X = np.repeat(dataset.X, K, axis=0)
-    return T, X
 
 
 def build_context(
@@ -137,43 +122,23 @@ def build_context(
         )
     if grid is None:
         grid = build_grid(dataset.y_norm, n_nodes)
-    N, K = dataset.n, grid.n_nodes
-
-    T_tile, X_rep = _tiled_inputs(dataset, grid)
-    Z_grid = normalizer_Z(model, T_tile, X_rep).reshape(N, K)
-    Z_event = normalizer_Z(model, dataset.y_norm, dataset.X)
-
-    base_grid = _t_power(grid.nodes, prior.rho)[None, :] / Z_grid
-    base_event = _t_power(dataset.y_norm, prior.rho) / Z_event
-    int_base = grid.integrate(base_grid)
-    phi_rate = prior.beta0 + float(int_base.sum())
-    live = grid.live_mask()
+    subject, node = np.nonzero(grid.live_mask())
+    t_live = grid.nodes[node]
+    x_live = dataset.X[subject]
+    w_live = grid.weights[subject, node]
+    base_live = baseline_factor(model, prior, t_live, x_live)
     return HazardContext(
         model=model,
         prior=prior,
         dataset=dataset,
         grid=grid,
-        Z_grid=Z_grid,
-        Z_event=Z_event,
-        base_grid=base_grid,
-        base_event=base_event,
-        int_base=int_base,
-        phi_rate=phi_rate,
-        live=live,
-        w_live=grid.weights[live],
-        base_live=base_grid[live],
+        t_live=t_live,
+        x_live=x_live,
+        w_live=w_live,
+        base_live=base_live,
+        base_event=baseline_factor(model, prior, dataset.y_norm, dataset.X),
+        phi_rate=prior.beta0 + float((w_live * base_live).sum()),
     )
-
-
-def hazard_batch(model: MlpModel, prior: BaselinePrior, phi: float, theta, T, X):
-    """lambda(t|x) at arbitrary (normalized) times: exact network, fresh
-    normalizer. One value per row of (T, X)."""
-    if phi <= 0:
-        raise InputError("phi must be positive")
-    if np.any(np.asarray(T, dtype=float) < 0):
-        raise InputError("hazard times must be nonnegative")
-    g = forward_batch(model, T, X, theta)
-    return phi * baseline_factor(model, prior, T, X) * sigmoid(g)
 
 
 def log_likelihood(ctx: HazardContext, phi: float, theta) -> float:
@@ -182,15 +147,13 @@ def log_likelihood(ctx: HazardContext, phi: float, theta) -> float:
     grid. Exact network evaluations (no linearization)."""
     if phi <= 0:
         raise InputError("phi must be positive")
-    ds, grid = ctx.dataset, ctx.grid
-    N, K = ds.n, grid.n_nodes
+    ds = ctx.dataset
 
     g_event = forward_batch(ctx.model, ds.y_norm, ds.X, theta)
     lam_event = phi * ctx.base_event * sigmoid(g_event)
 
-    T_tile, X_rep = _tiled_inputs(ds, grid)
-    g_grid = forward_batch(ctx.model, T_tile, X_rep, theta).reshape(N, K)
-    cum = grid.integrate(phi * ctx.base_grid * sigmoid(g_grid))
+    g_live = forward_batch(ctx.model, ctx.t_live, ctx.x_live, theta)
+    cum = float((ctx.w_live * (phi * ctx.base_live * sigmoid(g_live))).sum())
 
     with np.errstate(divide="ignore"):
         log_lam = np.log(lam_event)
@@ -201,7 +164,7 @@ def log_likelihood(ctx: HazardContext, phi: float, theta) -> float:
             "hazard underflowed to zero at event observation(s) %s"
             % bad.tolist()
         )
-    return float(event_terms.sum() - cum.sum())
+    return float(event_terms.sum() - cum)
 
 
 def log_prior(model: MlpModel, prior: BaselinePrior, phi: float, theta) -> float:
@@ -292,20 +255,3 @@ def sample_marked_pp_batch(
     omegas = sample_pg_series(rng, 1.0, 0.0, size=n_pts, terms=pg_terms)
     return times, omegas, counts
 
-
-def sample_marked_pp(
-    model: MlpModel,
-    prior: BaselinePrior,
-    phi: float,
-    y: float,
-    x,
-    rng: RngStream,
-    n_grid: int = 2048,
-    pg_terms: int = 2000,
-):
-    """Single realization of the marked process; see
-    sample_marked_pp_batch. Returns (times, omegas)."""
-    times, omegas, _ = sample_marked_pp_batch(
-        model, prior, phi, y, x, rng, n_rep=1, n_grid=n_grid, pg_terms=pg_terms
-    )
-    return times, omegas

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hazard import HazardContext, _tiled_inputs, log_posterior
+from .hazard import HazardContext, log_posterior
 from .net import forward_batch, grad_weighted_sum
 from .numkit import RngStream, pg_mean, sigmoid
 from .optim import OptimResult, minimize_lbfgs
@@ -28,17 +28,18 @@ __all__ = ["EmState", "EmResult", "em_latent_update", "q_function", "q_grad",
 class EmState:
     """Current parameters plus the latent moments computed from them.
 
-    Latent fields are None until the first em_latent_update. a_coef is
-    the coefficient of log phi in Q: alpha0 - 1 + sum_i delta_i
-    + sum_{ik} v_ik lam_grid_ik.
+    Latent fields are None until the first em_latent_update. The grid
+    fields hold the P live quadrature pairs in the context's packed
+    order. a_coef is the coefficient of log phi in Q: alpha0 - 1
+    + sum_i delta_i + sum_p w_p lam_grid_p.
     """
 
     theta: np.ndarray
     phi: float
     c_event: np.ndarray | None = None   # (N,) delta_i |g(y_i; theta)|
     e_omega: np.ndarray | None = None   # (N,) pg_mean(1, c_event)
-    lam_grid: np.ndarray | None = None  # (N, K) thinned rates at nodes
-    tau_grid: np.ndarray | None = None  # (N, K) pg_mean(1, |g|) at nodes
+    lam_grid: np.ndarray | None = None  # (P,) thinned rates at live pairs
+    tau_grid: np.ndarray | None = None  # (P,) pg_mean(1, |g|) at live pairs
     a_coef: float | None = None
 
     def require_latents(self):
@@ -69,7 +70,7 @@ def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
     thinned-process rate at node t_k is
     (t^(rho-1)/Z) * phi * sigmoid(|g|) * exp(-(g + |g|)/2)
     (the stable form of lambda0 * sigmoid(-g)), with PG means at |g|."""
-    ds, grid = ctx.dataset, ctx.grid
+    ds = ctx.dataset
     theta, phi = state.theta, state.phi
     if not np.all(np.isfinite(theta)) or not np.isfinite(phi) or phi <= 0:
         raise InputError("state parameters must be finite with phi > 0")
@@ -78,15 +79,14 @@ def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
     c_event = ds.delta * np.abs(g_event)
     e_omega = pg_mean(1.0, c_event)
 
-    T_tile, X_rep = _tiled_inputs(ds, grid)
-    g_grid = forward_batch(ctx.model, T_tile, X_rep, theta).reshape(ds.n, grid.n_nodes)
+    g_grid = forward_batch(ctx.model, ctx.t_live, ctx.x_live, theta)
     ag = np.abs(g_grid)
-    lam_grid = ctx.base_grid * phi * sigmoid(ag) * np.exp(-0.5 * (g_grid + ag))
+    lam_grid = ctx.base_live * phi * sigmoid(ag) * np.exp(-0.5 * (g_grid + ag))
     tau_grid = pg_mean(1.0, ag)
 
     a_coef = (
         ctx.prior.alpha0 - 1.0 + float(ds.delta.sum())
-        + float((grid.weights * lam_grid).sum())
+        + float((ctx.w_live * lam_grid).sum())
     )
     return replace(
         state, c_event=c_event, e_omega=e_omega,
@@ -96,12 +96,11 @@ def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
 
 def _theta_terms(ctx: HazardContext, state: EmState, theta):
     """g evaluations shared by Q and its gradient; returns
-    (g_event (N,), g_grid (N,K), vlam (N,K))."""
-    ds, grid = ctx.dataset, ctx.grid
+    (g_event (N,), g_grid (P,), vlam (P,)) with vlam = w lam_grid."""
+    ds = ctx.dataset
     g_event = forward_batch(ctx.model, ds.y_norm, ds.X, theta)
-    T_tile, X_rep = _tiled_inputs(ds, grid)
-    g_grid = forward_batch(ctx.model, T_tile, X_rep, theta).reshape(ds.n, grid.n_nodes)
-    vlam = grid.weights * state.lam_grid
+    g_grid = forward_batch(ctx.model, ctx.t_live, ctx.x_live, theta)
+    vlam = ctx.w_live * state.lam_grid
     return g_event, g_grid, vlam
 
 
@@ -136,14 +135,14 @@ def q_function(ctx: HazardContext, state: EmState, theta, phi: float) -> float:
 def q_grad(ctx: HazardContext, state: EmState, theta, phi: float) -> np.ndarray:
     """Gradient of Q w.r.t. (theta, log phi), length m + 1."""
     state.require_latents()
-    ds, grid = ctx.dataset, ctx.grid
+    ds = ctx.dataset
     g_event, g_grid, vlam = _theta_terms(ctx, state, theta)
 
     w_event = ds.delta * (0.5 - state.e_omega * g_event)
     w_grid = -vlam * (0.5 + state.tau_grid * g_grid)
-    T_all = np.concatenate([ds.y_norm, np.tile(grid.nodes, ds.n)])
-    X_all = np.vstack([ds.X, np.repeat(ds.X, grid.n_nodes, axis=0)])
-    w_all = np.concatenate([w_event, w_grid.ravel()])
+    T_all = np.concatenate([ds.y_norm, ctx.t_live])
+    X_all = np.vstack([ds.X, ctx.x_live])
+    w_all = np.concatenate([w_event, w_grid])
     d_theta = grad_weighted_sum(ctx.model, T_all, X_all, theta, w_all) - theta
     d_logphi = state.a_coef - ctx.phi_rate * phi
     return np.concatenate([d_theta, [d_logphi]])

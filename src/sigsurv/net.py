@@ -13,7 +13,6 @@ so the network input dimension is p + 1.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,6 @@ __all__ = [
     "grad_weighted_sum",
     "unflatten",
     "flatten",
-    "params_to_doc",
-    "params_from_doc",
     "LinearizedModel",
     "linearize",
 ]
@@ -211,31 +208,6 @@ def grad_weighted_sum(model: MlpModel, T, X, theta, w) -> np.ndarray:
     return grad
 
 
-def params_to_doc(model: MlpModel, theta) -> dict:
-    """Serialize a flat parameter vector with its layer-size header.
-
-    Payload is the raw little-endian float64 buffer, base64-encoded.
-    """
-    theta = np.ascontiguousarray(np.asarray(theta, dtype="<f8"))
-    if theta.shape != (model.n_params,):
-        raise ValueError("theta length does not match the architecture")
-    return {
-        "layer_sizes": list(model.layer_sizes),
-        "dtype": "<f8",
-        "theta_b64": base64.b64encode(theta.tobytes()).decode("ascii"),
-    }
-
-
-def params_from_doc(doc: dict):
-    """Inverse of params_to_doc: returns (MlpModel, theta)."""
-    model = MlpModel(layer_sizes=tuple(doc["layer_sizes"]))
-    raw = base64.b64decode(doc["theta_b64"])
-    theta = np.frombuffer(raw, dtype=doc.get("dtype", "<f8")).astype(float)
-    if theta.shape != (model.n_params,):
-        raise ValueError("serialized theta length does not match header")
-    return model, theta
-
-
 @dataclass
 class LinearizedModel:
     """First-order expansion of the network around theta_ref.
@@ -269,18 +241,6 @@ class LinearizedModel:
         """(N,) linearized values at the cached (y_i, x_i) points."""
         d = np.asarray(theta, dtype=float) - self.theta_ref
         return self.g_event + self.J_event @ d
-
-    def eval_fresh(self, T, X):
-        """(g_ref, J) at arbitrary points, computed from the network."""
-        g = forward_batch(self.model, T, X, self.theta_ref)
-        J = jacobian_batch(self.model, T, X, self.theta_ref)
-        return g, J
-
-    def g_lin_at(self, t, x, theta) -> float:
-        """Linearized value at a single arbitrary (t, x)."""
-        g, J = self.eval_fresh([t], np.asarray(x, dtype=float)[None, :])
-        d = np.asarray(theta, dtype=float) - self.theta_ref
-        return float(g[0] + J[0] @ d)
 
 
 def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:

@@ -1,5 +1,5 @@
 """Numerical primitives: special functions, Polya-Gamma moments,
-trapezoid quadrature grids, and seeded random sampling.
+trapezoid quadrature grids, and seeded random streams.
 
 Everything here is pure given its inputs; `RngStream` is single-owner
 and split by seed derivation rather than shared.
@@ -22,11 +22,6 @@ __all__ = [
     "QuadratureGrid",
     "build_grid",
     "RngStream",
-    "sample_gamma",
-    "sample_normal",
-    "sample_lognormal",
-    "sample_exponential",
-    "sample_poisson_count",
 ]
 
 LOG2 = float(np.log(2.0))
@@ -139,10 +134,6 @@ class QuadratureGrid:
     def n_obs(self) -> int:
         return self.y.shape[0]
 
-    def node_mask(self) -> np.ndarray:
-        """(N, K) boolean mask of nodes with t_k <= y_i."""
-        return self.nodes[None, :] <= self.y[:, None]
-
     def live_mask(self) -> np.ndarray:
         """(N, K) boolean mask of the pairs with nonzero weight. Taken
         in C order (subject-major), the mask gives the packed layout of
@@ -220,38 +211,3 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(key),))
         return RngStream(seed=self.seed, gen=np.random.Generator(np.random.PCG64(ss)))
 
-
-def _check_positive(name, value):
-    if not np.all(np.asarray(value) > 0):
-        raise ValueError(f"{name} must be > 0")
-
-
-def sample_gamma(rng: RngStream, shape, rate, size=None):
-    """Gamma(shape, rate) draws (rate parameterization: mean shape/rate)."""
-    _check_positive("shape", shape)
-    _check_positive("rate", rate)
-    return rng.gen.gamma(shape, 1.0 / np.asarray(rate, dtype=float), size=size)
-
-
-def sample_normal(rng: RngStream, mean, sd, size=None):
-    _check_positive("sd", sd)
-    return rng.gen.normal(mean, sd, size=size)
-
-
-def sample_lognormal(rng: RngStream, mu, sigma, size=None):
-    """Lognormal with underlying normal mean mu and std sigma."""
-    _check_positive("sigma", sigma)
-    return rng.gen.lognormal(mu, sigma, size=size)
-
-
-def sample_exponential(rng: RngStream, rate, size=None):
-    """Exponential(rate) draws (mean 1/rate)."""
-    _check_positive("rate", rate)
-    return rng.gen.exponential(1.0 / np.asarray(rate, dtype=float), size=size)
-
-
-def sample_poisson_count(rng: RngStream, lam, size=None):
-    """Poisson(lam) counts; lam >= 0."""
-    if not np.all(np.asarray(lam) >= 0):
-        raise ValueError("lam must be >= 0")
-    return rng.gen.poisson(lam, size=size)

@@ -302,6 +302,60 @@ def q_straightline(y_norm, delta, X, nodes, weights, layer_sizes,
     return total
 
 
+def _pg1(c):
+    """E[PG(1, c)] = tanh(c/2) / (2c), elementwise, 1/4 at c = 0."""
+    c = np.asarray(c, dtype=float)
+    safe = np.where(np.abs(c) < 1e-8, 1.0, c)
+    return np.where(np.abs(c) < 1e-8, 0.25, np.tanh(safe / 2.0) / (2.0 * safe))
+
+
+def em_full_grid(forward, grad_sum, y_norm, delta, X, nodes, weights,
+                 base_grid, alpha0, beta0, state_theta, state_phi, theta, phi):
+    """EM's latents, Q and gradient over every (subject, node) pair of
+    the full grid, as EM computed them before it ran on the live pairs
+    only: (N, K) per-pair arrays and weight-masked sums. The E-step
+    latents come from (state_theta, state_phi); Q and its gradient in
+    (theta, log phi) are taken at (theta, phi), with the entropy
+    constant dropped. `forward(T, X, theta)` evaluates the network row
+    by row, `grad_sum(T, X, theta, w)` is the gradient of
+    sum_j w_j g(t_j, x_j; theta), and base_grid (N, K) is the baseline
+    factor at the nodes. Returns a dict of c_event, e_omega, lam_grid,
+    tau_grid (both (N, K)), a_coef, phi_rate, q and grad."""
+    delta = np.asarray(delta, dtype=float)
+    N, K = weights.shape
+    T_tile = np.tile(nodes, N)
+    X_rep = np.repeat(X, K, axis=0)
+
+    g_event = forward(y_norm, X, state_theta)
+    c_event = delta * np.abs(g_event)
+    e_omega = _pg1(c_event)
+    g_grid = forward(T_tile, X_rep, state_theta).reshape(N, K)
+    ag = np.abs(g_grid)
+    lam_grid = (base_grid * state_phi * sigmoid_masked(ag)
+                * np.exp(-0.5 * (g_grid + ag)))
+    tau_grid = _pg1(ag)
+    a_coef = alpha0 - 1.0 + delta.sum() + float((weights * lam_grid).sum())
+    phi_rate = beta0 + float(np.einsum("nk,nk->n", weights, base_grid).sum())
+
+    g_event = forward(y_norm, X, theta)
+    g_grid = forward(T_tile, X_rep, theta).reshape(N, K)
+    vlam = weights * lam_grid
+    q = (float((delta * (0.5 * g_event - 0.5 * e_omega * g_event**2)).sum())
+         - float((vlam * (0.5 * g_grid + 0.5 * tau_grid * g_grid**2)).sum())
+         - 0.5 * float(theta @ theta)
+         + a_coef * math.log(phi) - phi_rate * phi)
+    w_event = delta * (0.5 - e_omega * g_event)
+    w_grid = -vlam * (0.5 + tau_grid * g_grid)
+    d_theta = grad_sum(np.concatenate([y_norm, T_tile]), np.vstack([X, X_rep]),
+                       theta, np.concatenate([w_event, w_grid.ravel()])) - theta
+    return {
+        "c_event": c_event, "e_omega": e_omega,
+        "lam_grid": lam_grid, "tau_grid": tau_grid,
+        "a_coef": a_coef, "phi_rate": phi_rate, "q": q,
+        "grad": np.concatenate([d_theta, [a_coef - phi_rate * phi]]),
+    }
+
+
 # ----------------------------------------------------------------- CAVI bits
 
 def psi_rate_scalar(m_t, s_t, e_log_phi, base) -> float:
@@ -334,11 +388,6 @@ def cavi_sweep_all_pairs(J_grid, g_grid, J_event, g_event, theta_ref,
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    def pg1(c):
-        c = np.asarray(c, dtype=float)
-        safe = np.where(np.abs(c) < 1e-8, 1.0, c)
-        return np.where(np.abs(c) < 1e-8, 0.25, np.tanh(safe / 2.0) / (2.0 * safe))
-
     def moments(mu, Sigma):
         shift = mu - theta_ref
         mg = g_grid + np.einsum("nkm,m->nk", J_grid, shift)
@@ -351,12 +400,12 @@ def cavi_sweep_all_pairs(J_grid, g_grid, J_event, g_event, theta_ref,
     m_grid, s_grid, _, s_event = moments(theta_ref, np.eye(m))
 
     c = delta * s_event
-    e_omega = pg1(c)
+    e_omega = _pg1(c)
     lam = base_grid * sig(s_grid) * np.exp(-0.5 * (m_grid + s_grid) + e_log_phi0)
     new_alpha = alpha0 + delta.sum() + float((weights * lam).sum())
     e_log_phi = digamma_euler_maclaurin(new_alpha) - math.log(beta)
 
-    tau = pg1(s_grid)
+    tau = _pg1(s_grid)
     vlam = weights * lam
     off_event = g_event - J_event @ theta_ref
     off_grid = g_grid - np.einsum("nkm,m->nk", J_grid, theta_ref)

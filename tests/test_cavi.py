@@ -20,7 +20,7 @@ from sigsurv.cavi import (
 )
 from sigsurv.data import Dataset
 from sigsurv.errors import InputError, NumericalError
-from sigsurv.hazard import BaselinePrior, build_context
+from sigsurv.hazard import BaselinePrior, baseline_factor, build_context
 from sigsurv.net import MlpModel, forward_batch, jacobian_batch, linearize
 from sigsurv.numkit import RngStream, digamma, pg_mean
 
@@ -133,7 +133,9 @@ def test_update_psi_matches_scalar_oracle():
                      lin, ctx)
     count = 0
     for p, (i, k) in enumerate(zip(*np.nonzero(ctx.grid.weights > 0))):
-        want = psi_rate_scalar(m[p], s[p], elp, ctx.base_grid[i, k])
+        base = baseline_factor(ctx.model, ctx.prior, [ctx.grid.nodes[k]],
+                               ctx.dataset.X[i][None, :])[0]
+        want = psi_rate_scalar(m[p], s[p], elp, base)
         assert abs(new.lam_q[p] - want) <= 1e-12 * max(want, 1e-6)
         count += 1
     assert count == P
@@ -290,24 +292,9 @@ def test_build_factor_censoring_partition():
                        rtol=0, atol=1e-12)
 
 
-def test_update_theta_dense_woodbury_agree():
-    ctx, lin, _, state = _small_problem(seed=12)
-    state = update_omega(state, lin, ctx)
-    state = update_psi(state, lin, ctx)
-    state = update_phi(state, ctx)
-    dense = update_theta(state, lin, ctx, method="dense")
-    wood = update_theta(state, lin, ctx, method="woodbury")
-    assert np.allclose(dense.mu_tilde, wood.mu_tilde, rtol=1e-8, atol=1e-10)
-    assert np.allclose(dense.sigma.diag(), wood.sigma.diag(),
-                       rtol=1e-8, atol=1e-10)
-    assert np.allclose(dense.s_grid, wood.s_grid, rtol=1e-8, atol=1e-10)
-    with pytest.raises(InputError):
-        update_theta(state, lin, ctx, method="cholesky")
-
-
 def test_update_theta_posterior_moments_valid():
     ctx, lin, _, state = _small_problem(seed=13)
-    new = cavi_sweep(state, lin, ctx, method="dense")
+    new = cavi_sweep(state, lin, ctx)
     gap = new.s_grid**2 - new.m_grid**2
     assert np.all(gap >= -1e-12)
     quad = new.sigma.quad_rows(lin.J_grid)
@@ -326,34 +313,43 @@ def test_update_theta_prior_recovery_with_zero_weights():
     )
     hacked_ds = replace(ctx.dataset, delta=np.zeros(ctx.dataset.n, dtype=int))
     ctx0 = replace(ctx, dataset=hacked_ds)
-    new = update_theta(silent, lin, ctx0, method="auto")
+    new = update_theta(silent, lin, ctx0)
     assert np.allclose(new.mu_tilde, 0.0, rtol=0, atol=1e-12)
     assert np.allclose(new.sigma.diag(), 1.0, rtol=0, atol=1e-12)
 
 
 def test_cavi_sweep_matches_all_pairs_oracle():
     # the packed sweep against one over the full (N, K) grid, with the
-    # network re-linearized at every pair and weight-masked sums
-    ctx, lin, theta_map, state = _small_problem(seed=18)
-    ds, grid = ctx.dataset, ctx.grid
-    N, K = grid.weights.shape
-    T_all = np.tile(grid.nodes, N)
-    X_all = np.repeat(ds.X, K, axis=0)
-    J_all = jacobian_batch(ctx.model, T_all, X_all, theta_map)
-    g_all = forward_batch(ctx.model, T_all, X_all, theta_map)
-    want = cavi_sweep_all_pairs(
-        J_all.reshape(N, K, -1), g_all.reshape(N, K), lin.J_event,
-        lin.g_event, theta_map, grid.weights, ctx.base_grid, ds.delta,
-        ctx.prior.alpha0, state.alpha_tilde, state.beta_tilde)
-    got = cavi_sweep(state, lin, ctx)
-    live = grid.weights > 0
-    close = dict(rtol=1e-12, atol=1e-12)
-    for name in ("alpha_tilde", "e_log_phi", "mu_tilde", "c_tilde",
-                 "e_omega", "m_event", "s_event"):
-        assert np.allclose(getattr(got, name), want[name], **close), name
-    for name in ("lam_q", "m_grid", "s_grid"):
-        assert np.allclose(getattr(got, name), want[name][live], **close), name
-    assert np.allclose(got.sigma.dense(), want["sigma"], **close)
+    # network re-linearized at every pair and weight-masked sums; once
+    # on each covariance path
+    for layers, covariance in (((3, 4, 1), SigmaDense),        # m = 21
+                               ((3, 32, 1), LowRankFactor)):   # m = 161
+        ctx, lin, theta_map, state = _small_problem(seed=18, layers=layers)
+        ds, grid = ctx.dataset, ctx.grid
+        N, K = grid.weights.shape
+        T_all = np.tile(grid.nodes, N)
+        X_all = np.repeat(ds.X, K, axis=0)
+        J_all = jacobian_batch(ctx.model, T_all, X_all, theta_map)
+        g_all = forward_batch(ctx.model, T_all, X_all, theta_map)
+        base_grid = baseline_factor(ctx.model, ctx.prior, T_all, X_all)
+        want = cavi_sweep_all_pairs(
+            J_all.reshape(N, K, -1), g_all.reshape(N, K), lin.J_event,
+            lin.g_event, theta_map, grid.weights, base_grid.reshape(N, K),
+            ds.delta, ctx.prior.alpha0, state.alpha_tilde, state.beta_tilde)
+        got = cavi_sweep(state, lin, ctx)
+        # Woodbury exactly when m exceeds the effective rank (N + P at most)
+        assert type(got.sigma) is covariance
+        assert (lin.n_params > got.sigma.effective_rank) == (
+            covariance is LowRankFactor)
+        live = grid.weights > 0
+        close = dict(rtol=1e-12, atol=1e-12)
+        for name in ("alpha_tilde", "e_log_phi", "mu_tilde", "c_tilde",
+                     "e_omega", "m_event", "s_event"):
+            assert np.allclose(getattr(got, name), want[name], **close), name
+        for name in ("lam_q", "m_grid", "s_grid"):
+            assert np.allclose(getattr(got, name), want[name][live],
+                               **close), name
+        assert np.allclose(got.sigma.dense(), want["sigma"], **close)
 
 
 # ------------------------------------------------------------- full loop

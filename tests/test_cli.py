@@ -186,6 +186,27 @@ def test_fit_rejects_zero_iteration_caps(workdir, tmp_path, capsys):
     assert not ck.exists()
 
 
+def test_rejects_grid_sizes_below_two(workdir, tmp_path, capsys):
+    ck = tmp_path / "k1.json"
+    for k in ("1", "0"):
+        assert main(["fit", "--data", str(workdir / "train.csv"), "--out",
+                     str(ck), "--hidden", "4", "--grid-k", k]) == 2
+        assert f"input error: grid_k must be >= 2, got {k}" in \
+            capsys.readouterr().err
+    assert not ck.exists()
+    common = ["--checkpoint", str(workdir / "model.json"),
+              "--data", str(workdir / "test.csv"), "--draws", "20"]
+    for points in ("-1", "1"):
+        assert main(["predict", *common, "--grid-points", points,
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert main(["eval", *common, "--grid-points", points]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"input error: grid_points must be >= 2, "
+                         f"got {points}") == 2
+        assert "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 # ---------------------------------------------------------------- predict
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from sigsurv.data import Dataset, FeatureStats, gen_synthetic, kfold, load_csv, standardize
+from sigsurv.data import Dataset, FeatureStats, gen_synthetic, load_csv, standardize
 from sigsurv.errors import InputError
 from sigsurv.numkit import RngStream
 
@@ -146,12 +146,6 @@ def test_dataset_validation_and_views():
     assert (ds.n, ds.p, ds.n_events) == (4, 2, 3)
     assert ds.t_max == 4.0
     assert np.allclose(ds.y_norm * ds.t_max, ds.y, rtol=0, atol=1e-12)
-    wide = ds.with_t_max(8.0)
-    assert wide.t_max == 8.0
-    assert np.array_equal(wide.y, ds.y)
-    sub = ds.subset([2, 0])
-    assert np.array_equal(sub.y, [4.0, 1.0])
-    assert sub.t_max == ds.t_max  # subsetting keeps the training horizon
 
     with pytest.raises(InputError, match="rejected at ingestion: \\[1\\]"):
         Dataset(X=X, y=[1.0, 0.0, 2.0, 3.0], delta=[1, 1, 1, 1])
@@ -206,33 +200,3 @@ def test_gen_synthetic_distribution_stable_across_seeds(root):
     a = gen_synthetic(10_000, root.child(21))
     b = gen_synthetic(10_000, root.child(22))
     assert spstats.ks_2samp(a.y, b.y).pvalue > 0.001
-
-
-# ------------------------------------------------------------------ folds
-
-
-def test_kfold_partitions(root):
-    splits = kfold(125, 5, root.child(9))
-    assert len(splits) == 5
-    all_test = np.concatenate([te for _, te in splits])
-    assert len(all_test) == 125
-    assert np.array_equal(np.sort(all_test), np.arange(125))
-    for train, test in splits:
-        assert len(test) == 25
-        assert np.intersect1d(train, test).size == 0
-        assert np.array_equal(np.sort(np.concatenate([train, test])),
-                              np.arange(125))
-
-
-def test_kfold_uneven_and_deterministic(root):
-    sizes = sorted(len(te) for _, te in kfold(13, 4, root.child(2)))
-    assert max(sizes) - min(sizes) <= 1
-    a = kfold(30, 3, RngStream.from_seed(99))
-    b = kfold(30, 3, RngStream.from_seed(99))
-    for (tr_a, te_a), (tr_b, te_b) in zip(a, b):
-        assert np.array_equal(tr_a, tr_b)
-        assert np.array_equal(te_a, te_b)
-    with pytest.raises(InputError):
-        kfold(10, 1, root.child(5))
-    with pytest.raises(InputError):
-        kfold(3, 4, root.child(6))

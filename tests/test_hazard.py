@@ -12,12 +12,10 @@ from sigsurv.hazard import (
     BaselinePrior,
     baseline_factor,
     build_context,
-    hazard_batch,
     log_likelihood,
     log_posterior,
     log_prior,
     normalizer_Z,
-    sample_marked_pp,
     sample_marked_pp_batch,
     sample_pg_series,
 )
@@ -85,50 +83,6 @@ def test_baseline_factor_constant_shape():
     assert np.allclose(base2, 2.0 * T, rtol=0, atol=5e-12)
 
 
-# --------------------------------------------------------------- hazard
-
-
-def test_hazard_constant_when_network_silent():
-    model = MlpModel((3, 4, 1))
-    prior = BaselinePrior()
-    T = np.linspace(0.05, 1.0, 8)
-    X = np.random.default_rng(1).normal(size=(8, 2))
-    lam = hazard_batch(model, prior, 1.7, np.zeros(model.n_params), T, X)
-    assert np.allclose(lam, 1.7, rtol=0, atol=1e-14)
-
-
-def test_hazard_scales_linearly_in_phi():
-    model = MlpModel((3, 4, 1))
-    prior = BaselinePrior()
-    rng = np.random.default_rng(2)
-    theta = rng.normal(size=model.n_params)
-    T = rng.uniform(0.01, 1.0, size=10)
-    X = rng.normal(size=(10, 2))
-    a = hazard_batch(model, prior, 0.8, theta, T, X)
-    b = hazard_batch(model, prior, 1.6, theta, T, X)
-    assert np.allclose(b, 2.0 * a, rtol=1e-14, atol=0)
-    assert np.all(a > 0)
-
-
-def test_hazard_power_law_shape():
-    model = MlpModel((3, 4, 1))
-    prior = BaselinePrior(rho=2.0)
-    T = np.linspace(0.1, 1.0, 5)
-    X = np.zeros((5, 2))
-    lam = hazard_batch(model, prior, 1.0, np.zeros(model.n_params), T, X)
-    assert np.allclose(lam, T, rtol=1e-12, atol=1e-14)
-
-
-def test_hazard_input_validation():
-    model = MlpModel((3, 4, 1))
-    prior = BaselinePrior()
-    theta = np.zeros(model.n_params)
-    with pytest.raises(InputError):
-        hazard_batch(model, prior, 0.0, theta, np.array([0.5]), np.zeros((1, 2)))
-    with pytest.raises(InputError):
-        hazard_batch(model, prior, 1.0, theta, np.array([-0.1]), np.zeros((1, 2)))
-
-
 # -------------------------------------------------------- build_context
 
 
@@ -137,11 +91,16 @@ def test_build_context_dimensions_and_constants():
     model = MlpModel((3, 4, 1))
     ctx = build_context(model, BaselinePrior(), ds, n_nodes=16)
     assert ctx.grid.n_nodes == 16
-    assert np.array_equal(ctx.Z_grid, np.full((3, 16), 0.5))
-    assert np.array_equal(ctx.Z_event, np.full(3, 0.5))
-    assert np.allclose(ctx.base_grid, 2.0, rtol=0, atol=1e-14)
+    # one row per live (subject, node) pair, subject-major
+    subject, node = np.nonzero(ctx.grid.weights > 0)
+    assert 0 < subject.size < 3 * 16
+    assert np.array_equal(ctx.t_live, ctx.grid.nodes[node])
+    assert np.array_equal(ctx.x_live, ds.X[subject])
+    assert np.array_equal(ctx.w_live, ctx.grid.weights[subject, node])
+    # t^(rho-1) / Z with Z = 1/2 is the constant 2
+    assert np.array_equal(ctx.base_live, np.full(subject.size, 2.0))
+    assert np.array_equal(ctx.base_event, np.full(3, 2.0))
     # integral of the constant baseline over [0, y_i] is 2 * y_i
-    assert np.allclose(ctx.int_base, 2.0 * ds.y_norm, rtol=0, atol=1e-12)
     want_rate = 1.0 + float((2.0 * ds.y_norm).sum())
     assert abs(ctx.phi_rate - want_rate) < 1e-12
 
@@ -302,10 +261,11 @@ def test_marked_pp_single_and_determinism():
     model = MlpModel((3, 4, 1))
     prior = BaselinePrior()
     root = RngStream.from_seed(34)
-    t1, om1 = sample_marked_pp(model, prior, 1.0, 0.7, np.zeros(2),
-                               root.child(9))
-    t2, om2 = sample_marked_pp(model, prior, 1.0, 0.7, np.zeros(2),
-                               root.child(9))
+    t1, om1, n1 = sample_marked_pp_batch(model, prior, 1.0, 0.7, np.zeros(2),
+                                         root.child(9), n_rep=1)
+    t2, om2, n2 = sample_marked_pp_batch(model, prior, 1.0, 0.7, np.zeros(2),
+                                         root.child(9), n_rep=1)
     assert np.array_equal(t1, t2) and np.array_equal(om1, om2)
-    assert t1.shape == om1.shape
+    assert n1.shape == (1,) and np.array_equal(n1, n2)
+    assert t1.shape == om1.shape == (int(n1[0]),)
     assert np.all((t1 >= 0) & (t1 <= 0.7))

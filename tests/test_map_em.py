@@ -9,7 +9,8 @@ import pytest
 
 from sigsurv.data import Dataset
 from sigsurv.errors import NumericalError
-from sigsurv.hazard import BaselinePrior, build_context, log_posterior
+from sigsurv.hazard import (BaselinePrior, baseline_factor, build_context,
+                            log_posterior)
 from sigsurv.map_em import (
     EmState,
     em_latent_update,
@@ -18,13 +19,15 @@ from sigsurv.map_em import (
     q_grad,
     run_em,
 )
-from sigsurv.net import MlpModel, forward_batch, unflatten, flatten
+from sigsurv.net import (MlpModel, flatten, forward_batch, grad_weighted_sum,
+                         unflatten)
 from sigsurv.numkit import RngStream, sigmoid
 
-from _oracles import q_straightline
+from _oracles import em_full_grid, q_straightline
 
 
-def _toy_ctx(n_nodes=12, seed=0, layers=(3, 4, 1), n=6, t_max=1.0):
+def _toy_ctx(n_nodes=12, seed=0, layers=(3, 4, 1), n=6, t_max=1.0,
+             prior=BaselinePrior()):
     rng = np.random.default_rng(seed)
     y = np.sort(rng.uniform(0.1, 1.0, size=n))
     y[-1] = t_max
@@ -32,7 +35,7 @@ def _toy_ctx(n_nodes=12, seed=0, layers=(3, 4, 1), n=6, t_max=1.0):
     delta[0] = 1
     X = rng.normal(size=(n, layers[0] - 1))
     ds = Dataset(X=X, y=y, delta=delta, t_max=t_max)
-    ctx = build_context(MlpModel(layers), BaselinePrior(), ds, n_nodes=n_nodes)
+    ctx = build_context(MlpModel(layers), prior, ds, n_nodes=n_nodes)
     return ctx
 
 
@@ -45,6 +48,8 @@ def test_latents_at_silent_network():
         ctx, EmState(theta=np.zeros(ctx.model.n_params), phi=1.3)
     )
     # |g| = 0 everywhere: tilts vanish, moments sit at the PG(1,0) mean
+    P = int(np.count_nonzero(ctx.grid.live_mask()))
+    assert state.lam_grid.shape == state.tau_grid.shape == (P,)
     assert np.array_equal(state.c_event, np.zeros(ctx.dataset.n))
     assert np.allclose(state.e_omega, 0.25, rtol=0, atol=1e-15)
     assert np.allclose(state.tau_grid, 0.25, rtol=0, atol=1e-15)
@@ -67,11 +72,11 @@ def test_latent_rate_equals_sign_flipped_hazard():
     theta = np.random.default_rng(11).normal(size=ctx.model.n_params)
     phi = 1.7
     state = em_latent_update(ctx, EmState(theta=theta, phi=phi))
-    N, K = state.lam_grid.shape
-    T = np.tile(ctx.grid.nodes, N)
-    Xr = np.repeat(ctx.dataset.X, K, axis=0)
-    g = forward_batch(ctx.model, T, Xr, theta).reshape(N, K)
-    want = ctx.base_grid * phi * sigmoid(-g)
+    subject, node = np.nonzero(ctx.grid.live_mask())
+    T = ctx.grid.nodes[node]
+    Xr = ctx.dataset.X[subject]
+    g = forward_batch(ctx.model, T, Xr, theta)
+    want = baseline_factor(ctx.model, ctx.prior, T, Xr) * phi * sigmoid(-g)
     assert np.allclose(state.lam_grid, want, rtol=1e-13, atol=1e-300)
 
 
@@ -79,8 +84,12 @@ def test_latent_a_coef_formula():
     ctx = _toy_ctx(seed=9)
     theta = np.random.default_rng(2).normal(size=ctx.model.n_params) * 0.3
     state = em_latent_update(ctx, EmState(theta=theta, phi=1.1))
+    # the rates sit at the live pairs: zero elsewhere on the (N, K) grid
+    live = ctx.grid.live_mask()
+    lam_nk = np.zeros(live.shape)
+    lam_nk[live] = state.lam_grid
     want = (1.0 - 1.0 + ctx.dataset.delta.sum()
-            + float((ctx.grid.weights * state.lam_grid).sum()))
+            + float((ctx.grid.weights * lam_nk).sum()))
     assert abs(state.a_coef - want) < 1e-10
 
 
@@ -110,6 +119,37 @@ def test_latent_c_invariant_under_covariate_permutation():
         ctx_perm, EmState(theta=flatten(params), phi=1.0)
     )
     assert np.allclose(state.c_event, state_perm.c_event, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.5])
+def test_packed_em_matches_full_grid_oracle(rho):
+    # the live-pair E-step, Q and grad Q against the same computations
+    # over the full (N, K) grid, on a grid with zero-weight pairs
+    ctx = _toy_ctx(seed=31, n=7, n_nodes=14, prior=BaselinePrior(rho=rho))
+    ds, grid, model = ctx.dataset, ctx.grid, ctx.model
+    live = grid.live_mask()
+    assert 0 < live.sum() < live.size
+    N, K = live.shape
+    base_grid = baseline_factor(model, ctx.prior, np.tile(grid.nodes, N),
+                                np.repeat(ds.X, K, axis=0)).reshape(N, K)
+    rng = np.random.default_rng(19)
+    state_theta = rng.normal(size=model.n_params) * 0.8
+    theta = rng.normal(size=model.n_params) * 0.8
+    state = em_latent_update(ctx, EmState(theta=state_theta, phi=1.4))
+    want = em_full_grid(
+        lambda T, X, th: forward_batch(model, T, X, th),
+        lambda T, X, th, w: grad_weighted_sum(model, T, X, th, w),
+        ds.y_norm, ds.delta, ds.X, grid.nodes, grid.weights, base_grid,
+        ctx.prior.alpha0, ctx.prior.beta0, state_theta, 1.4, theta, 0.8)
+    close = dict(rtol=1e-12, atol=1e-12)
+    assert np.allclose(state.lam_grid, want["lam_grid"][live], **close)
+    assert np.allclose(state.tau_grid, want["tau_grid"][live], **close)
+    assert np.allclose(state.c_event, want["c_event"], **close)
+    assert np.allclose(state.e_omega, want["e_omega"], **close)
+    assert np.isclose(state.a_coef, want["a_coef"], **close)
+    assert np.isclose(ctx.phi_rate, want["phi_rate"], **close)
+    assert np.isclose(q_function(ctx, state, theta, 0.8), want["q"], **close)
+    assert np.allclose(q_grad(ctx, state, theta, 0.8), want["grad"], **close)
 
 
 # ----------------------------------------------------------- Q function

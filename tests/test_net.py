@@ -14,8 +14,6 @@ from sigsurv.net import (
     jacobian,
     jacobian_batch,
     linearize,
-    params_from_doc,
-    params_to_doc,
     unflatten,
 )
 
@@ -233,23 +231,6 @@ def test_unflatten_length_mismatch():
         unflatten(model, np.zeros(model.n_params + 1))
 
 
-def test_params_doc_roundtrip():
-    model = MlpModel((3, 4, 1))
-    theta = np.random.default_rng(9).normal(size=model.n_params)
-    doc = params_to_doc(model, theta)
-    model2, theta2 = params_from_doc(doc)
-    assert model2.layer_sizes == model.layer_sizes
-    assert np.array_equal(theta, theta2)
-
-
-def test_params_doc_header_mismatch():
-    model = MlpModel((3, 4, 1))
-    doc = params_to_doc(model, np.zeros(model.n_params))
-    doc["layer_sizes"] = [3, 5, 1]
-    with pytest.raises(ValueError):
-        params_from_doc(doc)
-
-
 # -------------------------------------------------------- linearization
 
 
@@ -287,18 +268,6 @@ def test_linearize_small_ball_gap(small_fit):
         exact = forward_batch(model, T_live, X_live, theta_ref + d)
         gap = np.max(np.abs(lin.g_lin_grid(theta_ref + d) - exact))
         assert gap < 1e-3
-
-
-def test_linearize_eval_fresh_matches_direct(small_fit):
-    lin = small_fit.lin
-    model = small_fit.model
-    theta_ref = small_fit.em.theta_map
-    rng = np.random.default_rng(6)
-    T = rng.uniform(0, 1, size=8)
-    X = rng.normal(size=(8, small_fit.ds.p))
-    g, J = lin.eval_fresh(T, X)
-    assert np.array_equal(g, forward_batch(model, T, X, theta_ref))
-    assert np.array_equal(J, jacobian_batch(model, T, X, theta_ref))
 
 
 def test_linearize_shapes(small_fit):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats as sps
 
 from sigsurv.numkit import (
     RngStream,
@@ -15,11 +14,6 @@ from sigsurv.numkit import (
     log_gamma,
     pg_f,
     pg_mean,
-    sample_exponential,
-    sample_gamma,
-    sample_lognormal,
-    sample_normal,
-    sample_poisson_count,
     sigmoid,
 )
 
@@ -275,10 +269,12 @@ def test_build_grid_input_validation():
 
 
 def test_grid_node_mask():
-    grid = build_grid(np.array([0.3, 1.0]), 11)
-    mask = grid.node_mask()
-    assert mask.shape == (2, 11)
-    assert np.array_equal(mask, grid.weights > 0)
+    # the live pairs are exactly the nodes inside each [0, y_i]
+    y = np.array([0.3, 1.0, 0.05])
+    grid = build_grid(y, 11)
+    mask = grid.live_mask()
+    assert mask.shape == (3, 11)
+    assert np.array_equal(mask, grid.nodes[None, :] <= y[:, None])
 
 
 # ------------------------------------------------------------ RngStream
@@ -306,69 +302,3 @@ def test_rngstream_child_does_not_disturb_parent():
     root2.child(1)
     root2.child(2)
     assert root2.gen.normal() == first
-
-
-# ------------------------------------------------------------- samplers
-
-
-def test_sampler_moments():
-    root = RngStream.from_seed(101)
-    e = sample_exponential(root.child(0), 0.025, size=100_000)
-    assert abs(e.mean() - 40.0) < 1.0
-    ln = sample_lognormal(root.child(1), 3.0, 0.8, size=100_000)
-    assert abs(np.median(ln) - math.exp(3.0)) / math.exp(3.0) < 0.03
-    g = sample_gamma(root.child(2), 2.0, 3.0, size=100_000)
-    assert abs(g.mean() - 2.0 / 3.0) < 0.02
-
-
-def test_samplers_ks_against_targets():
-    # KS at level 0.001 with 1e5 draws; Poisson is discrete, so it gets
-    # the chi-square analogue below instead.
-    root = RngStream.from_seed(55)
-    n = 100_000
-    checks = [
-        (sample_normal(root.child(0), 1.5, 2.0, size=n),
-         sps.norm(loc=1.5, scale=2.0).cdf),
-        (sample_exponential(root.child(1), 0.4, size=n),
-         sps.expon(scale=2.5).cdf),
-        (sample_gamma(root.child(2), 3.0, 2.0, size=n),
-         sps.gamma(a=3.0, scale=0.5).cdf),
-        (sample_lognormal(root.child(3), 0.7, 1.2, size=n),
-         sps.lognorm(s=1.2, scale=math.exp(0.7)).cdf),
-    ]
-    for draws, cdf in checks:
-        assert sps.kstest(draws, cdf).pvalue > 0.001
-
-
-def test_poisson_sampler_chi_square_gof():
-    root = RngStream.from_seed(56)
-    n = 100_000
-    draws = sample_poisson_count(root.child(0), 3.0, size=n)
-    edges = np.arange(0, 11)
-    observed = np.array([(draws == k).sum() for k in edges[:-1]]
-                        + [(draws >= 10).sum()], dtype=float)
-    probs = sps.poisson(3.0).pmf(edges[:-1])
-    probs = np.append(probs, 1.0 - probs.sum())
-    stat = ((observed - n * probs) ** 2 / (n * probs)).sum()
-    assert sps.chi2(df=len(observed) - 1).sf(stat) > 0.001
-
-
-def test_sampler_parameter_validation():
-    root = RngStream.from_seed(1)
-    with pytest.raises(ValueError):
-        sample_gamma(root.child(0), -1.0, 1.0)
-    with pytest.raises(ValueError):
-        sample_gamma(root.child(0), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        sample_normal(root.child(0), 0.0, -2.0)
-    with pytest.raises(ValueError):
-        sample_exponential(root.child(0), 0.0)
-    with pytest.raises(ValueError):
-        sample_lognormal(root.child(0), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        sample_poisson_count(root.child(0), -0.5)
-
-
-def test_poisson_zero_rate_gives_zero():
-    root = RngStream.from_seed(2)
-    assert np.all(sample_poisson_count(root.child(0), 0.0, size=10) == 0)
