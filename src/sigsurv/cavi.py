@@ -8,15 +8,15 @@ sweep cyclically applies the four closed-form updates in the fixed
 order omega -> psi -> phi -> theta; beta~ is a data-only constant.
 
 The theta update solves mu~ = Sigma~ A, Sigma~ = (I + U C U^T)^(-1)
-where U stacks event-time and grid-node Jacobian columns and C is a
-nonnegative diagonal of weights. Every grid quantity lives on the P
-live (subject, node) pairs only, those with nonzero trapezoid weight,
-packed subject-major (see HazardContext); a pair with zero weight adds
-nothing to any integral or to U C U^T. When the parameter count m exceeds the
-effective rank, the solve runs through the Woodbury identity on the
-R x R system (with U' = U C^(1/2), the small matrix I + U'^T U' has
-eigenvalues >= 1); otherwise a dense m x m Cholesky is used. Both paths
-are exact and agree to rounding.
+where U holds the Jacobian columns of the row block (the N event rows,
+then the P live (subject, node) pairs with nonzero trapezoid weight,
+packed subject-major; see HazardContext) and C is the nonnegative
+diagonal b of the rows' quadratic form (`hazard.row_coefficients`); a
+pair with zero weight adds nothing to any integral or to U C U^T. When
+the parameter count m exceeds the effective rank, the solve runs
+through the Woodbury identity on the R x R system (with U' = U C^(1/2),
+the small matrix I + U'^T U' has eigenvalues >= 1); otherwise a dense
+m x m Cholesky is used. Both paths are exact and agree to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, InputError, NumericalError
-from .hazard import HazardContext
+from .hazard import HazardContext, row_coefficients
 from .net import LinearizedModel
 from .numkit import digamma, pg_mean, sigmoid
 
@@ -225,9 +225,8 @@ class LowRankFactor:
 class VariationalState:
     """All variational parameters plus the cached linearized moments:
     m~ and s~ are the posterior mean of g and the square root of its
-    posterior second moment at the live grid pairs / event times. The
-    per-pair arrays (lam_q, m_grid, s_grid) are packed in the live-pair
-    order of the LinearizedModel."""
+    posterior second moment on the LinearizedModel's row block (N event
+    rows, then the P live grid pairs); lam_q holds the live pairs."""
 
     alpha_tilde: float
     beta_tilde: float
@@ -237,10 +236,8 @@ class VariationalState:
     e_omega: np.ndarray      # (N,)
     lam_q: np.ndarray        # (P,)
     e_log_phi: float
-    m_grid: np.ndarray       # (P,)
-    s_grid: np.ndarray       # (P,)
-    m_event: np.ndarray      # (N,)
-    s_event: np.ndarray      # (N,)
+    m_tilde: np.ndarray      # (N+P,)
+    s_tilde: np.ndarray      # (N+P,)
 
     @property
     def e_phi(self) -> float:
@@ -251,7 +248,7 @@ class VariationalState:
             [self.alpha_tilde, self.beta_tilde, self.e_log_phi], dtype=float
         )
         arrays = (self.mu_tilde, self.c_tilde, self.e_omega, self.lam_q,
-                  self.m_grid, self.s_grid, self.m_event, self.s_event)
+                  self.m_tilde, self.s_tilde)
         return bool(
             np.all(np.isfinite(scalars))
             and all(np.all(np.isfinite(a)) for a in arrays)
@@ -269,12 +266,9 @@ class CaviResult:
 
 def _moments(lin: LinearizedModel, mu, sigma):
     """m~ = g_map + J^T (mu~ - theta_map) and s~ = sqrt(m~^2 + J Sigma J^T)
-    at all cached live grid pairs and event times."""
-    m_grid = lin.g_lin_grid(mu)
-    s_grid = np.sqrt(m_grid**2 + sigma.quad_rows(lin.J_grid))
-    m_event = lin.g_lin_event(mu)
-    s_event = np.sqrt(m_event**2 + sigma.quad_rows(lin.J_event))
-    return m_grid, s_grid, m_event, s_event
+    on the whole row block."""
+    m_tilde = lin.g_lin(mu)
+    return m_tilde, np.sqrt(m_tilde**2 + sigma.quad_rows(lin.J))
 
 
 def init_state(
@@ -288,8 +282,8 @@ def init_state(
     beta_tilde = ctx.phi_rate
     alpha_tilde = phi_map * beta_tilde
     sigma = SigmaDense(np.eye(theta_map.size))
-    m_grid, s_grid, m_event, s_event = _moments(lin, theta_map, sigma)
-    N = ctx.n_obs
+    m_tilde, s_tilde = _moments(lin, theta_map, sigma)
+    N = lin.n_event
     return VariationalState(
         alpha_tilde=alpha_tilde,
         beta_tilde=beta_tilde,
@@ -297,12 +291,10 @@ def init_state(
         sigma=sigma,
         c_tilde=np.zeros(N),
         e_omega=np.full(N, 0.25),
-        lam_q=np.zeros_like(m_grid),
+        lam_q=np.zeros_like(ctx.w_live),
         e_log_phi=float(digamma(alpha_tilde) - np.log(beta_tilde)),
-        m_grid=m_grid,
-        s_grid=s_grid,
-        m_event=m_event,
-        s_event=s_event,
+        m_tilde=m_tilde,
+        s_tilde=s_tilde,
     )
 
 
@@ -311,7 +303,7 @@ def update_omega(state: VariationalState, lin: LinearizedModel,
     """c~_i = delta_i s~_i(y_i); E[omega_i] = tanh(c/2)/(2c) with the
     1/4 limit at c = 0 (censored rows keep the limit value, which only
     ever appears multiplied by delta_i downstream)."""
-    c_tilde = ctx.dataset.delta * state.s_event
+    c_tilde = ctx.dataset.delta * state.s_tilde[:lin.n_event]
     return replace(state, c_tilde=c_tilde, e_omega=pg_mean(1.0, c_tilde))
 
 
@@ -320,7 +312,8 @@ def update_psi(state: VariationalState, lin: LinearizedModel,
     """Thinned-process rates at the live grid pairs:
     lambda_i(t) = (t^(rho-1)/Z) sigma(s~) exp(-(m~+s~)/2 + E[log phi]),
     using the moments and E[log phi] cached by the previous sweep."""
-    expo = -0.5 * (state.m_grid + state.s_grid) + state.e_log_phi
+    m_grid, s_grid = state.m_tilde[lin.n_event:], state.s_tilde[lin.n_event:]
+    expo = -0.5 * (m_grid + s_grid) + state.e_log_phi
     if np.any(expo > _EXP_CLAMP):
         warnings.warn(
             "rate exponent clamped at 700; variational state may be diverging",
@@ -328,7 +321,7 @@ def update_psi(state: VariationalState, lin: LinearizedModel,
             stacklevel=2,
         )
         expo = np.minimum(expo, _EXP_CLAMP)
-    lam_q = ctx.base_live * sigmoid(state.s_grid) * np.exp(expo)
+    lam_q = ctx.base_live * sigmoid(s_grid) * np.exp(expo)
     return replace(state, lam_q=lam_q)
 
 
@@ -344,33 +337,33 @@ def update_phi(state: VariationalState, ctx: HazardContext) -> VariationalState:
     return replace(state, alpha_tilde=alpha, e_log_phi=e_log_phi)
 
 
+def _row_coefficients(state: VariationalState, lin: LinearizedModel,
+                      ctx: HazardContext):
+    """(a, b) of the row block with tau = pg_mean(1, s~) at the live
+    pairs."""
+    tau = pg_mean(1.0, state.s_tilde[lin.n_event:])
+    return row_coefficients(ctx, state.e_omega, state.lam_q, tau)
+
+
 def build_factor(
     state: VariationalState, lin: LinearizedModel, ctx: HazardContext
 ) -> LowRankFactor:
-    """U and C for B = (1/2)(I + U C U^T): event columns carry
-    delta_i E[omega_i]; grid columns carry the folded quadrature weight
-    v_ik lambda_ik tau_ik with tau = pg_mean(1, s~), one per live pair."""
-    tau = pg_mean(1.0, state.s_grid)
-    c_event = ctx.dataset.delta * state.e_omega
-    c_grid = ctx.w_live * state.lam_q * tau
-    U = np.concatenate([lin.J_event, lin.J_grid], axis=0).T
-    C = np.concatenate([c_event, c_grid])
-    return LowRankFactor(U=U, C=C)
+    """U and C for B = (1/2)(I + U C U^T): U = J^T of the row block (a
+    view, not a copy) and C = b, so event columns carry
+    delta_i E[omega_i] and grid columns the folded quadrature weight
+    v_ik lambda_ik tau_ik with tau = pg_mean(1, s~)."""
+    _, b = _row_coefficients(state, lin, ctx)
+    return LowRankFactor(U=lin.J.T, C=b)
 
 
 def _assemble_A(state: VariationalState, lin: LinearizedModel,
                 ctx: HazardContext) -> np.ndarray:
-    """A = sum_i (1/2)[ delta_i (1 - 2 E[omega_i] r_i(y_i)) J_i(y_i)
-    - (I1_i + 2 (I2_i - I3_i theta_map)) ], with r = g_map - J^T theta_map
-    the linearization offset; I1 integrates lambda J, I2/I3 integrate the
-    PG-weighted lambda g J and lambda J J^T."""
-    off_event = lin.g_event - lin.J_event @ lin.theta_ref
-    off_grid = lin.g_grid - lin.J_grid @ lin.theta_ref
-    tau = pg_mean(1.0, state.s_grid)
-    vlam = ctx.w_live * state.lam_q
-    w_event = 0.5 * ctx.dataset.delta * (1.0 - 2.0 * state.e_omega * off_event)
-    w_grid = -0.5 * (vlam + 2.0 * vlam * tau * off_grid)
-    return lin.J_event.T @ w_event + lin.J_grid.T @ w_grid
+    """A = J^T (a - b r) over the row block, with r = g_map - J theta_map
+    the linearization offset: for an event row (1/2) delta_i
+    (1 - 2 E[omega_i] r_i), for a grid row -(1/2) v lambda (1 + 2 tau r)."""
+    a, b = _row_coefficients(state, lin, ctx)
+    off = lin.g - lin.J @ lin.theta_ref
+    return lin.J.T @ (a - b * off)
 
 
 def update_theta(
@@ -395,11 +388,9 @@ def update_theta(
         inv = _cho_solve(L, np.eye(m))
         sigma = SigmaDense(0.5 * inv, effective_rank=factor.effective_rank)
         mu = 0.5 * _cho_solve(L, A)
-    m_grid, s_grid, m_event, s_event = _moments(lin, mu, sigma)
-    return replace(
-        state, mu_tilde=mu, sigma=sigma,
-        m_grid=m_grid, s_grid=s_grid, m_event=m_event, s_event=s_event,
-    )
+    m_tilde, s_tilde = _moments(lin, mu, sigma)
+    return replace(state, mu_tilde=mu, sigma=sigma,
+                   m_tilde=m_tilde, s_tilde=s_tilde)
 
 
 def cavi_sweep(

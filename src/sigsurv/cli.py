@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -100,11 +101,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key, val in cfg.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise InputError(f"{key} must be finite, got {val}")
     if cfg["em_tol"] <= 0 or cfg["cavi_tol"] <= 0:
         raise InputError("tolerances must be positive")
     if not 0.0 < cfg["level"] < 1.0:
         raise InputError("level must be in (0, 1)")
-    for key, low in (("em_max_iter", 1), ("m_step_iters", 1),
+    for key, low in (("seed", 0), ("em_max_iter", 1), ("m_step_iters", 1),
                      ("cavi_max_iter", 1), ("grid_k", 2), ("grid_points", 2)):
         if cfg[key] < low:
             raise InputError(f"{key} must be >= {low}, got {cfg[key]}")
@@ -216,6 +220,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "converged": bool(em.converged),
             "final_q": float(em.q_trace[-1]),
             "message": em.message,
+            # 0.0: the MAP network ignores time and covariates
+            "g_spread": float(lin.g.max() - lin.g.min()),
         },
         "cavi": {
             "iterations": cavi.n_iter,
@@ -262,9 +268,10 @@ def _load_fitted(path):
 def _prediction_times(fit, cfg, t_hi=None):
     import numpy as np
 
-    hi = float(t_hi) if t_hi else fit.t_max
-    if hi <= 0:
-        raise InputError("prediction horizon must be positive")
+    hi = fit.t_max if t_hi is None else float(t_hi)
+    if not (math.isfinite(hi) and hi > 0):
+        raise InputError(f"prediction horizon must be finite and positive, "
+                         f"got {hi}")
     return np.linspace(0.0, hi, int(cfg["grid_points"]))
 
 

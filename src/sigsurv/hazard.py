@@ -23,7 +23,7 @@ from .data import Dataset
 from .errors import InputError, NumericalError
 # jacobian_batch is not called here any more; it stays importable from
 # this namespace because bench/layers.py wraps it here.
-from .net import MlpModel, forward_batch, jacobian_batch  # noqa: F401
+from .net import MlpModel, forward_batch, jacobian_batch, row_block  # noqa: F401
 from .numkit import QuadratureGrid, RngStream, build_grid, log_gamma, sigmoid
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "normalizer_Z",
     "baseline_factor",
     "build_context",
+    "row_coefficients",
     "log_likelihood",
     "log_prior",
     "log_posterior",
@@ -83,30 +84,27 @@ def baseline_factor(model: MlpModel, prior: BaselinePrior, T, X):
 @dataclass(frozen=True)
 class HazardContext:
     """Per-dataset caches shared by the likelihood, EM, and CAVI: the
-    quadrature grid, the phi-free baseline factor t^(rho-1)/Z at the
-    event times and at the grid pairs, and the resulting constant rate
+    quadrature grid, the network inputs of the row block, the phi-free
+    baseline factor t^(rho-1)/Z on it, and the resulting constant rate
     term phi_rate = beta0 + sum_i int_0^{y_i} t^(rho-1)/Z dt.
 
-    Grid quantities hold only the P live pairs, the (subject, node)
-    pairs with nonzero trapezoid weight, packed subject-major (C order
-    of `grid.live_mask()`); a pair with zero weight adds nothing to any
-    quadrature. `t_live` and `x_live` are the network inputs at those
-    pairs, `w_live` and `base_live` their weights and baseline factor."""
+    The row block (`net.row_block`) stacks the N event rows (y_i, x_i)
+    and then the P live pairs, the (subject, node) pairs with nonzero
+    trapezoid weight, packed subject-major (C order of
+    `grid.live_mask()`); a pair with zero weight adds nothing to any
+    quadrature. `w_live` and `base_live` are the live pairs' weights and
+    baseline factor, `base_event` the factor at the event times."""
 
     model: MlpModel
     prior: BaselinePrior
     dataset: Dataset
     grid: QuadratureGrid
-    t_live: np.ndarray       # (P,) node times
-    x_live: np.ndarray       # (P, p) subject covariates
+    t_rows: np.ndarray       # (N+P,) event times, then node times
+    x_rows: np.ndarray       # (N+P, p) subject covariates
     w_live: np.ndarray       # (P,) trapezoid weights
     base_live: np.ndarray    # (P,) t^(rho-1)/Z at the live pairs
     base_event: np.ndarray   # (N,) t^(rho-1)/Z at the event times
     phi_rate: float
-
-    @property
-    def n_obs(self) -> int:
-        return self.dataset.n
 
 
 def build_context(
@@ -122,23 +120,35 @@ def build_context(
         )
     if grid is None:
         grid = build_grid(dataset.y_norm, n_nodes)
-    subject, node = np.nonzero(grid.live_mask())
-    t_live = grid.nodes[node]
-    x_live = dataset.X[subject]
-    w_live = grid.weights[subject, node]
-    base_live = baseline_factor(model, prior, t_live, x_live)
+    t_rows, x_rows = row_block(grid, dataset)
+    base = baseline_factor(model, prior, t_rows, x_rows)
+    n = dataset.n
+    w_live = grid.weights[grid.live_mask()]
     return HazardContext(
         model=model,
         prior=prior,
         dataset=dataset,
         grid=grid,
-        t_live=t_live,
-        x_live=x_live,
+        t_rows=t_rows,
+        x_rows=x_rows,
         w_live=w_live,
-        base_live=base_live,
-        base_event=baseline_factor(model, prior, dataset.y_norm, dataset.X),
-        phi_rate=prior.beta0 + float((w_live * base_live).sum()),
+        base_live=base[n:],
+        base_event=base[:n],
+        phi_rate=prior.beta0 + float((w_live * base[n:]).sum()),
     )
+
+
+def row_coefficients(ctx: HazardContext, e_omega, lam, tau):
+    """Per-row coefficients (a, b) of the quadratic form
+    sum_r a_r g_r - b_r g_r^2 / 2 that the Polya-Gamma and marked-Poisson
+    augmentations make of the likelihood on the row block:
+    a = [delta/2, -w lam/2] and b = [delta E[omega], w lam tau], from
+    the event PG means e_omega (N,) and the live pairs' thinned rates
+    lam and PG means tau (P,)."""
+    delta = ctx.dataset.delta
+    vlam = ctx.w_live * lam
+    return (np.concatenate([0.5 * delta, -0.5 * vlam]),
+            np.concatenate([delta * e_omega, vlam * tau]))
 
 
 def log_likelihood(ctx: HazardContext, phi: float, theta) -> float:
@@ -149,11 +159,9 @@ def log_likelihood(ctx: HazardContext, phi: float, theta) -> float:
         raise InputError("phi must be positive")
     ds = ctx.dataset
 
-    g_event = forward_batch(ctx.model, ds.y_norm, ds.X, theta)
-    lam_event = phi * ctx.base_event * sigmoid(g_event)
-
-    g_live = forward_batch(ctx.model, ctx.t_live, ctx.x_live, theta)
-    cum = float((ctx.w_live * (phi * ctx.base_live * sigmoid(g_live))).sum())
+    g = forward_batch(ctx.model, ctx.t_rows, ctx.x_rows, theta)
+    lam_event = phi * ctx.base_event * sigmoid(g[:ds.n])
+    cum = float((ctx.w_live * (phi * ctx.base_live * sigmoid(g[ds.n:]))).sum())
 
     with np.errstate(divide="ignore"):
         log_lam = np.log(lam_event)

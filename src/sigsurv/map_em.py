@@ -15,8 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hazard import HazardContext, log_posterior
-from .net import forward_batch, grad_weighted_sum
+from .hazard import HazardContext, log_posterior, row_coefficients
+# grad_weighted_sum is not called here any more; it stays importable
+# from this namespace because bench/layers.py wraps it here.
+from .net import forward_and_grad, forward_batch, grad_weighted_sum  # noqa: F401
 from .numkit import RngStream, pg_mean, sigmoid
 from .optim import OptimResult, minimize_lbfgs
 
@@ -75,11 +77,11 @@ def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
     if not np.all(np.isfinite(theta)) or not np.isfinite(phi) or phi <= 0:
         raise InputError("state parameters must be finite with phi > 0")
 
-    g_event = forward_batch(ctx.model, ds.y_norm, ds.X, theta)
-    c_event = ds.delta * np.abs(g_event)
+    g = forward_batch(ctx.model, ctx.t_rows, ctx.x_rows, theta)
+    c_event = ds.delta * np.abs(g[:ds.n])
     e_omega = pg_mean(1.0, c_event)
 
-    g_grid = forward_batch(ctx.model, ctx.t_live, ctx.x_live, theta)
+    g_grid = g[ds.n:]
     ag = np.abs(g_grid)
     lam_grid = ctx.base_live * phi * sigmoid(ag) * np.exp(-0.5 * (g_grid + ag))
     tau_grid = pg_mean(1.0, ag)
@@ -94,58 +96,45 @@ def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
     )
 
 
-def _theta_terms(ctx: HazardContext, state: EmState, theta):
-    """g evaluations shared by Q and its gradient; returns
-    (g_event (N,), g_grid (P,), vlam (P,)) with vlam = w lam_grid."""
-    ds = ctx.dataset
-    g_event = forward_batch(ctx.model, ds.y_norm, ds.X, theta)
-    g_grid = forward_batch(ctx.model, ctx.t_live, ctx.x_live, theta)
-    vlam = ctx.w_live * state.lam_grid
-    return g_event, g_grid, vlam
+def _coefficients(ctx: HazardContext, state: EmState, phi: float):
+    state.require_latents()
+    if phi <= 0:
+        raise InputError("phi must be positive")
+    return row_coefficients(ctx, state.e_omega, state.lam_grid, state.tau_grid)
+
+
+def _q_value(ctx: HazardContext, state: EmState, theta, phi: float,
+             g, a, b) -> float:
+    rows = float((a * g - 0.5 * b * g**2).sum())
+    prior_theta = -0.5 * float(theta @ theta)
+    phi_term = state.a_coef * float(np.log(phi)) - ctx.phi_rate * phi
+
+    total = rows + prior_theta + phi_term
+    if not np.isfinite(total):
+        parts = {"rows": rows, "theta-prior": prior_theta, "phi": phi_term}
+        bad = [k for k, v in parts.items() if not np.isfinite(v)]
+        raise NumericalError(f"Q-function non-finite in term(s): {bad}")
+    return total
 
 
 def q_function(ctx: HazardContext, state: EmState, theta, phi: float) -> float:
     """Q(theta, phi | state latents), up to the additive constant the
     entropy terms contribute (dropped, so values compare within a run
     only)."""
-    state.require_latents()
-    if phi <= 0:
-        raise InputError("phi must be positive")
-    ds = ctx.dataset
-    g_event, g_grid, vlam = _theta_terms(ctx, state, theta)
-
-    event = float(
-        (ds.delta * (0.5 * g_event - 0.5 * state.e_omega * g_event**2)).sum()
-    )
-    grid_term = -float((vlam * (0.5 * g_grid + 0.5 * state.tau_grid * g_grid**2)).sum())
-    prior_theta = -0.5 * float(theta @ theta)
-    phi_term = state.a_coef * float(np.log(phi)) - ctx.phi_rate * phi
-
-    total = event + grid_term + prior_theta + phi_term
-    if not np.isfinite(total):
-        parts = {
-            "event": event, "grid": grid_term,
-            "theta-prior": prior_theta, "phi": phi_term,
-        }
-        bad = [k for k, v in parts.items() if not np.isfinite(v)]
-        raise NumericalError(f"Q-function non-finite in term(s): {bad}")
-    return total
+    a, b = _coefficients(ctx, state, phi)
+    g = forward_batch(ctx.model, ctx.t_rows, ctx.x_rows, theta)
+    return _q_value(ctx, state, theta, phi, g, a, b)
 
 
-def q_grad(ctx: HazardContext, state: EmState, theta, phi: float) -> np.ndarray:
-    """Gradient of Q w.r.t. (theta, log phi), length m + 1."""
-    state.require_latents()
-    ds = ctx.dataset
-    g_event, g_grid, vlam = _theta_terms(ctx, state, theta)
-
-    w_event = ds.delta * (0.5 - state.e_omega * g_event)
-    w_grid = -vlam * (0.5 + state.tau_grid * g_grid)
-    T_all = np.concatenate([ds.y_norm, ctx.t_live])
-    X_all = np.vstack([ds.X, ctx.x_live])
-    w_all = np.concatenate([w_event, w_grid])
-    d_theta = grad_weighted_sum(ctx.model, T_all, X_all, theta, w_all) - theta
+def q_grad(ctx: HazardContext, state: EmState, theta, phi: float):
+    """(Q, gradient of Q w.r.t. (theta, log phi) of length m + 1), both
+    from one network trace over the row block."""
+    a, b = _coefficients(ctx, state, phi)
+    g, d_rows = forward_and_grad(ctx.model, ctx.t_rows, ctx.x_rows, theta,
+                                 lambda g: a - b * g)
+    q = _q_value(ctx, state, theta, phi, g, a, b)
     d_logphi = state.a_coef - ctx.phi_rate * phi
-    return np.concatenate([d_theta, [d_logphi]])
+    return q, np.concatenate([d_rows - theta, [d_logphi]])
 
 
 def em_m_step(
@@ -165,11 +154,8 @@ def em_m_step(
         )
 
     def neg_q(z):
-        theta, u = z[:-1], float(z[-1])
-        phi = float(np.exp(u))
-        f = -q_function(ctx, state, theta, phi)
-        g = -q_grad(ctx, state, theta, phi)
-        return f, g
+        q, grad = q_grad(ctx, state, z[:-1], float(np.exp(z[-1])))
+        return -q, -grad
 
     z0 = np.concatenate([state.theta, [np.log(state.phi)]])
     res = minimize_lbfgs(neg_q, z0, memory=10, max_iter=max_iter, gtol=gtol)

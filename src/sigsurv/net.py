@@ -23,7 +23,9 @@ __all__ = [
     "forward_batch",
     "jacobian",
     "jacobian_batch",
+    "forward_and_grad",
     "grad_weighted_sum",
+    "row_block",
     "unflatten",
     "flatten",
     "LinearizedModel",
@@ -181,18 +183,22 @@ def jacobian(model: MlpModel, t, x, theta) -> np.ndarray:
     return jacobian_batch(model, [t], np.asarray(x)[None, :], theta)[0]
 
 
-def grad_weighted_sum(model: MlpModel, T, X, theta, w) -> np.ndarray:
-    """Gradient of sum_j w_j * g(t_j, x_j; theta) w.r.t. theta: (m,).
+def forward_and_grad(model: MlpModel, T, X, theta, weights):
+    """g(t_j, x_j; theta) for all rows together with the gradient of
+    sum_j w_j g(t_j, x_j; theta) w.r.t. theta, where w = weights(g) is
+    computed from the output of the same forward trace and held fixed
+    under the derivative. Returns (g (n,), grad (m,)).
 
-    One reverse pass with seed w; avoids materializing the (n, m)
-    Jacobian, which matters inside the M-step's inner optimizer loop.
+    One forward trace and one reverse pass with seed w; the (n, m)
+    Jacobian is never materialized, which matters inside the M-step's
+    inner optimizer loop.
     """
     Z = _as_batch(model, T, X)
-    w = np.asarray(w, dtype=float).ravel()
+    layers = unflatten(model, theta)
+    g, acts, masks = _forward_trace(model, Z, layers)
+    w = np.asarray(weights(g), dtype=float).ravel()
     if w.shape[0] != Z.shape[0]:
         raise ValueError("weight vector length mismatch")
-    layers = unflatten(model, theta)
-    _, acts, masks = _forward_trace(model, Z, layers)
 
     grad = np.empty(model.n_params)
     S = w[:, None]
@@ -205,7 +211,26 @@ def grad_weighted_sum(model: MlpModel, T, X, theta, w) -> np.ndarray:
         grad[b_sl] = S.sum(axis=0)
         if li > 0:
             S = (S @ W) * masks[li - 1]
-    return grad
+    return g, grad
+
+
+def grad_weighted_sum(model: MlpModel, T, X, theta, w) -> np.ndarray:
+    """Gradient of sum_j w_j * g(t_j, x_j; theta) w.r.t. theta for
+    constant weights w: (m,)."""
+    return forward_and_grad(model, T, X, theta, lambda g: w)[1]
+
+
+def row_block(grid, dataset):
+    """Network inputs (T (N+P,), X (N+P, p)) of the augmented model's
+    row block: the N observation rows (y_i, x_i) first, then the P live
+    quadrature pairs (t_k, x_i), those with nonzero trapezoid weight,
+    packed subject-major in the C order of `grid.live_mask()`. Every
+    row enters EM's Q and CAVI's bound through the same quadratic form
+    in g; pairs with zero weight add nothing and are left out."""
+    subject, node = np.nonzero(grid.live_mask())
+    T = np.concatenate([dataset.y_norm, grid.nodes[node]])
+    X = np.vstack([dataset.X, dataset.X[subject]])
+    return T, X
 
 
 @dataclass
@@ -214,59 +239,42 @@ class LinearizedModel:
 
     g_lin(t, x; theta) = g(t, x; theta_ref) + J(t, x)^T (theta - theta_ref)
 
-    Caches g and J at each (y_i, x_i) and at the P live grid pairs
-    (t_k, x_i), those with nonzero trapezoid weight, packed
-    subject-major (the order of `grid.weights[grid.live_mask()]`).
-    Pairs with zero weight contribute nothing to any quadrature and
-    are not evaluated.
+    Caches g and J on the row block of `row_block`: the first n_event
+    rows are the (y_i, x_i), the rest the P live grid pairs (t_k, x_i).
     """
 
     model: MlpModel
     theta_ref: np.ndarray
-    g_grid: np.ndarray  # (P,)
-    J_grid: np.ndarray  # (P, m)
-    g_event: np.ndarray  # (N,)
-    J_event: np.ndarray  # (N, m)
+    g: np.ndarray  # (N+P,)
+    J: np.ndarray  # (N+P, m)
+    n_event: int
 
     @property
     def n_params(self) -> int:
         return self.model.n_params
 
-    def g_lin_grid(self, theta) -> np.ndarray:
-        """(P,) linearized values at the cached live grid pairs."""
-        d = np.asarray(theta, dtype=float) - self.theta_ref
-        return self.g_grid + self.J_grid @ d
+    @property
+    def J_grid(self) -> np.ndarray:
+        """(P, m) view of the Jacobian rows at the live grid pairs."""
+        return self.J[self.n_event:]
 
-    def g_lin_event(self, theta) -> np.ndarray:
-        """(N,) linearized values at the cached (y_i, x_i) points."""
+    def g_lin(self, theta) -> np.ndarray:
+        """(N+P,) linearized values on the cached row block."""
         d = np.asarray(theta, dtype=float) - self.theta_ref
-        return self.g_event + self.J_event @ d
+        return self.g + self.J @ d
 
 
 def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
-    """Build the expansion around theta_map with caches on the grid.
-
-    `grid` is a QuadratureGrid over the dataset's (normalized) times;
-    `dataset` supplies covariates X and times y (normalized).
-    """
+    """Build the expansion around theta_map on the row block of the
+    QuadratureGrid `grid` over `dataset`'s (normalized) times."""
     theta_map = np.asarray(theta_map, dtype=float)
     if not np.all(np.isfinite(theta_map)):
         raise ValueError("theta_map must be finite")
-    X = dataset.X
-    y = dataset.y_norm
-
-    subject, node = np.nonzero(grid.live_mask())
-    T_live = grid.nodes[node]
-    X_live = X[subject]
-    g_grid = forward_batch(model, T_live, X_live, theta_map)
-    J_grid = jacobian_batch(model, T_live, X_live, theta_map)
-    g_event = forward_batch(model, y, X, theta_map)
-    J_event = jacobian_batch(model, y, X, theta_map)
+    T, X = row_block(grid, dataset)
     return LinearizedModel(
         model=model,
         theta_ref=theta_map.copy(),
-        g_grid=g_grid,
-        J_grid=J_grid,
-        g_event=g_event,
-        J_event=J_event,
+        g=forward_batch(model, T, X, theta_map),
+        J=jacobian_batch(model, T, X, theta_map),
+        n_event=dataset.n,
     )

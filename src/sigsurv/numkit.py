@@ -130,10 +130,6 @@ class QuadratureGrid:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def n_obs(self) -> int:
-        return self.y.shape[0]
-
     def live_mask(self) -> np.ndarray:
         """(N, K) boolean mask of the pairs with nonzero weight. Taken
         in C order (subject-major), the mask gives the packed layout of

@@ -71,9 +71,9 @@ def test_init_state_rejects_bad_phi():
 
 def test_init_moments_dominate_means():
     # s~ = sqrt(m~^2 + J Sigma J^T) >= |m~| everywhere
-    _, _, _, state = _small_problem(seed=3)
-    assert np.all(state.s_grid >= np.abs(state.m_grid) - 1e-12)
-    assert np.all(state.s_event >= np.abs(state.m_event) - 1e-12)
+    _, lin, _, state = _small_problem(seed=3)
+    assert state.m_tilde.shape == state.s_tilde.shape == lin.g.shape
+    assert np.all(state.s_tilde >= np.abs(state.m_tilde) - 1e-12)
 
 
 # --------------------------------------------------------------- omega
@@ -85,7 +85,8 @@ def test_update_omega_event_gating():
     delta = ctx.dataset.delta
     assert np.all(new.c_tilde[delta == 0] == 0.0)
     assert np.all(new.e_omega[delta == 0] == 0.25)
-    assert np.allclose(new.c_tilde[delta == 1], state.s_event[delta == 1],
+    s_event = state.s_tilde[:ctx.dataset.n]
+    assert np.allclose(new.c_tilde[delta == 1], s_event[delta == 1],
                        rtol=0, atol=0)
     assert np.allclose(new.e_omega, pg_mean(1.0, new.c_tilde), rtol=0, atol=0)
 
@@ -93,7 +94,9 @@ def test_update_omega_event_gating():
 def test_update_omega_pinned_tilt():
     # s~(y_i) = 2 at an event makes E[omega_i] = tanh(1)/4
     ctx, lin, _, state = _small_problem(seed=1)
-    hacked = replace(state, s_event=np.full(ctx.dataset.n, 2.0))
+    s_tilde = state.s_tilde.copy()
+    s_tilde[:ctx.dataset.n] = 2.0
+    hacked = replace(state, s_tilde=s_tilde)
     new = update_omega(hacked, lin, ctx)
     i = int(np.nonzero(ctx.dataset.delta)[0][0])
     assert abs(new.e_omega[i] - math.tanh(1.0) / 4.0) < 1e-15
@@ -106,8 +109,8 @@ def test_update_psi_unit_rate_at_neutral_state():
     ctx, lin, _, state = _small_problem(seed=2)
     neutral = replace(
         state,
-        m_grid=np.zeros_like(state.m_grid),
-        s_grid=np.zeros_like(state.s_grid),
+        m_tilde=np.zeros_like(state.m_tilde),
+        s_tilde=np.zeros_like(state.s_tilde),
         e_log_phi=0.0,
     )
     new = update_psi(neutral, lin, ctx)
@@ -125,11 +128,14 @@ def test_update_psi_scales_with_phi_moment():
 def test_update_psi_matches_scalar_oracle():
     ctx, lin, _, state = _small_problem(seed=5, n=14, n_nodes=16)
     rng = np.random.default_rng(44)
-    P = state.m_grid.size
+    N = ctx.dataset.n
+    P = state.m_tilde.size - N
     m = rng.normal(scale=1.5, size=P)
     s = np.abs(m) + rng.uniform(0.0, 2.0, size=P)
     elp = 0.37
-    new = update_psi(replace(state, m_grid=m, s_grid=s, e_log_phi=elp),
+    new = update_psi(replace(state, m_tilde=np.concatenate([np.zeros(N), m]),
+                             s_tilde=np.concatenate([np.zeros(N), s]),
+                             e_log_phi=elp),
                      lin, ctx)
     count = 0
     for p, (i, k) in enumerate(zip(*np.nonzero(ctx.grid.weights > 0))):
@@ -292,12 +298,21 @@ def test_build_factor_censoring_partition():
                        rtol=0, atol=1e-12)
 
 
+def test_build_factor_u_is_a_view_of_the_jacobian():
+    ctx, lin, _, state = _small_problem(seed=11)
+    state = update_psi(update_omega(state, lin, ctx), lin, ctx)
+    factor = build_factor(state, lin, ctx)
+    assert factor.U.shape == lin.J.T.shape
+    assert np.shares_memory(factor.U, lin.J)
+    assert np.array_equal(factor.U, lin.J.T)
+
+
 def test_update_theta_posterior_moments_valid():
     ctx, lin, _, state = _small_problem(seed=13)
     new = cavi_sweep(state, lin, ctx)
-    gap = new.s_grid**2 - new.m_grid**2
+    gap = new.s_tilde**2 - new.m_tilde**2
     assert np.all(gap >= -1e-12)
-    quad = new.sigma.quad_rows(lin.J_grid)
+    quad = new.sigma.quad_rows(lin.J)
     assert np.allclose(gap, quad, rtol=1e-8, atol=1e-10)
     eigs = np.linalg.eigvalsh(new.sigma.dense())
     assert eigs.min() > -1e-10
@@ -333,8 +348,8 @@ def test_cavi_sweep_matches_all_pairs_oracle():
         g_all = forward_batch(ctx.model, T_all, X_all, theta_map)
         base_grid = baseline_factor(ctx.model, ctx.prior, T_all, X_all)
         want = cavi_sweep_all_pairs(
-            J_all.reshape(N, K, -1), g_all.reshape(N, K), lin.J_event,
-            lin.g_event, theta_map, grid.weights, base_grid.reshape(N, K),
+            J_all.reshape(N, K, -1), g_all.reshape(N, K), lin.J[:N],
+            lin.g[:N], theta_map, grid.weights, base_grid.reshape(N, K),
             ds.delta, ctx.prior.alpha0, state.alpha_tilde, state.beta_tilde)
         got = cavi_sweep(state, lin, ctx)
         # Woodbury exactly when m exceeds the effective rank (N + P at most)
@@ -344,10 +359,13 @@ def test_cavi_sweep_matches_all_pairs_oracle():
         live = grid.weights > 0
         close = dict(rtol=1e-12, atol=1e-12)
         for name in ("alpha_tilde", "e_log_phi", "mu_tilde", "c_tilde",
-                     "e_omega", "m_event", "s_event"):
+                     "e_omega"):
             assert np.allclose(getattr(got, name), want[name], **close), name
-        for name in ("lam_q", "m_grid", "s_grid"):
-            assert np.allclose(getattr(got, name), want[name][live],
+        assert np.allclose(got.lam_q, want["lam_q"][live], **close)
+        for name in ("m", "s"):
+            rows = getattr(got, f"{name}_tilde")
+            assert np.allclose(rows[:N], want[f"{name}_event"], **close), name
+            assert np.allclose(rows[N:], want[f"{name}_grid"][live],
                                **close), name
         assert np.allclose(got.sigma.dense(), want["sigma"], **close)
 

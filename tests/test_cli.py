@@ -1,5 +1,6 @@
 """Command-line workflows: synth -> fit -> predict/eval, plus selftest."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,12 +9,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sigsurv.checkpoint import body_bytes, fit_from_doc, load_checkpoint
 from sigsurv.cli import main
 from sigsurv.data import load_csv
-from sigsurv.numkit import RngStream
+from sigsurv.net import forward_batch, row_block
+from sigsurv.numkit import RngStream, build_grid
 from sigsurv.predict import mean_survival_matrix
+
+SCHEMA = {"time_col": "time", "event_col": "event", "feature_cols": "rest"}
 
 
 def _read_csv(path):
@@ -145,6 +151,33 @@ def test_fit_writes_cavi_diagnostics(workdir, tmp_path):
         assert (diag["effective_rank"] < m) == (covariance == "woodbury")
 
 
+def test_fit_reports_g_spread(workdir):
+    # the spread of g over the row block at theta_MAP, recomputed from
+    # the checkpoint on rows rebuilt from the training CSV
+    _, body = load_checkpoint(workdir / "model.json")
+    fit = fit_from_doc(body)
+    ds, _ = load_csv(workdir / "train.csv", SCHEMA)
+    T, X = row_block(build_grid(ds.y_norm, 16), ds)
+    g = forward_batch(fit.model, T, X, fit.theta_map)
+    got = body["diagnostics"]["em"]["g_spread"]
+    assert got >= 0.0
+    assert abs(got - float(np.ptp(g))) <= 1e-12 * max(1.0, abs(got))
+
+
+def test_fit_rejects_non_finite_float_flags(workdir, tmp_path, capsys):
+    ck = tmp_path / "nf.json"
+    common = ["fit", "--data", str(workdir / "train.csv"), "--out", str(ck),
+              "--hidden", "4", "--grid-k", "16"]
+    for flag, value, key in (("--em-tol", "nan", "em_tol"),
+                             ("--cavi-tol", "inf", "cavi_tol"),
+                             ("--em-init-scale", "nan", "em_init_scale")):
+        assert main([*common, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {key} must be finite, got {value}" in err
+        assert "Traceback" not in err
+    assert not ck.exists()
+
+
 def test_fit_rejects_infinite_covariate(workdir, tmp_path, capsys):
     header, rows = _read_csv(workdir / "train.csv")
     rows[3][2] = "inf"
@@ -244,10 +277,7 @@ def test_predict_csv_is_csv_writer_bytes(workdir, tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     fit = fit_from_doc(load_checkpoint(workdir / "model.json")[1])
-    ds, _ = load_csv(workdir / "test.csv", {"time_col": "time",
-                                            "event_col": "event",
-                                            "feature_cols": "rest"},
-                     stats=fit.stats)
+    ds, _ = load_csv(workdir / "test.csv", SCHEMA, stats=fit.stats)
     times = np.linspace(0.0, fit.t_max, 7)
     curves, band = mean_survival_matrix(
         fit.post, fit.model, fit.prior, fit.theta_map, fit.t_max, ds.X,
@@ -272,6 +302,28 @@ def test_predict_eval_reject_truncated_checkpoint(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("not a checkpoint file") == 2
     assert "Traceback" not in err
+
+
+def test_predict_rejects_non_finite_horizon(workdir, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    for value in ("nan", "inf", "0"):
+        assert main(["predict", "--checkpoint", str(workdir / "model.json"),
+                     "--data", str(workdir / "test.csv"), "--out", str(out),
+                     "--draws", "20", "--t-hi", value]) == 2
+        err = capsys.readouterr().err
+        assert "prediction horizon must be finite and positive" in err
+    assert not out.exists()
+
+
+def test_rejects_negative_seed(workdir, tmp_path, capsys):
+    common = ["--checkpoint", str(workdir / "model.json"),
+              "--data", str(workdir / "test.csv"), "--seed", "-1"]
+    assert main(["fit", "--synth-n", "10", "--out", str(tmp_path / "m.json"),
+                 "--seed", "-1"]) == 2
+    assert main(["predict", *common, "--out", str(tmp_path / "p.csv")]) == 2
+    assert main(["eval", *common]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error: seed must be >= 0, got -1") == 3
 
 
 def test_predict_missing_checkpoint(workdir, tmp_path):
@@ -358,3 +410,94 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+# ------------------------------------------------------------ fuzzing
+
+# a flag's wild values: in range, at zero, negative and non-finite
+_WILD = st.one_of(st.sampled_from([float("nan"), float("inf"),
+                                   float("-inf"), 0.0, -1.0]),
+                  st.floats(1e-4, 3.0))
+_POSITIVE = st.floats(1e-3, 3.0)
+
+
+def _int_flag(flag, low, high):
+    """In range [low, high]; wild values add -1, 0 and 1."""
+    return (flag, st.integers(low, high),
+            st.one_of(st.sampled_from([-1, 0, 1]), st.integers(low, high)))
+
+
+_SEED = _int_flag("--seed", 0, 50)
+_FUZZ = settings(max_examples=30, deadline=None, database=None,
+                 derandomize=True,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+def _exit_code(argv):
+    """Run the CLI in-process; returns (exit code, stderr text). An
+    argparse usage error exits 2 through SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@st.composite
+def _flags(draw, table):
+    """(flag, in-range strategy, wild strategy) rows: one flag takes a
+    wild value, each other one is left out or takes an in-range value,
+    so the wild value is the one the command has to handle. Flags are
+    passed as --flag=value: argparse would take a bare "-inf" for an
+    option."""
+    wild = draw(st.integers(0, len(table) - 1))
+    argv = []
+    for i, (flag, ok, wild_values) in enumerate(table):
+        value = draw(wild_values if i == wild else st.one_of(st.none(), ok))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+_FIT_FLAGS = (
+    _int_flag("--synth-n", 2, 30), _SEED, _int_flag("--grid-k", 2, 64),
+    ("--alpha0", _POSITIVE, _WILD), ("--beta0", _POSITIVE, _WILD),
+    ("--rho", _POSITIVE, _WILD),
+    ("--em-tol", _POSITIVE, _WILD), ("--cavi-tol", _POSITIVE, _WILD),
+    ("--em-init-scale", _POSITIVE, _WILD),
+    _int_flag("--em-max-iter", 1, 8), _int_flag("--cavi-max-iter", 1, 8),
+)
+_SCORE_FLAGS = (
+    _SEED,
+    _int_flag("--draws", 2, 40),
+    ("--level", st.floats(0.05, 0.95), _WILD),
+    _int_flag("--grid-points", 2, 65),
+    ("--t-hi", _POSITIVE, _WILD),
+)
+
+
+@_FUZZ
+@given(argv=_flags(_FIT_FLAGS))
+def test_fuzz_fit_flags_exit_cleanly(workdir, argv):
+    if not any(a.startswith("--synth-n=") for a in argv):
+        argv.append("--synth-n=20")
+    code, err = _exit_code(["fit", "--hidden", "4", "--out",
+                            str(workdir / "fuzz.json"), *argv])
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+
+
+@_FUZZ
+@given(argv=_flags(_SCORE_FLAGS))
+def test_fuzz_predict_eval_flags_exit_cleanly(workdir, argv):
+    common = ["--checkpoint", str(workdir / "model.json"),
+              "--data", str(workdir / "test.csv")]
+    scoring = [a for a in argv if not a.startswith("--t-hi=")]
+    for cmd in (["predict", "--out", str(workdir / "fuzz.csv"), *argv],
+                ["eval", *scoring]):
+        code, err = _exit_code([*cmd, *common])
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err

@@ -91,11 +91,13 @@ def test_build_context_dimensions_and_constants():
     model = MlpModel((3, 4, 1))
     ctx = build_context(model, BaselinePrior(), ds, n_nodes=16)
     assert ctx.grid.n_nodes == 16
-    # one row per live (subject, node) pair, subject-major
+    # the three event rows, then one row per live (subject, node) pair,
+    # subject-major
     subject, node = np.nonzero(ctx.grid.weights > 0)
     assert 0 < subject.size < 3 * 16
-    assert np.array_equal(ctx.t_live, ctx.grid.nodes[node])
-    assert np.array_equal(ctx.x_live, ds.X[subject])
+    assert np.array_equal(ctx.t_rows, np.concatenate([ds.y_norm,
+                                                      ctx.grid.nodes[node]]))
+    assert np.array_equal(ctx.x_rows, np.vstack([ds.X, ds.X[subject]]))
     assert np.array_equal(ctx.w_live, ctx.grid.weights[subject, node])
     # t^(rho-1) / Z with Z = 1/2 is the constant 2
     assert np.array_equal(ctx.base_live, np.full(subject.size, 2.0))

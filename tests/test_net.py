@@ -9,6 +9,7 @@ from sigsurv.net import (
     MlpModel,
     flatten,
     forward,
+    forward_and_grad,
     forward_batch,
     grad_weighted_sum,
     jacobian,
@@ -204,6 +205,26 @@ def test_grad_weighted_sum_matches_contraction():
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def test_forward_and_grad_matches_forward_then_weighted_sum():
+    # weights computed from the traced output, as the M-step's
+    # w = a - b g, against a separate forward pass and reverse pass
+    model = MlpModel((3, 8, 8, 1))
+    rng = np.random.default_rng(23)
+    theta = rng.normal(size=model.n_params)
+    T = rng.uniform(0, 1, size=40)
+    X = rng.normal(size=(40, 2))
+    a, b = rng.normal(size=40), rng.uniform(0, 1, size=40)
+    g, grad = forward_and_grad(model, T, X, theta, lambda g: a - b * g)
+    g_want = forward_batch(model, T, X, theta)
+    grad_want = grad_weighted_sum(model, T, X, theta, a - b * g_want)
+    assert np.allclose(g, g_want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(grad, grad_want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(grad, jacobian_batch(model, T, X, theta).T
+                       @ (a - b * g_want), rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        forward_and_grad(model, T, X, theta, lambda g: g[:-1])
+
+
 # ------------------------------------------------- flat parameter layout
 
 
@@ -237,8 +258,7 @@ def test_unflatten_length_mismatch():
 def test_linearize_exact_at_reference(small_fit):
     lin = small_fit.lin
     theta_ref = small_fit.em.theta_map
-    assert np.array_equal(lin.g_lin_grid(theta_ref), lin.g_grid)
-    assert np.array_equal(lin.g_lin_event(theta_ref), lin.g_event)
+    assert np.array_equal(lin.g_lin(theta_ref), lin.g)
 
 
 def test_linearize_unit_direction_moves_by_jacobian_column(small_fit):
@@ -248,8 +268,8 @@ def test_linearize_unit_direction_moves_by_jacobian_column(small_fit):
     for j in (0, 17, theta_ref.size - 1):
         theta = theta_ref.copy()
         theta[j] += eps
-        moved = lin.g_lin_grid(theta) - lin.g_grid
-        want = eps * lin.J_grid[:, j]
+        moved = lin.g_lin(theta) - lin.g
+        want = eps * lin.J[:, j]
         assert np.max(np.abs(moved - want)) < 1e-12
 
 
@@ -259,14 +279,11 @@ def test_linearize_small_ball_gap(small_fit):
     model, ctx = small_fit.model, small_fit.ctx
     theta_ref = small_fit.em.theta_map
     rng = np.random.default_rng(41)
-    subject, node = np.nonzero(ctx.grid.live_mask())
-    T_live = ctx.grid.nodes[node]
-    X_live = small_fit.ds.X[subject]
     for _ in range(5):
         d = rng.normal(size=theta_ref.size)
         d *= 0.01 / np.linalg.norm(d)
-        exact = forward_batch(model, T_live, X_live, theta_ref + d)
-        gap = np.max(np.abs(lin.g_lin_grid(theta_ref + d) - exact))
+        exact = forward_batch(model, ctx.t_rows, ctx.x_rows, theta_ref + d)
+        gap = np.max(np.abs(lin.g_lin(theta_ref + d) - exact))
         assert gap < 1e-3
 
 
@@ -277,26 +294,26 @@ def test_linearize_shapes(small_fit):
     n_live = int(np.count_nonzero(ctx.grid.weights > 0))
     assert 0 < n_live < ds.n * ctx.grid.n_nodes
     assert isinstance(lin, LinearizedModel)
-    assert lin.g_grid.shape == (n_live,)
+    assert lin.n_event == ds.n
+    assert lin.g.shape == (ds.n + n_live,)
+    assert lin.J.shape == (ds.n + n_live, m)
     assert lin.J_grid.shape == (n_live, m)
-    assert lin.g_event.shape == (ds.n,)
-    assert lin.J_event.shape == (ds.n, m)
+    assert np.shares_memory(lin.J_grid, lin.J)
 
 
 def test_linearize_packed_rows_are_the_live_pairs_in_order(small_fit):
-    # row p of the packed caches is the network at the p-th pair with
-    # nonzero weight, scanning subjects in order and nodes within each
+    # the first N rows of the caches are the network at (y_i, x_i); row
+    # N + p is the network at the p-th pair with nonzero weight,
+    # scanning subjects in order and nodes within each
     lin, ctx, ds = small_fit.lin, small_fit.ctx, small_fit.ds
     model, theta_ref = small_fit.model, small_fit.em.theta_map
     weights, nodes = ctx.grid.weights, ctx.grid.nodes
-    p = 0
-    for i in range(ds.n):
-        for k in range(ctx.grid.n_nodes):
-            if weights[i, k] == 0.0:
-                continue
-            J = jacobian(model, nodes[k], ds.X[i], theta_ref)
-            g = forward(model, nodes[k], ds.X[i], theta_ref)
-            assert np.allclose(lin.J_grid[p], J, rtol=1e-13, atol=1e-13)
-            assert abs(lin.g_grid[p] - g) <= 1e-13 * max(1.0, abs(g))
-            p += 1
-    assert p == lin.J_grid.shape[0]
+    points = [(ds.y_norm[i], i) for i in range(ds.n)]
+    points += [(nodes[k], i) for i in range(ds.n)
+               for k in range(ctx.grid.n_nodes) if weights[i, k] != 0.0]
+    for r, (t, i) in enumerate(points):
+        J = jacobian(model, t, ds.X[i], theta_ref)
+        g = forward(model, t, ds.X[i], theta_ref)
+        assert np.allclose(lin.J[r], J, rtol=1e-13, atol=1e-13)
+        assert abs(lin.g[r] - g) <= 1e-13 * max(1.0, abs(g))
+    assert len(points) == lin.J.shape[0]
