@@ -7,16 +7,17 @@ event marks, and a marked-Poisson factor over the thinned points. One
 sweep cyclically applies the four closed-form updates in the fixed
 order omega -> psi -> phi -> theta; beta~ is a data-only constant.
 
-The theta update solves mu~ = Sigma~ A, Sigma~ = (I + U C U^T)^(-1)
-where U holds the Jacobian columns of the row block (the N event rows,
-then the P live (subject, node) pairs with nonzero trapezoid weight,
-packed subject-major; see HazardContext) and C is the nonnegative
-diagonal b of the rows' quadratic form (`hazard.row_coefficients`); a
-pair with zero weight adds nothing to any integral or to U C U^T. When
-the parameter count m exceeds the effective rank, the solve runs
-through the Woodbury identity on the R x R system (with U' = U C^(1/2),
-the small matrix I + U'^T U' has eigenvalues >= 1); otherwise a dense
-m x m Cholesky is used. Both paths are exact and agree to rounding.
+The theta update solves mu~ = Sigma~ A, Sigma~ = (I + J^T diag(b) J)^(-1)
+over the row block (the N event rows, then the P live (subject, node)
+pairs with nonzero trapezoid weight, packed subject-major; see
+HazardContext), with b the nonnegative row weights of the quadratic
+form (`hazard.row_coefficients`). J is fixed for the whole run, so it
+works in J's thin singular basis J = P S V^T of rank r, computed once
+by `net.linearize`: with JV = P S, each sweep takes the eigenvalues c
+and eigenvectors Q of the r x r matrix M = (JV)^T diag(b) JV, and
+Sigma~ = (I + U diag(c) U^T)^(-1) with orthonormal U = V Q. Every
+product a sweep forms is (R, r) or (m, r), so it costs
+O((R + m) r^2).
 """
 
 from __future__ import annotations
@@ -76,34 +77,18 @@ def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class SigmaDense:
-    """Dense covariance with the operations the sweep and the predictor
-    need: quadratic forms J Sigma J^T row-wise, matvec, diagonal, and a
-    Cholesky square root for sampling. `effective_rank` is the number
-    of nonzero-weight columns of the factor it was solved from, when it
-    came from one (None otherwise)."""
+    """Dense covariance of a posterior stated directly (e.g. a point
+    mass): row-wise quadratic forms J Sigma J^T and a Cholesky square
+    root for sampling. CAVI never produces one."""
 
-    def __init__(self, mat: np.ndarray, effective_rank: int | None = None):
+    def __init__(self, mat: np.ndarray):
         mat = np.asarray(mat, dtype=float)
         self.mat = 0.5 * (mat + mat.T)
-        self.effective_rank = effective_rank
         self._chol: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
     def quad_rows(self, J: np.ndarray) -> np.ndarray:
         J2 = np.atleast_2d(J)
         return np.maximum(np.einsum("nm,nm->n", J2 @ self.mat, J2), 0.0)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.mat @ v
-
-    def diag(self) -> np.ndarray:
-        return np.diag(self.mat).copy()
-
-    def dense(self) -> np.ndarray:
-        return self.mat
 
     def sqrt_matvec(self, z: np.ndarray) -> np.ndarray:
         if self._chol is None:
@@ -113,13 +98,10 @@ class SigmaDense:
 
 @dataclass
 class LowRankFactor:
-    """Factor form of B = (1/2)(I_m + U C U^T): U (m, R) stacks the
-    event-time Jacobian columns (first N, one per subject) then the
-    grid columns (P live pairs, subject-major, node-ascending within a
-    subject), so R = N + P; C holds the R nonnegative diagonal weights.
-    Zero-weight columns (censored events) are dropped internally before
-    any solve — they contribute nothing to U C U^T, which is the
-    censoring partition at the linear-algebra level."""
+    """Factor form of B = (1/2)(I_m + U C U^T) for any U (m, R) and R
+    nonnegative diagonal weights C; CAVI's has orthonormal U = V Q (see
+    `build_factor`). Zero-weight columns are dropped internally before
+    any solve: they contribute nothing to U C U^T."""
 
     U: np.ndarray
     C: np.ndarray
@@ -151,7 +133,7 @@ class LowRankFactor:
         return self._Uw.shape[1]
 
     def assemble_B(self) -> np.ndarray:
-        """Dense B = (1/2)(I + U C U^T); for tests and the dense path."""
+        """Dense B = (1/2)(I + U C U^T); for tests."""
         m = self.dim
         return 0.5 * (np.eye(m) + (self.U * self.C) @ self.U.T)
 
@@ -231,7 +213,7 @@ class VariationalState:
     alpha_tilde: float
     beta_tilde: float
     mu_tilde: np.ndarray
-    sigma: SigmaDense | LowRankFactor
+    sigma: LowRankFactor
     c_tilde: np.ndarray      # (N,)
     e_omega: np.ndarray      # (N,)
     lam_q: np.ndarray        # (P,)
@@ -264,25 +246,18 @@ class CaviResult:
     message: str
 
 
-def _moments(lin: LinearizedModel, mu, sigma):
-    """m~ = g_map + J^T (mu~ - theta_map) and s~ = sqrt(m~^2 + J Sigma J^T)
-    on the whole row block."""
-    m_tilde = lin.g_lin(mu)
-    return m_tilde, np.sqrt(m_tilde**2 + sigma.quad_rows(lin.J))
-
-
 def init_state(
     ctx: HazardContext, lin: LinearizedModel, theta_map, phi_map: float
 ) -> VariationalState:
     """Start from the MAP estimate: alpha~ = phi_MAP * beta~ (so
-    E[phi] = phi_MAP), mu~ = theta_MAP, Sigma~ = I."""
+    E[phi] = phi_MAP), mu~ = theta_MAP, Sigma~ = I (the empty factor)."""
     if phi_map <= 0:
         raise InputError("phi_map must be positive")
     theta_map = np.asarray(theta_map, dtype=float)
     beta_tilde = ctx.phi_rate
     alpha_tilde = phi_map * beta_tilde
-    sigma = SigmaDense(np.eye(theta_map.size))
-    m_tilde, s_tilde = _moments(lin, theta_map, sigma)
+    sigma = LowRankFactor(U=np.zeros((theta_map.size, 0)), C=np.zeros(0))
+    m_tilde = lin.g_lin(theta_map)
     N = lin.n_event
     return VariationalState(
         alpha_tilde=alpha_tilde,
@@ -294,7 +269,7 @@ def init_state(
         lam_q=np.zeros_like(ctx.w_live),
         e_log_phi=float(digamma(alpha_tilde) - np.log(beta_tilde)),
         m_tilde=m_tilde,
-        s_tilde=s_tilde,
+        s_tilde=np.sqrt(m_tilde**2 + sigma.quad_rows(lin.J)),
     )
 
 
@@ -348,22 +323,14 @@ def _row_coefficients(state: VariationalState, lin: LinearizedModel,
 def build_factor(
     state: VariationalState, lin: LinearizedModel, ctx: HazardContext
 ) -> LowRankFactor:
-    """U and C for B = (1/2)(I + U C U^T): U = J^T of the row block (a
-    view, not a copy) and C = b, so event columns carry
-    delta_i E[omega_i] and grid columns the folded quadrature weight
-    v_ik lambda_ik tau_ik with tau = pg_mean(1, s~)."""
+    """Sigma~'s factor: M = (JV)^T diag(b) JV = Q diag(c) Q^T (c clamped
+    at 0 against rounding), U = V Q and C = c, so that
+    U C U^T = J^T diag(b) J on J's row space. b carries delta_i
+    E[omega_i] on the event rows and the folded quadrature weight
+    v_ik lambda_ik tau_ik, tau = pg_mean(1, s~), on the live pairs."""
     _, b = _row_coefficients(state, lin, ctx)
-    return LowRankFactor(U=lin.J.T, C=b)
-
-
-def _assemble_A(state: VariationalState, lin: LinearizedModel,
-                ctx: HazardContext) -> np.ndarray:
-    """A = J^T (a - b r) over the row block, with r = g_map - J theta_map
-    the linearization offset: for an event row (1/2) delta_i
-    (1 - 2 E[omega_i] r_i), for a grid row -(1/2) v lambda (1 + 2 tau r)."""
-    a, b = _row_coefficients(state, lin, ctx)
-    off = lin.g - lin.J @ lin.theta_ref
-    return lin.J.T @ (a - b * off)
+    c, Q = np.linalg.eigh((lin.JV * b[:, None]).T @ lin.JV)
+    return LowRankFactor(U=lin.V @ Q, C=np.maximum(c, 0.0))
 
 
 def update_theta(
@@ -371,25 +338,22 @@ def update_theta(
     lin: LinearizedModel,
     ctx: HazardContext,
 ) -> VariationalState:
-    """mu~ = (1/2) B^(-1) A and Sigma~ = (1/2) B^(-1); afterwards the
-    cached moments m~, s~ are recomputed everywhere. The solve runs
-    through the factor's R x R Woodbury system when the parameter count
-    m exceeds the effective rank, and through a dense m x m Cholesky
-    otherwise."""
+    """mu~ = (1/2) B^(-1) A and Sigma~ = (1/2) B^(-1), with
+    A = J^T (a - b off) over the row block and off = g_map - J theta_map
+    the linearization offset, then the cached moments on the whole row
+    block: m~ = off + J mu~ and s~ = sqrt(m~^2 + rows of J Sigma~ J^T).
+    In the factor's basis, with w = diag(1/(1+c)) (JV Q)^T (a - b off),
+    mu~ = U w and J mu~ = JV Q w (mu~ lies in J's row space), and the
+    rows of J Sigma~ J^T are the squared row norms of
+    JV Q diag((1+c)^(-1/2))."""
     factor = build_factor(state, lin, ctx)
-    A = _assemble_A(state, lin, ctx)
-    m = factor.dim
-    if m > factor.effective_rank:
-        sigma: SigmaDense | LowRankFactor = factor
-        mu = factor.sigma_matvec(A)  # = (1/2) B^(-1) A
-    else:
-        B = factor.assemble_B()
-        L = _chol_with_jitter(B, "dense B")
-        inv = _cho_solve(L, np.eye(m))
-        sigma = SigmaDense(0.5 * inv, effective_rank=factor.effective_rank)
-        mu = 0.5 * _cho_solve(L, A)
-    m_tilde, s_tilde = _moments(lin, mu, sigma)
-    return replace(state, mu_tilde=mu, sigma=sigma,
+    a, b = _row_coefficients(state, lin, ctx)
+    JVQ = lin.JV @ (lin.V.T @ factor.U)  # Q = V^T U
+    shrink = 1.0 / (1.0 + factor.C)
+    w = shrink * (JVQ.T @ (a - b * lin.offset))
+    m_tilde = lin.offset + JVQ @ w
+    s_tilde = np.sqrt(m_tilde**2 + np.einsum("nr,nr->n", JVQ * shrink, JVQ))
+    return replace(state, mu_tilde=factor.U @ w, sigma=factor,
                    m_tilde=m_tilde, s_tilde=s_tilde)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavi import LowRankFactor, SigmaDense, VariationalState
+from .cavi import LowRankFactor, VariationalState
 from .data import FeatureStats
 from .errors import InputError
 from .hazard import BaselinePrior
@@ -142,7 +142,7 @@ class PosteriorParams:
     beta_tilde: float
     e_log_phi: float
     mu_tilde: np.ndarray
-    sigma: SigmaDense | LowRankFactor
+    sigma: LowRankFactor
 
 
 @dataclass
@@ -158,16 +158,12 @@ class FittedModel:
 
 
 def _sigma_to_doc(sigma) -> dict:
-    if isinstance(sigma, SigmaDense):
-        return {"kind": "dense", "mat": sigma.mat}
     if isinstance(sigma, LowRankFactor):
         return {"kind": "factor", "U": sigma.U, "C": sigma.C}
     raise InputError(f"unknown covariance representation {type(sigma)!r}")
 
 
 def _sigma_from_doc(doc: dict):
-    if doc["kind"] == "dense":
-        return SigmaDense(doc["mat"])
     if doc["kind"] == "factor":
         return LowRankFactor(U=doc["U"], C=doc["C"])
     raise InputError(f"unknown covariance kind {doc['kind']!r}")

@@ -61,15 +61,17 @@ def _apply_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
-def _coerce(key: str, text: str):
+def _coerce(key: str, text: str, where: str):
+    """`text` as the type of `key`'s default; a malformed number is an
+    InputError that names `where` it came from."""
     default = CONFIG_DEFAULTS[key]
-    if isinstance(default, bool):
-        return text.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    return text.strip()
+    if not isinstance(default, (int, float)):
+        return text.strip()
+    try:
+        return type(default)(text)
+    except ValueError:
+        raise InputError(f"{where}: {key} must be {type(default).__name__}, "
+                         f"got {text!r}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -86,7 +88,7 @@ def _load_config_file(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in CONFIG_DEFAULTS:
                 raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _coerce(key, value)
+            out[key] = _coerce(key, value, f"{path}:{lineno}")
     return out
 
 
@@ -94,7 +96,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
     env_seed = os.environ.get("SIGSURV_SEED")
     if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+        cfg["seed"] = _coerce("seed", env_seed, "SIGSURV_SEED")
     if getattr(args, "config", None):
         cfg.update(_load_config_file(args.config))
     for key in CONFIG_DEFAULTS:
@@ -186,7 +188,7 @@ def _load_training_data(args, cfg):
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
 
-    from .cavi import LowRankFactor, run_cavi
+    from .cavi import run_cavi
     from .checkpoint import fit_to_doc, save_checkpoint
     from .hazard import BaselinePrior, build_context
     from .map_em import run_em
@@ -213,7 +215,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         tol=cfg["cavi_tol"], max_iter=cfg["cavi_max_iter"],
     )
 
-    sigma = cavi.state.sigma
     diagnostics = {
         "em": {
             "iterations": em.n_iter,
@@ -228,9 +229,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "converged": bool(cavi.converged),
             "final_rel_change": float(cavi.rel_trace[-1]),
             "message": cavi.message,
-            "covariance": ("woodbury" if isinstance(sigma, LowRankFactor)
-                           else "dense"),
-            "effective_rank": sigma.effective_rank,
+            # the numerical rank of the row block's Jacobian
+            "effective_rank": lin.V.shape[1],
             "live_pairs": int(ctx.w_live.size),
             "live_pair_frac": ctx.w_live.size / ctx.grid.weights.size,
         },

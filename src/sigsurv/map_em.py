@@ -145,8 +145,8 @@ def em_m_step(
 ) -> tuple[EmState, float, OptimResult]:
     """Maximize Q over (theta, log phi) from the state's current point.
     Returns (state with new parameters, Q at the new point, optimizer
-    diagnostics). Latent fields are kept (they describe the sweep that
-    produced this Q)."""
+    diagnostics, whose -f0 is Q at the start point). Latent fields are
+    kept (they describe the sweep that produced this Q)."""
     state.require_latents()
     if state.a_coef is None or state.a_coef <= 0:
         raise NumericalError(
@@ -205,16 +205,15 @@ def run_em(
     it = 0
     for it in range(max_iter):
         state = em_latent_update(ctx, state)
-        q_before = q_function(ctx, state, state.theta, state.phi)
-        state, q_val, _ = em_m_step(ctx, state, max_iter=m_step_iters,
-                                    gtol=m_step_gtol)
+        state, q_val, res = em_m_step(ctx, state, max_iter=m_step_iters,
+                                      gtol=m_step_gtol)
         q_trace.append(q_val)
         objective_trace.append(log_posterior(ctx, state.phi, state.theta))
         records.append(
             {
                 "iteration": it,
                 "q": q_val,
-                "q_before_m_step": q_before,
+                "q_before_m_step": -res.f0,
                 "objective": objective_trace[-1],
                 "phi": state.phi,
                 "theta_norm": float(np.linalg.norm(state.theta)),

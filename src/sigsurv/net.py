@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "MlpModel",
     "forward",
@@ -241,6 +243,9 @@ class LinearizedModel:
 
     Caches g and J on the row block of `row_block`: the first n_event
     rows are the (y_i, x_i), the rest the P live grid pairs (t_k, x_i).
+    offset = g - J theta_ref, so that g_lin(theta) = offset + J theta.
+    V and JV come from J's thin SVD J = P S V^T truncated to its
+    numerical rank r: V (m, r) spans J's row space and JV = P S.
     """
 
     model: MlpModel
@@ -248,6 +253,9 @@ class LinearizedModel:
     g: np.ndarray  # (N+P,)
     J: np.ndarray  # (N+P, m)
     n_event: int
+    offset: np.ndarray  # (N+P,)
+    V: np.ndarray  # (m, r)
+    JV: np.ndarray  # (N+P, r)
 
     @property
     def n_params(self) -> int:
@@ -266,15 +274,30 @@ class LinearizedModel:
 
 def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
     """Build the expansion around theta_map on the row block of the
-    QuadratureGrid `grid` over `dataset`'s (normalized) times."""
+    QuadratureGrid `grid` over `dataset`'s (normalized) times. J's
+    singular values above s_max * max(R, m) * eps (numpy's
+    `matrix_rank` rule) set its rank r; LAPACK's gesvd keeps the
+    workspace smaller than the divide-and-conquer gesdd."""
+    from scipy.linalg import svd
+
     theta_map = np.asarray(theta_map, dtype=float)
     if not np.all(np.isfinite(theta_map)):
         raise ValueError("theta_map must be finite")
     T, X = row_block(grid, dataset)
+    J = jacobian_batch(model, T, X, theta_map)
+    if not np.all(np.isfinite(J)):  # LAPACK's SVD fails on NaN
+        raise NumericalError("Jacobian at theta_map overflows")
+    P, s, Vt = svd(J, full_matrices=False, lapack_driver="gesvd",
+                   check_finite=False)
+    r = int(np.count_nonzero(s > s[0] * max(J.shape) * np.finfo(float).eps))
+    g = forward_batch(model, T, X, theta_map)
     return LinearizedModel(
         model=model,
         theta_ref=theta_map.copy(),
-        g=forward_batch(model, T, X, theta_map),
-        J=jacobian_batch(model, T, X, theta_map),
+        g=g,
+        J=J,
         n_event=dataset.n,
+        offset=g - J @ theta_map,
+        V=np.ascontiguousarray(Vt[:r].T),
+        JV=P[:, :r] * s[:r],
     )

@@ -18,8 +18,11 @@ __all__ = ["OptimResult", "minimize_lbfgs"]
 
 @dataclass
 class OptimResult:
+    """The final iterate x, f and grad there, and f0 = f(x0)."""
+
     x: np.ndarray
     f: float
+    f0: float
     grad: np.ndarray
     n_iter: int
     n_fev: int
@@ -130,7 +133,8 @@ def minimize_lbfgs(
     if memory < 1 or max_iter < 1:
         raise InputError("memory and max_iter must be >= 1")
     x = np.array(x0, dtype=float).ravel().copy()
-    f, g = f_and_grad(x)
+    f0, g = f_and_grad(x)
+    f = f0
     g = np.asarray(g, dtype=float).copy()
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise InputError("objective not finite at the starting point")
@@ -176,6 +180,6 @@ def minimize_lbfgs(
     if not converged and np.max(np.abs(g)) <= gtol:
         converged, message = True, "gradient tolerance reached"
     return OptimResult(
-        x=x, f=float(f), grad=g, n_iter=it + 1, n_fev=n_fev,
+        x=x, f=float(f), f0=float(f0), grad=g, n_iter=it + 1, n_fev=n_fev,
         converged=converged, message=message,
     )

@@ -20,7 +20,8 @@ from sigsurv.cavi import (
 )
 from sigsurv.data import Dataset
 from sigsurv.errors import InputError, NumericalError
-from sigsurv.hazard import BaselinePrior, baseline_factor, build_context
+from sigsurv.hazard import (BaselinePrior, baseline_factor, build_context,
+                            row_coefficients)
 from sigsurv.net import MlpModel, forward_batch, jacobian_batch, linearize
 from sigsurv.numkit import RngStream, digamma, pg_mean
 
@@ -271,9 +272,6 @@ def test_sigma_dense_operations():
     A = rng.normal(size=(6, 6))
     S = A @ A.T + np.eye(6)
     sd = SigmaDense(S)
-    v = rng.normal(size=6)
-    assert np.allclose(sd.matvec(v), S @ v, rtol=0, atol=1e-12)
-    assert np.allclose(sd.diag(), np.diag(S), rtol=0, atol=0)
     J = rng.normal(size=(4, 6))
     assert np.allclose(sd.quad_rows(J), np.einsum("nm,nm->n", J @ S, J),
                        rtol=1e-12, atol=1e-12)
@@ -284,27 +282,36 @@ def test_sigma_dense_operations():
 # ----------------------------------------------------------- theta step
 
 
+def _swept_weights(seed):
+    """A problem one omega/psi step in, with its row weights b."""
+    ctx, lin, _, state = _small_problem(seed=seed)
+    state = update_psi(update_omega(state, lin, ctx), lin, ctx)
+    b = row_coefficients(ctx, state.e_omega, state.lam_q,
+                         pg_mean(1.0, state.s_tilde[lin.n_event:]))[1]
+    return ctx, lin, state, b
+
+
 def test_build_factor_censoring_partition():
-    ctx, lin, _, state = _small_problem(seed=11)
-    state = update_omega(state, lin, ctx)
-    state = update_psi(state, lin, ctx)
-    factor = build_factor(state, lin, ctx)
+    ctx, lin, state, b = _swept_weights(seed=11)
     ds = ctx.dataset
-    # event columns of censored subjects carry exactly zero weight
-    assert np.all(factor.C[:ds.n][ds.delta == 0] == 0.0)
-    keep = factor.C > 0
-    stripped = LowRankFactor(U=factor.U[:, keep], C=factor.C[keep])
-    assert np.allclose(factor.assemble_B(), stripped.assemble_B(),
+    # event rows of censored subjects carry exactly zero weight, so the
+    # factor is the one of the rows that do
+    assert np.all(b[:ds.n][ds.delta == 0] == 0.0)
+    keep = b > 0
+    Jk = lin.J[keep]
+    want = 0.5 * (np.eye(lin.n_params) + (Jk.T * b[keep]) @ Jk)
+    assert np.allclose(build_factor(state, lin, ctx).assemble_B(), want,
                        rtol=0, atol=1e-12)
 
 
-def test_build_factor_u_is_a_view_of_the_jacobian():
-    ctx, lin, _, state = _small_problem(seed=11)
-    state = update_psi(update_omega(state, lin, ctx), lin, ctx)
+def test_build_factor_is_the_exact_inverse_in_the_singular_basis():
+    ctx, lin, state, b = _swept_weights(seed=11)
     factor = build_factor(state, lin, ctx)
-    assert factor.U.shape == lin.J.T.shape
-    assert np.shares_memory(factor.U, lin.J)
-    assert np.array_equal(factor.U, lin.J.T)
+    m, r = lin.n_params, lin.V.shape[1]
+    assert r <= min(lin.J.shape)
+    assert factor.U.shape == (m, r) and factor.C.shape == (r,)
+    want = np.linalg.inv(np.eye(m) + (lin.J.T * b) @ lin.J)
+    assert np.allclose(factor.dense(), want, rtol=0, atol=1e-12)
 
 
 def test_update_theta_posterior_moments_valid():
@@ -335,11 +342,14 @@ def test_update_theta_prior_recovery_with_zero_weights():
 
 def test_cavi_sweep_matches_all_pairs_oracle():
     # the packed sweep against one over the full (N, K) grid, with the
-    # network re-linearized at every pair and weight-masked sums; once
-    # on each covariance path
-    for layers, covariance in (((3, 4, 1), SigmaDense),        # m = 21
-                               ((3, 32, 1), LowRankFactor)):   # m = 161
-        ctx, lin, theta_map, state = _small_problem(seed=18, layers=layers)
+    # network re-linearized at every pair and weight-masked sums; on a
+    # net with m below and one with m above N + P, and on the wide net
+    # at theta = 0, where J has rank 1 like a collapsed MAP fit
+    for layers, scale in (((3, 4, 1), 0.3),     # m = 21
+                          ((3, 32, 1), 0.3),    # m = 161
+                          ((3, 32, 1), 0.0)):
+        ctx, lin, theta_map, state = _small_problem(
+            seed=18, layers=layers, theta_scale=scale)
         ds, grid = ctx.dataset, ctx.grid
         N, K = grid.weights.shape
         T_all = np.tile(grid.nodes, N)
@@ -352,10 +362,8 @@ def test_cavi_sweep_matches_all_pairs_oracle():
             lin.g[:N], theta_map, grid.weights, base_grid.reshape(N, K),
             ds.delta, ctx.prior.alpha0, state.alpha_tilde, state.beta_tilde)
         got = cavi_sweep(state, lin, ctx)
-        # Woodbury exactly when m exceeds the effective rank (N + P at most)
-        assert type(got.sigma) is covariance
-        assert (lin.n_params > got.sigma.effective_rank) == (
-            covariance is LowRankFactor)
+        r = np.linalg.matrix_rank(lin.J)
+        assert lin.V.shape[1] == r and (scale > 0.0 or r == 1)
         live = grid.weights > 0
         close = dict(rtol=1e-12, atol=1e-12)
         for name in ("alpha_tilde", "e_log_phi", "mu_tilde", "c_tilde",

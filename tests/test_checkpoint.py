@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sigsurv.cavi import LowRankFactor, SigmaDense
+from sigsurv.cavi import LowRankFactor
 from sigsurv.checkpoint import (
     body_bytes,
     config_hash,
@@ -87,7 +87,7 @@ def test_load_checkpoint_rejects_truncated_or_non_json(tmp_path):
             load_checkpoint(path)
 
 
-def test_fit_doc_roundtrip_dense(small_fit):
+def test_fit_doc_roundtrip_fitted_state(small_fit):
     cfg = config_hash({"layers": list(small_fit.model.layer_sizes)})
     body = fit_to_doc(small_fit.model, small_fit.prior, small_fit.stats,
                       small_fit.ds.t_max, small_fit.em.theta_map,
@@ -104,9 +104,9 @@ def test_fit_doc_roundtrip_dense(small_fit):
     assert fitted.post.alpha_tilde == st.alpha_tilde
     assert fitted.post.beta_tilde == st.beta_tilde
     assert np.array_equal(fitted.post.mu_tilde, st.mu_tilde)
-    assert isinstance(fitted.post.sigma, type(st.sigma))
-    if isinstance(st.sigma, SigmaDense):
-        assert np.array_equal(fitted.post.sigma.mat, st.sigma.mat)
+    assert isinstance(fitted.post.sigma, LowRankFactor)
+    assert np.array_equal(fitted.post.sigma.U, st.sigma.U)
+    assert np.array_equal(fitted.post.sigma.C, st.sigma.C)
     # body serialization is deterministic, so refits compare by bytes
     body2 = fit_to_doc(small_fit.model, small_fit.prior, small_fit.stats,
                        small_fit.ds.t_max, small_fit.em.theta_map,
@@ -156,14 +156,16 @@ def test_fit_from_doc_rejects_malformed():
     }
     with pytest.raises(InputError, match="malformed"):
         fit_from_doc(body)
-    with pytest.raises(InputError, match="unknown covariance kind"):
-        fit_from_doc({
-            "architecture": {"layer_sizes": [3, 1]},
-            "prior": {"alpha0": 1.0, "beta0": 1.0, "rho": 1.0},
-            "normalization": {"stats": good_stats.to_doc(), "t_max": 1.0},
-            "map": {"theta": np.zeros(4), "phi": 1.0},
-            "variational": {
-                "alpha_tilde": 2.0, "beta_tilde": 3.0, "e_log_phi": 0.0,
-                "mu_tilde": np.zeros(4), "sigma": {"kind": "sparse"},
-            },
-        })
+    # "dense" was a kind of an earlier format; only "factor" is read
+    for sigma in ({"kind": "sparse"}, {"kind": "dense", "mat": np.eye(4)}):
+        with pytest.raises(InputError, match="unknown covariance kind"):
+            fit_from_doc({
+                "architecture": {"layer_sizes": [3, 1]},
+                "prior": {"alpha0": 1.0, "beta0": 1.0, "rho": 1.0},
+                "normalization": {"stats": good_stats.to_doc(), "t_max": 1.0},
+                "map": {"theta": np.zeros(4), "phi": 1.0},
+                "variational": {
+                    "alpha_tilde": 2.0, "beta_tilde": 3.0, "e_log_phi": 0.0,
+                    "mu_tilde": np.zeros(4), "sigma": sigma,
+                },
+            })

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -132,23 +133,25 @@ def test_fit_config_file(workdir, tmp_path, capsys):
 
 
 def test_fit_writes_cavi_diagnostics(workdir, tmp_path):
-    # 30 subjects, 16 nodes, m = 29: dense; 8 subjects, 3 nodes: woodbury
+    # 30 subjects, 16 nodes and 8 subjects, 3 nodes, both at m = 29
     small = tmp_path / "small.csv"
     assert main(["synth", "--n", "8", "--out", str(small), "--seed", "5"]) == 0
     ck = tmp_path / "small.json"
     assert main(["fit", "--data", str(small), "--out", str(ck),
                  "--hidden", "4", "--grid-k", "3", "--seed", "3"]) == 0
-    for path, n, k, covariance in ((workdir / "model.json", 30, 16, "dense"),
-                                   (ck, 8, 3, "woodbury")):
+    for path, n, k in ((workdir / "model.json", 30, 16), (ck, 8, 3)):
         _, body = load_checkpoint(path)
         diag = body["diagnostics"]["cavi"]
-        n_events = body["diagnostics"]["data"]["n_events"]
-        assert diag["covariance"] == covariance
+        assert "covariance" not in diag
         assert 0 < diag["live_pairs"] < n * k
         assert diag["live_pair_frac"] == diag["live_pairs"] / (n * k)
-        assert diag["effective_rank"] == n_events + diag["live_pairs"]
+        # r, the Jacobian's numerical rank, is the factor's column count
         m = 29  # (4 + 1) * 4 + 4 + 4 + 1 parameters
-        assert (diag["effective_rank"] < m) == (covariance == "woodbury")
+        r = diag["effective_rank"]
+        assert 1 <= r <= min(n + diag["live_pairs"], m)
+        sigma = body["variational"]["sigma"]
+        assert sigma["kind"] == "factor"
+        assert sigma["U"].shape == (m, r) and sigma["C"].shape == (r,)
 
 
 def test_fit_reports_g_spread(workdir):
@@ -501,3 +504,53 @@ def test_fuzz_predict_eval_flags_exit_cleanly(workdir, argv):
         code, err = _exit_code([*cmd, *common])
         assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err
+
+
+# config-file values and SIGSURV_SEED: numbers, wild numbers and text
+_CONFIG_KEYS = ("seed", "grid_k", "alpha0", "beta0", "rho", "em_tol",
+                "em_max_iter", "em_init_scale", "m_step_iters", "cavi_tol",
+                "cavi_max_iter", "draws", "level", "grid_points")
+_SETTING = st.one_of(
+    st.integers(-2, 70).map(str), _WILD.map(repr),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
+
+
+@contextlib.contextmanager
+def _env_seed(value):
+    """SIGSURV_SEED set to `value` (unset for None) inside the block."""
+    saved = os.environ.pop("SIGSURV_SEED", None)
+    if value is not None:
+        os.environ["SIGSURV_SEED"] = value
+    try:
+        yield
+    finally:
+        os.environ.pop("SIGSURV_SEED", None)
+        if saved is not None:
+            os.environ["SIGSURV_SEED"] = saved
+
+
+@_FUZZ
+@given(config=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _SETTING,
+                              max_size=3),
+       env_seed=st.one_of(st.none(), _SETTING))
+def test_fuzz_config_file_and_env_seed_exit_cleanly(workdir, config, env_seed):
+    path = workdir / "fuzz.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    with _env_seed(env_seed):
+        code, err = _exit_code(["fit", "--synth-n=12", "--hidden=4",
+                                "--em-max-iter=2", "--cavi-max-iter=2",
+                                "--config", str(path),
+                                "--out", str(workdir / "fuzz.json")])
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+
+
+def test_non_numeric_config_value_and_env_seed_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "s.csv")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("# a comment\nseed = abc\n")
+    assert main(["synth", "--n", "3", "--out", out, "--config", str(bad)]) == 2
+    assert f"{bad}:2: seed" in capsys.readouterr().err
+    with _env_seed("abc"):
+        assert main(["synth", "--n", "3", "--out", out]) == 2
+    assert "SIGSURV_SEED" in capsys.readouterr().err

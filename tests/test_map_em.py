@@ -295,6 +295,18 @@ def test_run_em_benchmark_small(small_fit):
     assert abs(em.objective_trace[-1] - final) < 1e-9
 
 
+def test_m_step_reports_q_at_its_start_point():
+    # q_before_m_step comes from the optimizer's first evaluation, whose
+    # phi passes through exp(log phi): equal to Q there up to rounding
+    ctx = _toy_ctx(seed=10)
+    theta0 = ctx.model.random_theta(RngStream.from_seed(5), scale=0.2)
+    state = em_latent_update(ctx, EmState(theta=theta0, phi=1.3))
+    q_start = q_function(ctx, state, theta0, 1.3)
+    _, q_new, res = em_m_step(ctx, state, max_iter=5)
+    assert abs(-res.f0 - q_start) <= 1e-12 * abs(q_start)
+    assert q_new >= -res.f0
+
+
 def test_run_em_gradient_small_at_map(small_fit):
     # finite-difference gradient of Q at the returned point
     ctx, em = small_fit.ctx, small_fit.em

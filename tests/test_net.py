@@ -4,6 +4,7 @@ linearization, and the flat parameter layout."""
 import numpy as np
 import pytest
 
+from sigsurv.errors import NumericalError
 from sigsurv.net import (
     LinearizedModel,
     MlpModel,
@@ -299,6 +300,26 @@ def test_linearize_shapes(small_fit):
     assert lin.J.shape == (ds.n + n_live, m)
     assert lin.J_grid.shape == (n_live, m)
     assert np.shares_memory(lin.J_grid, lin.J)
+
+
+def test_linearize_keeps_the_jacobians_singular_basis(make_ctx):
+    c = make_ctx(12, 7, layers=(5, 6, 1), n_nodes=8)
+    theta = c.model.random_theta(c.root.child(1), scale=0.5)
+    lin = linearize(c.model, theta, c.ctx.grid, c.ds)
+    r = lin.V.shape[1]
+    assert 1 < r == np.linalg.matrix_rank(lin.J)
+    assert np.allclose(lin.V.T @ lin.V, np.eye(r), rtol=0, atol=1e-12)
+    assert np.allclose(lin.J @ lin.V, lin.JV, rtol=0, atol=1e-12)
+    assert np.allclose(lin.JV @ lin.V.T, lin.J, rtol=0, atol=1e-12)
+    assert np.allclose(lin.offset + lin.J @ theta, lin.g, rtol=0, atol=1e-12)
+
+
+def test_linearize_rejects_an_overflowing_jacobian(make_ctx):
+    c = make_ctx(6, 7, layers=(5, 4, 4, 1), n_nodes=8)
+    with pytest.raises(NumericalError, match="overflows"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        linearize(c.model, np.full(c.model.n_params, 1e200), c.ctx.grid,
+                  c.ds)
 
 
 def test_linearize_packed_rows_are_the_live_pairs_in_order(small_fit):

@@ -16,6 +16,7 @@ def test_quadratic_exact_minimum():
 
     res = minimize_lbfgs(fg, np.zeros(3), gtol=1e-10)
     assert res.converged
+    assert res.f0 == 0.0  # the value at the start point
     assert np.allclose(res.x, np.linalg.solve(A, b), rtol=0, atol=1e-8)
     assert np.linalg.norm(res.grad, np.inf) <= 1e-10
 
