@@ -87,7 +87,7 @@ def test_load_checkpoint_rejects_truncated_or_non_json(tmp_path):
             load_checkpoint(path)
 
 
-def test_fit_doc_roundtrip_fitted_state(small_fit):
+def test_fit_doc_roundtrip_dense(small_fit):
     cfg = config_hash({"layers": list(small_fit.model.layer_sizes)})
     body = fit_to_doc(small_fit.model, small_fit.prior, small_fit.stats,
                       small_fit.ds.t_max, small_fit.em.theta_map,
@@ -107,6 +107,8 @@ def test_fit_doc_roundtrip_fitted_state(small_fit):
     assert isinstance(fitted.post.sigma, LowRankFactor)
     assert np.array_equal(fitted.post.sigma.U, st.sigma.U)
     assert np.array_equal(fitted.post.sigma.C, st.sigma.C)
+    # so the dense Sigma~ the factor stands for comes back bit for bit
+    assert np.array_equal(fitted.post.sigma.dense(), st.sigma.dense())
     # body serialization is deterministic, so refits compare by bytes
     body2 = fit_to_doc(small_fit.model, small_fit.prior, small_fit.stats,
                        small_fit.ds.t_max, small_fit.em.theta_map,
