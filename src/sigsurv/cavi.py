@@ -221,10 +221,6 @@ class VariationalState:
     m_tilde: np.ndarray      # (N+P,)
     s_tilde: np.ndarray      # (N+P,)
 
-    @property
-    def e_phi(self) -> float:
-        return self.alpha_tilde / self.beta_tilde
-
     def finite(self) -> bool:
         scalars = np.array(
             [self.alpha_tilde, self.beta_tilde, self.e_log_phi], dtype=float

@@ -75,9 +75,9 @@ def _coerce(key: str, text: str, where: str):
 
 
 def _load_config_file(path: str) -> dict:
-    """Flat `key = value` lines; '#' starts a comment."""
+    """Flat `key = value` lines of UTF-8 text; '#' starts a comment."""
     out: dict = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -599,10 +599,8 @@ def main(argv=None) -> int:
         _apply_threads(args.threads)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:

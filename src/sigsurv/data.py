@@ -149,7 +149,7 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
     event_col = schema["event_col"]
     feature_cols = schema["feature_cols"]
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

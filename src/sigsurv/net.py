@@ -29,7 +29,6 @@ __all__ = [
     "grad_weighted_sum",
     "row_block",
     "unflatten",
-    "flatten",
     "LinearizedModel",
     "linearize",
 ]
@@ -100,15 +99,6 @@ def unflatten(model: MlpModel, theta):
     for w, b, fi, fo in _layer_slices(model):
         out.append((theta[w].reshape(fo, fi), theta[b]))
     return out
-
-
-def flatten(params) -> np.ndarray:
-    """List of (W, b) -> flat theta in the documented layout."""
-    chunks = []
-    for W, b in params:
-        chunks.append(np.asarray(W, dtype=float).ravel())
-        chunks.append(np.asarray(b, dtype=float).ravel())
-    return np.concatenate(chunks)
 
 
 def _as_batch(model: MlpModel, T, X):
@@ -245,7 +235,9 @@ class LinearizedModel:
     rows are the (y_i, x_i), the rest the P live grid pairs (t_k, x_i).
     offset = g - J theta_ref, so that g_lin(theta) = offset + J theta.
     V and JV come from J's thin SVD J = P S V^T truncated to its
-    numerical rank r: V (m, r) spans J's row space and JV = P S.
+    numerical rank r: V (m, r) holds J's leading r right singular
+    vectors, an orthonormal basis of its row space, and JV = J V = P S
+    (N+P, r) its scaled left singular vectors.
     """
 
     model: MlpModel
@@ -274,11 +266,17 @@ class LinearizedModel:
 
 def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
     """Build the expansion around theta_map on the row block of the
-    QuadratureGrid `grid` over `dataset`'s (normalized) times. J's
-    singular values above s_max * max(R, m) * eps (numpy's
-    `matrix_rank` rule) set its rank r; LAPACK's gesvd keeps the
-    workspace smaller than the divide-and-conquer gesdd."""
-    from scipy.linalg import svd
+    QuadratureGrid `grid` over `dataset`'s (normalized) times.
+
+    J's thin SVD is taken the R-SVD way (Chan, ACM TOMS 1982): a
+    Householder QR of J's tall orientation, A = J^T when R <= m and
+    A = J otherwise, gives A = Q F with F square and triangular of side
+    min(R, m); the divide-and-conquer gesdd then factors only F, and Q
+    meets only F's leading r singular vectors. J's singular values are
+    F's; those above s_max * max(R, m) * eps (numpy's `matrix_rank`
+    rule) set its rank r.
+    """
+    from scipy.linalg import qr, svd
 
     theta_map = np.asarray(theta_map, dtype=float)
     if not np.all(np.isfinite(theta_map)):
@@ -287,9 +285,14 @@ def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
     J = jacobian_batch(model, T, X, theta_map)
     if not np.all(np.isfinite(J)):  # LAPACK's SVD fails on NaN
         raise NumericalError("Jacobian at theta_map overflows")
-    P, s, Vt = svd(J, full_matrices=False, lapack_driver="gesvd",
-                   check_finite=False)
+    wide = J.shape[0] <= J.shape[1]
+    Q, F = qr(J.T if wide else J, mode="economic", check_finite=False)
+    U, s, Wt = svd(F, lapack_driver="gesdd", check_finite=False)
     r = int(np.count_nonzero(s > s[0] * max(J.shape) * np.finfo(float).eps))
+    if wide:  # J = Wt^T S (Q U)^T
+        V, JV = Q @ U[:, :r], Wt[:r].T * s[:r]
+    else:  # J = (Q U) S Wt
+        V, JV = np.ascontiguousarray(Wt[:r].T), (Q @ U[:, :r]) * s[:r]
     g = forward_batch(model, T, X, theta_map)
     return LinearizedModel(
         model=model,
@@ -298,6 +301,6 @@ def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
         J=J,
         n_event=dataset.n,
         offset=g - J @ theta_map,
-        V=np.ascontiguousarray(Vt[:r].T),
-        JV=P[:, :r] * s[:r],
+        V=V,
+        JV=JV,
     )

@@ -136,13 +136,6 @@ class QuadratureGrid:
         every per-pair array in the linearized model and in CAVI."""
         return self.weights > 0.0
 
-    def integrate(self, values) -> np.ndarray:
-        """Row-wise integral of per-node values: (N, K) or (K,) -> (N,)."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            return self.weights @ values
-        return np.einsum("nk,nk->n", self.weights, values)
-
 
 def build_grid(times, K: int) -> QuadratureGrid:
     """Uniform grid t_1 = 0 .. t_K = max(times) with per-observation

@@ -81,7 +81,13 @@ def credible_band(samples: np.ndarray, level: float, axis: int = 0,
     """Equal-tailed pointwise quantile band over draws along `axis`
     (rows by default). `level` must lie strictly inside (0, 1); at
     least 20 draws required. Returns (lo, hi), or (median, lo, hi) from
-    the same quantile pass with `with_median`."""
+    the same sort with `with_median`.
+
+    The draws are sorted once and each quantile is read off the order
+    statistics by numpy's default `linear` rule: virtual index
+    v = (n - 1) q, neighbours floor(v) and floor(v) + 1 (both the last
+    when v >= n - 1), and the two-sided lerp of `np.quantile`, so the
+    band is bit-equal to it. A slice that holds a NaN reads NaN."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if not 0.0 < level < 1.0:
         raise InputError("level must be strictly between 0 and 1")
@@ -89,7 +95,17 @@ def credible_band(samples: np.ndarray, level: float, axis: int = 0,
         raise InputError("need at least 20 draws for a quantile band")
     a = 1.0 - level
     q = ([0.5] if with_median else []) + [a / 2.0, 1.0 - a / 2.0]
-    return tuple(np.quantile(samples, q, axis=axis))
+    srt = np.moveaxis(np.sort(samples, axis=axis), axis, 0)  # NaN last
+    n = srt.shape[0]
+    nan = np.isnan(srt[-1])
+    band = []
+    for v in (n - 1) * np.asarray(q):
+        i, j = (int(v), int(v) + 1) if v < n - 1 else (-1, -1)
+        t = v - i
+        d = srt[j] - srt[i]
+        val = srt[j] - d * (1 - t) if t >= 0.5 else srt[i] + d * t
+        band.append(np.where(nan, srt[-1], val))
+    return tuple(band)
 
 
 def _prep_times(times, t_max: float):

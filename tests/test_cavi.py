@@ -53,7 +53,7 @@ def test_init_state_starts_at_map():
     ctx, lin, theta_map, state = _small_problem()
     assert state.beta_tilde == ctx.phi_rate
     assert abs(state.alpha_tilde - 1.2 * ctx.phi_rate) < 1e-12
-    assert abs(state.e_phi - 1.2) < 1e-12
+    assert abs(state.alpha_tilde / state.beta_tilde - 1.2) < 1e-12
     assert np.array_equal(state.mu_tilde, theta_map)
     assert np.allclose(state.sigma.diag(), 1.0, rtol=0, atol=1e-15)
     assert np.all(state.c_tilde == 0.0)
@@ -387,7 +387,7 @@ def test_cavi_small_fit_converges(small_fit):
     assert cavi.n_iter < 1000
     assert cavi.rel_trace[-1] < 1e-6
     assert cavi.state.finite()
-    assert cavi.state.e_phi > 0
+    assert cavi.state.alpha_tilde / cavi.state.beta_tilde > 0
 
 
 def test_cavi_rerun_bit_identical(small_fit):

@@ -554,3 +554,24 @@ def test_non_numeric_config_value_and_env_seed_exit_2(tmp_path, capsys):
     with _env_seed("abc"):
         assert main(["synth", "--n", "3", "--out", out]) == 2
     assert "SIGSURV_SEED" in capsys.readouterr().err
+
+
+def test_directory_config_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "s.csv")
+    assert main(["synth", "--n", "3", "--out", out,
+                 "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_directory_data_exits_2(tmp_path, capsys):
+    assert main(["fit", "--data", str(tmp_path),
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\xff\n")
+    assert main(["synth", "--n", "3", "--out", str(tmp_path / "s.csv"),
+                 "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")

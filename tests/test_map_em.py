@@ -19,7 +19,7 @@ from sigsurv.map_em import (
     q_grad,
     run_em,
 )
-from sigsurv.net import (MlpModel, flatten, forward_batch, grad_weighted_sum,
+from sigsurv.net import (MlpModel, forward_batch, grad_weighted_sum,
                          unflatten)
 from sigsurv.numkit import RngStream, sigmoid
 
@@ -115,9 +115,8 @@ def test_latent_c_invariant_under_covariate_permutation():
     params[0] = (W1_perm, params[0][1])
     ds_perm = Dataset(X=X_perm, y=ds.y, delta=ds.delta, t_max=ds.t_max)
     ctx_perm = build_context(model, ctx.prior, ds_perm, n_nodes=ctx.grid.n_nodes)
-    state_perm = em_latent_update(
-        ctx_perm, EmState(theta=flatten(params), phi=1.0)
-    )
+    theta_perm = np.concatenate([np.r_[W.ravel(), b] for W, b in params])
+    state_perm = em_latent_update(ctx_perm, EmState(theta=theta_perm, phi=1.0))
     assert np.allclose(state.c_event, state_perm.c_event, rtol=0, atol=1e-12)
 
 

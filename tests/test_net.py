@@ -8,7 +8,6 @@ from sigsurv.errors import NumericalError
 from sigsurv.net import (
     LinearizedModel,
     MlpModel,
-    flatten,
     forward,
     forward_and_grad,
     forward_batch,
@@ -109,7 +108,7 @@ def test_forward_linear_in_last_layer():
     theta = rng.normal(size=model.n_params)
     params = [(W.copy(), b.copy()) for W, b in unflatten(model, theta)]
     params[-1] = (3.0 * params[-1][0], 3.0 * params[-1][1])
-    theta_scaled = flatten(params)
+    theta_scaled = np.concatenate([np.r_[W.ravel(), b] for W, b in params])
     T = rng.uniform(0, 1, size=15)
     X = rng.normal(size=(15, 2))
     a = forward_batch(model, T, X, theta)
@@ -232,7 +231,8 @@ def test_forward_and_grad_matches_forward_then_weighted_sum():
 def test_flatten_unflatten_roundtrip_bit_exact():
     model = MlpModel((5, 16, 16, 1))
     theta = np.random.default_rng(3).normal(size=model.n_params)
-    again = flatten(unflatten(model, theta))
+    again = np.concatenate([np.r_[W.ravel(), b]
+                            for W, b in unflatten(model, theta)])
     assert np.array_equal(theta, again)
 
 
@@ -303,15 +303,32 @@ def test_linearize_shapes(small_fit):
 
 
 def test_linearize_keeps_the_jacobians_singular_basis(make_ctx):
-    c = make_ctx(12, 7, layers=(5, 6, 1), n_nodes=8)
-    theta = c.model.random_theta(c.root.child(1), scale=0.5)
-    lin = linearize(c.model, theta, c.ctx.grid, c.ds)
-    r = lin.V.shape[1]
-    assert 1 < r == np.linalg.matrix_rank(lin.J)
-    assert np.allclose(lin.V.T @ lin.V, np.eye(r), rtol=0, atol=1e-12)
-    assert np.allclose(lin.J @ lin.V, lin.JV, rtol=0, atol=1e-12)
-    assert np.allclose(lin.JV @ lin.V.T, lin.J, rtol=0, atol=1e-12)
-    assert np.allclose(lin.offset + lin.J @ theta, lin.g, rtol=0, atol=1e-12)
+    # a tall J (R > m), a wide J (m > R) and J at theta = 0, where only
+    # the output bias moves g and J has rank 1; each against numpy's SVD
+    tall = make_ctx(12, 7, layers=(5, 6, 1), n_nodes=8)
+    wide = make_ctx(6, 7, layers=(5, 16, 16, 1), n_nodes=8)
+    cases = [
+        (tall, tall.model.random_theta(tall.root.child(1), scale=0.5)),
+        (wide, wide.model.random_theta(wide.root.child(1), scale=0.5)),
+        (wide, wide.model.zero_theta()),
+    ]
+    for c, theta in cases:
+        lin = linearize(c.model, theta, c.ctx.grid, c.ds)
+        R, m = lin.J.shape
+        assert (R > m) == (c is tall)
+        r = lin.V.shape[1]
+        assert r == np.linalg.matrix_rank(lin.J)
+        assert r == 1 if not theta.any() else r > 1
+        _, s, Vt = np.linalg.svd(lin.J, full_matrices=False)
+        assert np.allclose(np.linalg.norm(lin.JV, axis=0), s[:r],
+                           rtol=0, atol=1e-12)
+        assert np.allclose(lin.V @ lin.V.T, Vt[:r].T @ Vt[:r],
+                           rtol=0, atol=1e-12)
+        assert np.allclose(lin.V.T @ lin.V, np.eye(r), rtol=0, atol=1e-12)
+        assert np.allclose(lin.J @ lin.V, lin.JV, rtol=0, atol=1e-12)
+        assert np.allclose(lin.JV @ lin.V.T, lin.J, rtol=0, atol=1e-12)
+        assert np.allclose(lin.offset + lin.J @ theta, lin.g,
+                           rtol=0, atol=1e-12)
 
 
 def test_linearize_rejects_an_overflowing_jacobian(make_ctx):

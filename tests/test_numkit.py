@@ -250,9 +250,15 @@ def test_build_grid_integrate_matches_manual_contraction():
     rng = np.random.default_rng(7)
     y = rng.uniform(0.2, 1.0, size=6)
     grid = build_grid(y, 17)
-    vals = rng.normal(size=(6, 17))
-    want = (grid.weights * vals).sum(axis=1)
-    assert np.allclose(grid.integrate(vals), want, rtol=0, atol=1e-15)
+    vals = rng.normal(size=17)
+    want = [sum(grid.weights[i, k] * vals[k] for k in range(17))
+            for i in range(6)]
+    assert np.allclose(grid.weights @ vals, want, rtol=0, atol=1e-15)
+    # the packed live pairs carry the same integrals
+    subject, node = np.nonzero(grid.live_mask())
+    packed = np.bincount(subject, weights=grid.weights[subject, node]
+                         * vals[node], minlength=6)
+    assert np.allclose(packed, want, rtol=0, atol=1e-15)
 
 
 def test_build_grid_input_validation():

@@ -144,6 +144,27 @@ def test_credible_band_coverage():
     assert 0.88 < inside < 0.92
 
 
+
+@pytest.mark.parametrize("with_median", [False, True])
+@pytest.mark.parametrize("axis", [0, -1])
+def test_credible_band_is_bit_equal_to_numpys_quantile(axis, with_median):
+    # draws rounded to a coarse lattice tie often; a NaN in a slice
+    # reads NaN; levels cover both branches of numpy's lerp and the
+    # virtual index at the last draw (1 - 1e-16 rounds q up to 1)
+    rng = np.random.default_rng(77)
+    draws = np.round(rng.normal(size=(4, 37, 23)), 1)
+    draws[1, 5, 7] = np.nan
+    draws = draws if axis == -1 else np.moveaxis(draws, -1, 0)
+    for level in (0.9, 0.5, 0.37, 1 - 1e-16):
+        a = 1.0 - level
+        q = ([0.5] if with_median else []) + [a / 2.0, 1.0 - a / 2.0]
+        got = credible_band(draws, level, axis=axis, with_median=with_median)
+        want = np.quantile(draws, q, axis=axis)
+        assert len(got) == len(q)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert np.isnan(got[0]).sum() == 1
+
 # ------------------------------------------------------- subject batches
 
 # A BLAS may round the rows of a matrix product differently when the
