@@ -47,23 +47,18 @@ __all__ = [
 ]
 
 _EXP_CLAMP = 700.0
-_JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
-def _chol_with_jitter(mat: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor, escalating diagonal jitter from 1e-12 to
-    1e-6 before giving up."""
-    for jit in _JITTERS:
-        try:
-            if jit == 0.0:
-                return np.linalg.cholesky(mat)
-            return np.linalg.cholesky(mat + jit * np.eye(mat.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(
-        f"{what}: matrix not positive definite even with 1e-6 jitter "
-        "(quadrature weights may be corrupted)"
-    )
+def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor; a matrix that is not positive definite is
+    a NumericalError."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            f"{what}: matrix not positive definite "
+            "(quadrature weights may be corrupted)"
+        ) from None
 
 
 def _tri_solve(L: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
@@ -92,7 +87,7 @@ class SigmaDense:
 
     def sqrt_matvec(self, z: np.ndarray) -> np.ndarray:
         if self._chol is None:
-            self._chol = _chol_with_jitter(self.mat, "covariance square root")
+            self._chol = _cholesky(self.mat, "covariance square root")
         return self._chol @ z
 
 
@@ -115,6 +110,8 @@ class LowRankFactor:
             raise NumericalError(
                 "negative or non-finite factor weights (quadrature corruption)"
             )
+        if not np.all(np.isfinite(self.U)):
+            raise NumericalError("non-finite factor columns U")
         keep = self.C > 0.0
         self._Uw = self.U[:, keep] * np.sqrt(self.C[keep])  # U C^(1/2), pruned
         self._chol: np.ndarray | None = None
@@ -141,7 +138,7 @@ class LowRankFactor:
         if self._chol is None:
             r = self.effective_rank
             M = np.eye(r) + self._Uw.T @ self._Uw
-            self._chol = _chol_with_jitter(M, "Woodbury small matrix")
+            self._chol = _cholesky(M, "Woodbury small matrix")
         return self._chol
 
     def sigma_matvec(self, v: np.ndarray) -> np.ndarray:

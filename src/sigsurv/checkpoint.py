@@ -14,13 +14,14 @@ import base64
 import datetime
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cavi import LowRankFactor, VariationalState
 from .data import FeatureStats
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .hazard import BaselinePrior
 from .net import MlpModel
 
@@ -60,7 +61,9 @@ def encode_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(doc: dict) -> np.ndarray:
-    raw = base64.b64decode(doc["data"])
+    if doc["dtype"] not in ("<f8", "<i8"):
+        raise ValueError(f"unsupported array dtype {doc['dtype']!r}")
+    raw = base64.b64decode(doc["data"], validate=True)
     arr = np.frombuffer(raw, dtype=doc["dtype"]).reshape(doc["shape"])
     return arr.astype(float) if doc["dtype"] == "<f8" else arr.astype(np.int64)
 
@@ -131,7 +134,10 @@ def load_checkpoint(path):
         raise InputError(
             f"{path}: checkpoint format {fmt!r}, expected {_FORMAT_VERSION}"
         )
-    return doc["meta"], _decode(doc["body"])
+    try:
+        return doc["meta"], _decode(doc["body"])
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error too
+        raise InputError(f"{path}: malformed array ({exc})") from exc
 
 
 @dataclass
@@ -197,7 +203,16 @@ def fit_to_doc(
     }
 
 
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise InputError(f"malformed checkpoint body: {what}")
+
+
 def fit_from_doc(body: dict) -> FittedModel:
+    """The fitted model a checkpoint body describes. Arrays must be
+    finite and sized for the architecture, and the Gamma factor, the
+    horizon and the feature scales positive; anything else is an
+    InputError, so a corrupt body never reaches prediction."""
     try:
         model = MlpModel(tuple(int(s) for s in body["architecture"]["layer_sizes"]))
         prior = BaselinePrior(**body["prior"])
@@ -210,7 +225,7 @@ def fit_from_doc(body: dict) -> FittedModel:
             mu_tilde=np.asarray(var["mu_tilde"], dtype=float),
             sigma=_sigma_from_doc(var["sigma"]),
         )
-        return FittedModel(
+        fit = FittedModel(
             model=model,
             prior=prior,
             stats=stats,
@@ -220,5 +235,24 @@ def fit_from_doc(body: dict) -> FittedModel:
             post=post,
             config_hash=str(body.get("config_hash", "")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NumericalError) as exc:
         raise InputError(f"malformed checkpoint body: {exc}") from exc
+    m = model.n_params
+    for name, arr in (("map.theta", fit.theta_map), ("mu_tilde", post.mu_tilde)):
+        _require(arr.shape == (m,) and np.isfinite(arr).all(),
+                 f"{name} must hold {m} finite values")
+    _require(post.sigma.dim == m, f"sigma.U must have {m} rows")
+    for name, val in (("alpha_tilde", post.alpha_tilde),
+                      ("beta_tilde", post.beta_tilde), ("t_max", fit.t_max)):
+        _require(math.isfinite(val) and val > 0,
+                 f"{name} must be finite and positive, got {val}")
+    mean, std = stats.mean, stats.std
+    _require(mean.ndim == 1 and std.shape == mean.shape
+             and np.isfinite(mean).all()
+             and (np.isfinite(std) & (std > 0)).all(),
+             "stats.mean and stats.std must be finite vectors of one "
+             "length with std > 0")
+    _require(model.input_dim == mean.size + 1,
+             f"layer_sizes[0] must be {mean.size + 1}, one more than the "
+             "feature count")
+    return fit

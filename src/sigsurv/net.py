@@ -148,11 +148,12 @@ def _forward_trace(model: MlpModel, Z, layers):
     return out, acts, masks
 
 
-def jacobian_batch(model: MlpModel, T, X, theta) -> np.ndarray:
-    """Per-row gradient of the scalar output w.r.t. theta: (n, m)."""
+def jacobian_batch(model: MlpModel, T, X, theta):
+    """Network output and its per-row gradient w.r.t. theta from one
+    forward trace: (g (n,), J (n, m))."""
     Z = _as_batch(model, T, X)
     layers = unflatten(model, theta)
-    _, acts, masks = _forward_trace(model, Z, layers)
+    g, acts, masks = _forward_trace(model, Z, layers)
 
     n = Z.shape[0]
     J = np.empty((n, model.n_params))
@@ -167,12 +168,12 @@ def jacobian_batch(model: MlpModel, T, X, theta) -> np.ndarray:
         J[:, b_sl] = S
         if li > 0:
             S = (S @ W) * masks[li - 1]
-    return J
+    return g, J
 
 
 def jacobian(model: MlpModel, t, x, theta) -> np.ndarray:
     """Gradient of g(t, x; theta) w.r.t. theta at a single point: (m,)."""
-    return jacobian_batch(model, [t], np.asarray(x)[None, :], theta)[0]
+    return jacobian_batch(model, [t], np.asarray(x)[None, :], theta)[1][0]
 
 
 def forward_and_grad(model: MlpModel, T, X, theta, weights):
@@ -282,7 +283,7 @@ def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
     if not np.all(np.isfinite(theta_map)):
         raise ValueError("theta_map must be finite")
     T, X = row_block(grid, dataset)
-    J = jacobian_batch(model, T, X, theta_map)
+    g, J = jacobian_batch(model, T, X, theta_map)
     if not np.all(np.isfinite(J)):  # LAPACK's SVD fails on NaN
         raise NumericalError("Jacobian at theta_map overflows")
     wide = J.shape[0] <= J.shape[1]
@@ -293,7 +294,6 @@ def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
         V, JV = Q @ U[:, :r], Wt[:r].T * s[:r]
     else:  # J = (Q U) S Wt
         V, JV = np.ascontiguousarray(Wt[:r].T), (Q @ U[:, :r]) * s[:r]
-    g = forward_batch(model, T, X, theta_map)
     return LinearizedModel(
         model=model,
         theta_ref=theta_map.copy(),

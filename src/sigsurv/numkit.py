@@ -115,16 +115,12 @@ class QuadratureGrid:
     nodes : (K,) strictly increasing times, nodes[0] = 0, nodes[-1] = max y.
     weights : (N, K) nonnegative; row i integrates functions over
         [0, y_i]: integral ~= sum_k weights[i, k] * f(nodes[k]).
-        Rows telescope exactly: weights[i].sum() == y[i].
-    cutoff : (N,) int, 1-based index K_i of the last node with weight;
-        weights[i, k] == 0 for k >= cutoff[i] (0-based k > K_i - 1).
-    y : (N,) the observation times the weights were built for.
+        Rows telescope exactly: weights[i].sum() == y[i], and
+        weights[i, k] == 0 beyond the last node t_k <= y_i.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    cutoff: np.ndarray
-    y: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -175,7 +171,7 @@ def build_grid(times, K: int) -> QuadratureGrid:
     partial = y - nodes[last[:, 0]]
     weights[np.arange(N), last[:, 0]] += partial
 
-    return QuadratureGrid(nodes=nodes, weights=weights, cutoff=cutoff, y=y)
+    return QuadratureGrid(nodes=nodes, weights=weights)
 
 
 @dataclass

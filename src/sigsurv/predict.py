@@ -1,16 +1,19 @@
 """Posterior predictive survival curves with credible bands.
 
-Each posterior draw samples phi from its Gamma factor and theta from
-the (possibly low-rank) Gaussian factor, evaluates the linearized
-hazard on the requested time grid, integrates it cumulatively by
-trapezoid from t = 0, and exponentiates the negative. Bands are
-equal-tailed pointwise quantiles across draws.
+`mean_survival_matrix` is the one entry point: for every row of X it
+returns the posterior-mean survival curve and the pointwise median and
+equal-tailed band. Each posterior draw samples phi from its Gamma
+factor and theta from the (possibly low-rank) Gaussian factor,
+evaluates the linearized hazard on the requested time grid, integrates
+it cumulatively by trapezoid from t = 0, and exponentiates the
+negative. Bands are equal-tailed pointwise quantiles across draws.
 
 Subjects are processed in chunks: one chunk's (t, x) rows go through
-one forward pass and one Jacobian at theta_MAP, and the linearized
-hazard of every draw comes from one matrix product with the draws'
-offsets from theta_MAP. A chunk is sized so its Jacobian holds about
-_CHUNK_FLOATS floats; only per-subject summaries outlive the chunk.
+one forward trace at theta_MAP, which gives both g and the Jacobian,
+and the linearized hazard of every draw comes from one matrix product
+with the draws' offsets from theta_MAP. A chunk is sized so its
+Jacobian holds about _CHUNK_FLOATS floats; only per-subject summaries
+outlive the chunk.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ import numpy as np
 from .errors import InputError
 from .hazard import BaselinePrior, baseline_factor
 from .metrics import SurvivalCurves
-from .net import MlpModel, forward_batch, jacobian_batch
+# forward_batch is not called here any more; it stays importable from
+# this namespace because bench/layers.py wraps it here.
+from .net import MlpModel, forward_batch, jacobian_batch  # noqa: F401
 from .numkit import RngStream, sigmoid
 
 __all__ = [
-    "PosteriorSurvival",
     "SurvivalBands",
     "credible_band",
-    "sample_survival",
     "mean_survival_matrix",
 ]
 
@@ -39,27 +42,6 @@ __all__ = [
 # network parameters. The draw-sized arrays of a chunk are Tq * S floats
 # per subject for S draws.
 _CHUNK_FLOATS = 1 << 18
-
-
-@dataclass(frozen=True)
-class PosteriorSurvival:
-    """Sampled curves (draws x times) on `times` (original units) with
-    pointwise mean, median, and equal-tailed (lo, hi) band at `level`.
-    `flagged_extrapolation` marks grids that extend beyond the training
-    horizon."""
-
-    times: np.ndarray
-    curves: np.ndarray
-    mean: np.ndarray
-    median: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    level: float
-    flagged_extrapolation: bool
-
-    @property
-    def n_draws(self) -> int:
-        return self.curves.shape[0]
 
 
 @dataclass(frozen=True)
@@ -76,30 +58,27 @@ class SurvivalBands:
     flagged_extrapolation: bool
 
 
-def credible_band(samples: np.ndarray, level: float, axis: int = 0,
-                  with_median: bool = False):
-    """Equal-tailed pointwise quantile band over draws along `axis`
-    (rows by default). `level` must lie strictly inside (0, 1); at
-    least 20 draws required. Returns (lo, hi), or (median, lo, hi) from
-    the same sort with `with_median`.
+def credible_band(samples: np.ndarray, level: float):
+    """Pointwise median and equal-tailed quantile band over the draws
+    on the last axis. `level` must lie strictly inside (0, 1); at least
+    20 draws required. Returns (median, lo, hi).
 
     The draws are sorted once and each quantile is read off the order
     statistics by numpy's default `linear` rule: virtual index
     v = (n - 1) q, neighbours floor(v) and floor(v) + 1 (both the last
     when v >= n - 1), and the two-sided lerp of `np.quantile`, so the
     band is bit-equal to it. A slice that holds a NaN reads NaN."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = np.asarray(samples, dtype=float)
     if not 0.0 < level < 1.0:
         raise InputError("level must be strictly between 0 and 1")
-    if samples.shape[axis] < 20:
+    if samples.shape[-1] < 20:
         raise InputError("need at least 20 draws for a quantile band")
     a = 1.0 - level
-    q = ([0.5] if with_median else []) + [a / 2.0, 1.0 - a / 2.0]
-    srt = np.moveaxis(np.sort(samples, axis=axis), axis, 0)  # NaN last
+    srt = np.moveaxis(np.sort(samples, axis=-1), -1, 0)  # NaN last
     n = srt.shape[0]
     nan = np.isnan(srt[-1])
     band = []
-    for v in (n - 1) * np.asarray(q):
+    for v in (n - 1) * np.array([0.5, a / 2.0, 1.0 - a / 2.0]):
         i, j = (int(v), int(v) + 1) if v < n - 1 else (-1, -1)
         t = v - i
         d = srt[j] - srt[i]
@@ -145,15 +124,15 @@ def _draw_posterior(post, theta_map: np.ndarray, rng: RngStream,
 def _survival_draws(model, prior, theta_map, tq, prepend_zero, X,
                     phi_draws, shift) -> np.ndarray:
     """Survival curves (B, T, S) for the B rows of X under the S draws:
-    the linearized hazard on all B * Tq (t, x) rows from one Jacobian
-    and one matrix product with the theta offsets `shift`, a cumulative
-    trapezoid along time, exponentiate-negate."""
+    the linearized hazard on all B * Tq (t, x) rows from one forward
+    trace (g and its Jacobian) and one matrix product with the theta
+    offsets `shift`, a cumulative trapezoid along time,
+    exponentiate-negate."""
     B, Tq, S = X.shape[0], tq.size, phi_draws.size
     T_rows = np.tile(tq, B)
     X_rows = np.repeat(X, Tq, axis=0)
     base = baseline_factor(model, prior, T_rows, X_rows)          # (B*Tq,)
-    g_map = forward_batch(model, T_rows, X_rows, theta_map)       # (B*Tq,)
-    J = jacobian_batch(model, T_rows, X_rows, theta_map)          # (B*Tq, m)
+    g_map, J = jacobian_batch(model, T_rows, X_rows, theta_map)   # (B*Tq, m)
 
     g_lin = g_map[:, None] + J @ shift                            # (B*Tq, S)
     lam = phi_draws[None, :] * base[:, None] * sigmoid(g_lin)
@@ -166,56 +145,6 @@ def _survival_draws(model, prior, theta_map, tq, prepend_zero, X,
         )
     surv = np.exp(-cum)
     return surv[:, 1:, :] if prepend_zero else surv
-
-
-def _summarize(surv: np.ndarray, level: float):
-    """(mean, median, lo, hi) over the draw axis, the last one; (lo,
-    hi) falls back to (min, max) below 20 draws."""
-    mean = surv.mean(axis=-1)
-    if surv.shape[-1] >= 20:
-        median, lo, hi = credible_band(surv, level, axis=-1,
-                                       with_median=True)
-    else:
-        median = np.quantile(surv, 0.5, axis=-1)
-        lo, hi = surv.min(axis=-1), surv.max(axis=-1)
-    return mean, median, lo, hi
-
-
-def sample_survival(
-    post,
-    model: MlpModel,
-    prior: BaselinePrior,
-    theta_map: np.ndarray,
-    t_max: float,
-    x,
-    times,
-    rng: RngStream,
-    n_draws: int = 200,
-    level: float = 0.9,
-) -> PosteriorSurvival:
-    """Posterior survival curves for one subject at `times` (original
-    units). `post` carries the variational parameters (alpha_tilde,
-    beta_tilde, mu_tilde, sigma); `theta_map` is the linearization
-    point."""
-    if n_draws < 2:
-        raise InputError("n_draws must be >= 2")
-    theta_map = np.asarray(theta_map, dtype=float)
-    x = np.asarray(x, dtype=float).ravel()
-    times, tq, prepend_zero, flagged = _prep_times(times, t_max)
-    phi_draws, shift = _draw_posterior(post, theta_map, rng, n_draws)
-    surv = _survival_draws(model, prior, theta_map, tq, prepend_zero,
-                           x[None, :], phi_draws, shift)[0]   # (T, S)
-    mean, median, lo, hi = _summarize(surv, level)
-    return PosteriorSurvival(
-        times=times,
-        curves=surv.T,
-        mean=mean,
-        median=median,
-        lo=lo,
-        hi=hi,
-        level=level,
-        flagged_extrapolation=flagged,
-    )
 
 
 def mean_survival_matrix(
@@ -234,7 +163,8 @@ def mean_survival_matrix(
     shared set of posterior draws (common random numbers across
     subjects, so between-subject curve differences reflect covariates
     rather than Monte-Carlo noise). Returns (SurvivalCurves of the
-    means, SurvivalBands of the per-subject median and band)."""
+    means, SurvivalBands of the per-subject median and band); below 20
+    draws the band is the draws' (min, max)."""
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
     theta_map = np.asarray(theta_map, dtype=float)
@@ -247,7 +177,12 @@ def mean_survival_matrix(
         rows = slice(start, start + per_chunk)
         surv = _survival_draws(model, prior, theta_map, tq, prepend_zero,
                                X[rows], phi_draws, shift)
-        out[:, rows] = _summarize(surv, level)
+        out[0, rows] = surv.mean(axis=-1)
+        if n_draws >= 20:
+            out[1:, rows] = credible_band(surv, level)
+        else:
+            out[1, rows] = np.quantile(surv, 0.5, axis=-1)
+            out[2, rows], out[3, rows] = surv.min(axis=-1), surv.max(axis=-1)
     mean, median, lo, hi = out
     return (SurvivalCurves(times=times, values=mean),
             SurvivalBands(median=median, lo=lo, hi=hi, level=level,

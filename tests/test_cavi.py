@@ -22,7 +22,7 @@ from sigsurv.data import Dataset
 from sigsurv.errors import InputError, NumericalError
 from sigsurv.hazard import (BaselinePrior, baseline_factor, build_context,
                             row_coefficients)
-from sigsurv.net import MlpModel, forward_batch, jacobian_batch, linearize
+from sigsurv.net import MlpModel, jacobian_batch, linearize
 from sigsurv.numkit import RngStream, digamma, pg_mean
 
 from _oracles import (cavi_sweep_all_pairs, psi_rate_scalar,
@@ -237,6 +237,14 @@ def test_low_rank_factor_validation():
         LowRankFactor(U=np.zeros((3, 2)), C=np.array([1.0, -0.5]))
     with pytest.raises(NumericalError):
         LowRankFactor(U=np.zeros((3, 2)), C=np.array([1.0, np.nan]))
+    with pytest.raises(NumericalError):
+        LowRankFactor(U=np.array([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]]),
+                      C=np.ones(2))
+
+
+def test_sigma_dense_not_positive_definite_is_numerical_error():
+    with pytest.raises(NumericalError, match="not positive definite"):
+        SigmaDense(np.diag([1.0, -1.0])).sqrt_matvec(np.ones(2))
 
 
 def test_woodbury_matches_dense_inverse_120_30():
@@ -354,8 +362,7 @@ def test_cavi_sweep_matches_all_pairs_oracle():
         N, K = grid.weights.shape
         T_all = np.tile(grid.nodes, N)
         X_all = np.repeat(ds.X, K, axis=0)
-        J_all = jacobian_batch(ctx.model, T_all, X_all, theta_map)
-        g_all = forward_batch(ctx.model, T_all, X_all, theta_map)
+        g_all, J_all = jacobian_batch(ctx.model, T_all, X_all, theta_map)
         base_grid = baseline_factor(ctx.model, ctx.prior, T_all, X_all)
         want = cavi_sweep_all_pairs(
             J_all.reshape(N, K, -1), g_all.reshape(N, K), lin.J[:N],

@@ -145,29 +145,74 @@ def test_fit_doc_survives_file_roundtrip(tmp_path, small_fit):
     assert body_bytes(back) == body_bytes(body)
 
 
-def test_fit_from_doc_rejects_malformed():
+def _small_body():
+    """A well-formed body for layer sizes (3, 1): m = 4, two features."""
+    return {
+        "architecture": {"layer_sizes": [3, 1]},
+        "prior": {"alpha0": 1.0, "beta0": 1.0, "rho": 1.0},
+        "normalization": {"stats": {"mean": [0.0, 0.0], "std": [1.0, 1.0]},
+                          "t_max": 1.0},
+        "map": {"theta": np.zeros(4), "phi": 1.0},
+        "variational": {
+            "alpha_tilde": 2.0, "beta_tilde": 3.0, "e_log_phi": 0.0,
+            "mu_tilde": np.zeros(4),
+            "sigma": {"kind": "factor", "U": np.eye(4)[:, :2],
+                      "C": np.ones(2)},
+        },
+    }
+
+
+def _corrupt(body, keys, value):
+    doc = body
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+    return body
+
+
+def test_fit_from_doc_rejects_malformed(tmp_path):
     with pytest.raises(InputError, match="malformed"):
         fit_from_doc({"architecture": {"layer_sizes": [3, 1]}})
-    good_stats = FeatureStats(mean=np.zeros(2), std=np.ones(2))
-    body = {
-        "architecture": {"layer_sizes": [3, 1]},
-        "prior": {"alpha0": 1.0, "beta0": 1.0, "rho": 1.0, "bogus": 9},
-        "normalization": {"stats": good_stats.to_doc(), "t_max": 1.0},
-        "map": {"theta": np.zeros(4), "phi": 1.0},
-        "variational": {},
-    }
+    fit_from_doc(_small_body())  # the unedited body loads
+    body = _corrupt(_small_body(), ("prior", "bogus"), 9)
+    body["variational"] = {}
     with pytest.raises(InputError, match="malformed"):
         fit_from_doc(body)
     # "dense" was a kind of an earlier format; only "factor" is read
     for sigma in ({"kind": "sparse"}, {"kind": "dense", "mat": np.eye(4)}):
         with pytest.raises(InputError, match="unknown covariance kind"):
-            fit_from_doc({
-                "architecture": {"layer_sizes": [3, 1]},
-                "prior": {"alpha0": 1.0, "beta0": 1.0, "rho": 1.0},
-                "normalization": {"stats": good_stats.to_doc(), "t_max": 1.0},
-                "map": {"theta": np.zeros(4), "phi": 1.0},
-                "variational": {
-                    "alpha_tilde": 2.0, "beta_tilde": 3.0, "e_log_phi": 0.0,
-                    "mu_tilde": np.zeros(4), "sigma": sigma,
-                },
-            })
+            fit_from_doc(_corrupt(_small_body(), ("variational", "sigma"),
+                                  sigma))
+    # wrong sizes, non-finite arrays and non-positive scales, each of
+    # which would otherwise end in a traceback or in NaN curves
+    var, stats = ("variational",), ("normalization", "stats")
+    for keys, value in (
+        (var + ("sigma", "U"), np.eye(4)[:3, :2]),          # m - 1 rows
+        (var + ("sigma", "U"), np.full((4, 2), np.nan)),
+        (var + ("sigma", "U"), np.full((4, 2), np.inf)),
+        (var + ("sigma", "C"), np.array([1.0, -1.0])),
+        (var + ("mu_tilde",), np.zeros(3)),
+        (var + ("mu_tilde",), np.array([0.0, np.nan, 0.0, 0.0])),
+        (("map", "theta"), np.zeros(3)),
+        (("architecture", "layer_sizes"), [3, 2, 1]),
+        (stats, {"mean": [0.0] * 3, "std": [1.0] * 3}),  # needs 4 inputs
+        (var + ("alpha_tilde",), -1.0),
+        (var + ("beta_tilde",), 0.0),
+        (("normalization", "t_max"), float("inf")),
+        (stats + ("std",), [1.0, 0.0]),
+        (stats + ("std",), [1.0]),
+        (stats + ("mean",), [0.0, float("nan")]),
+    ):
+        with pytest.raises(InputError, match="malformed"):
+            fit_from_doc(_corrupt(_small_body(), keys, value))
+    # arrays that do not decode: a foreign dtype, data that is not
+    # base64, a shape that disagrees with the data
+    path = tmp_path / "ck.json"
+    for field, value in (("dtype", "<f4"), ("data", "not base64!"),
+                         ("shape", [5])):
+        save_checkpoint(path, _small_body())
+        doc = json.loads(path.read_text())
+        doc["body"]["map"]["theta"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="malformed array"):
+            load_checkpoint(path)

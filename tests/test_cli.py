@@ -307,6 +307,31 @@ def test_predict_eval_reject_truncated_checkpoint(workdir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _foreign_dtype(body):
+    body["map"]["theta"]["dtype"] = "<f4"
+
+
+def _zero_feature_scale(body):
+    body["normalization"]["stats"]["std"][0] = 0.0
+
+
+def test_predict_rejects_corrupt_checkpoint_body(workdir, tmp_path, capsys):
+    # an array in a foreign dtype used to end in a traceback, and a
+    # zero feature scale in NaN curves with exit 0
+    for edit in (_foreign_dtype, _zero_feature_scale):
+        doc = json.loads((workdir / "model.json").read_text())
+        edit(doc["body"])
+        ck = tmp_path / "bad.json"
+        ck.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--checkpoint", str(ck),
+                     "--data", str(workdir / "test.csv"),
+                     "--out", str(out), "--draws", "20"]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_predict_rejects_non_finite_horizon(workdir, tmp_path, capsys):
     out = tmp_path / "p.csv"
     for value in ("nan", "inf", "0"):

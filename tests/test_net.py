@@ -169,7 +169,8 @@ def test_jacobian_batch_consistent_with_single():
     theta = rng.normal(size=model.n_params)
     T = rng.uniform(0, 1, size=7)
     X = rng.normal(size=(7, 2))
-    JB = jacobian_batch(model, T, X, theta)
+    g, JB = jacobian_batch(model, T, X, theta)
+    assert np.array_equal(g, forward_batch(model, T, X, theta))
     assert JB.shape == (7, model.n_params)
     for i in range(7):
         assert np.allclose(JB[i], jacobian(model, T[i], X[i], theta),
@@ -201,7 +202,7 @@ def test_grad_weighted_sum_matches_contraction():
     X = rng.normal(size=(30, 3))
     w = rng.normal(size=30)
     got = grad_weighted_sum(model, T, X, theta, w)
-    want = jacobian_batch(model, T, X, theta).T @ w
+    want = jacobian_batch(model, T, X, theta)[1].T @ w
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -219,7 +220,7 @@ def test_forward_and_grad_matches_forward_then_weighted_sum():
     grad_want = grad_weighted_sum(model, T, X, theta, a - b * g_want)
     assert np.allclose(g, g_want, rtol=1e-12, atol=1e-12)
     assert np.allclose(grad, grad_want, rtol=1e-12, atol=1e-12)
-    assert np.allclose(grad, jacobian_batch(model, T, X, theta).T
+    assert np.allclose(grad, jacobian_batch(model, T, X, theta)[1].T
                        @ (a - b * g_want), rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):
         forward_and_grad(model, T, X, theta, lambda g: g[:-1])

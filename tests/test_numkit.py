@@ -225,8 +225,9 @@ def test_build_grid_row_sums_equal_each_time():
 def test_build_grid_weights_vanish_beyond_cutoff():
     y = np.array([0.3, 1.0])
     grid = build_grid(y, 11)
+    cutoff = np.searchsorted(grid.nodes, y, side="right")  # K_i, 1-based
     for i in range(2):
-        k = grid.cutoff[i]
+        k = cutoff[i]
         assert np.all(grid.weights[i, k + 1:] == 0.0)
         if k + 1 < grid.n_nodes:
             assert grid.nodes[k] <= y[i] + 1e-12

@@ -9,9 +9,9 @@ from sigsurv import predict
 from sigsurv.cavi import LowRankFactor, SigmaDense
 from sigsurv.errors import InputError
 from sigsurv.hazard import BaselinePrior
-from sigsurv.net import MlpModel, forward_batch, jacobian_batch
+from sigsurv.net import MlpModel, jacobian_batch
 from sigsurv.numkit import RngStream
-from sigsurv.predict import credible_band, mean_survival_matrix, sample_survival
+from sigsurv.predict import credible_band, mean_survival_matrix
 
 from _oracles import predictive_per_subject
 
@@ -38,85 +38,100 @@ def _fit_args(small_fit):
 
 # --------------------------------------------------------------- sampling
 
+# Below 20 draws the band is the draws' (min, max), so bounds that hold
+# for every sampled curve are checked on the band.
+
 
 def test_sample_survival_degenerate_exponential():
     # silent network, point-mass phi: S(t) = exp(-phi * t / t_max)
     model = MlpModel((3, 4, 1))
     post = _degenerate_posterior(1.7, model.n_params)
     times = np.linspace(0.0, 1.0, 21)
-    ps = sample_survival(post, model, BaselinePrior(), np.zeros(model.n_params),
-                         1.0, [0.3, -0.8], times, RngStream.from_seed(5),
-                         n_draws=64)
+    curves, band = mean_survival_matrix(
+        post, model, BaselinePrior(), np.zeros(model.n_params), 1.0,
+        [[0.3, -0.8]], times, RngStream.from_seed(5), n_draws=19)
     want = np.exp(-1.7 * times)
-    assert np.allclose(ps.mean, want, rtol=0, atol=1e-3)
-    assert np.allclose(ps.curves, want[None, :], rtol=0, atol=1e-3)
+    assert np.allclose(curves.values[0], want, rtol=0, atol=1e-3)
+    for arr in (band.lo, band.hi):
+        assert np.allclose(arr[0], want, rtol=0, atol=1e-3)
 
 
 def test_sample_survival_shape_and_monotonicity(small_fit, root):
     times = np.linspace(0.0, small_fit.ds.t_max, 33)
-    ps = sample_survival(x=small_fit.ds.X[0], times=times,
-                         rng=root.child(4242), n_draws=100,
-                         **_fit_args(small_fit))
-    assert ps.curves.shape == (100, 33)
-    assert ps.n_draws == 100
-    assert np.all(ps.curves >= 0.0) and np.all(ps.curves <= 1.0)
-    assert np.allclose(ps.curves[:, 0], 1.0, rtol=0, atol=0)
-    assert np.all(np.diff(ps.curves, axis=1) <= 1e-12)
-    for band in (ps.mean, ps.median, ps.lo, ps.hi):
-        assert np.all(np.diff(band) <= 1e-12)
-    assert np.all(ps.lo <= ps.median + 1e-12)
-    assert np.all(ps.median <= ps.hi + 1e-12)
-    assert ps.level == 0.9
-    assert not ps.flagged_extrapolation
+    x = small_fit.ds.X[:1]
+    _, span = mean_survival_matrix(X=x, times=times, rng=root.child(4242),
+                                   n_draws=19, **_fit_args(small_fit))
+    assert np.all(span.lo >= 0.0) and np.all(span.hi <= 1.0)
+    assert np.array_equal(span.lo[:, 0], [1.0])
+    assert np.array_equal(span.hi[:, 0], [1.0])
+    curves, band = mean_survival_matrix(X=x, times=times,
+                                        rng=root.child(4242), n_draws=100,
+                                        **_fit_args(small_fit))
+    assert curves.values.shape == band.lo.shape == (1, 33)
+    for arr in (span.lo, span.hi, curves.values, band.median, band.lo,
+                band.hi):
+        assert np.all(np.diff(arr[0]) <= 1e-12)
+    assert np.all(band.lo <= band.median + 1e-12)
+    assert np.all(band.median <= band.hi + 1e-12)
+    assert band.level == 0.9
+    assert not band.flagged_extrapolation
 
 
 def test_sample_survival_grid_offset_consistency(small_fit, root):
     # integration always starts at t = 0 whether or not the grid includes it
     args = _fit_args(small_fit)
     t_hi = small_fit.ds.t_max
-    full = sample_survival(x=small_fit.ds.X[1],
-                           times=[0.0, 0.4 * t_hi, 0.8 * t_hi],
-                           rng=RngStream.from_seed(88), n_draws=50, **args)
-    tail = sample_survival(x=small_fit.ds.X[1],
-                           times=[0.4 * t_hi, 0.8 * t_hi],
-                           rng=RngStream.from_seed(88), n_draws=50, **args)
-    assert np.allclose(full.curves[:, 1:], tail.curves, rtol=0, atol=1e-12)
+    x = small_fit.ds.X[1:2]
+    for n_draws in (19, 50):
+        full = mean_survival_matrix(X=x, times=[0.0, 0.4 * t_hi, 0.8 * t_hi],
+                                    rng=RngStream.from_seed(88),
+                                    n_draws=n_draws, **args)
+        tail = mean_survival_matrix(X=x, times=[0.4 * t_hi, 0.8 * t_hi],
+                                    rng=RngStream.from_seed(88),
+                                    n_draws=n_draws, **args)
+        for a, b in ((full[0].values, tail[0].values),
+                     (full[1].median, tail[1].median),
+                     (full[1].lo, tail[1].lo), (full[1].hi, tail[1].hi)):
+            assert np.allclose(a[:, 1:], b, rtol=0, atol=1e-12)
 
 
 def test_sample_survival_extrapolation_flagged(small_fit, root):
     times = [0.0, small_fit.ds.t_max * 1.5]
     with pytest.warns(RuntimeWarning, match="extrapolation"):
-        ps = sample_survival(x=small_fit.ds.X[0], times=times,
-                             rng=root.child(1), n_draws=30,
-                             **_fit_args(small_fit))
-    assert ps.flagged_extrapolation
+        _, band = mean_survival_matrix(X=small_fit.ds.X[0], times=times,
+                                       rng=root.child(1), n_draws=30,
+                                       **_fit_args(small_fit))
+    assert band.flagged_extrapolation
 
 
 def test_sample_survival_input_validation(small_fit, root):
     args = _fit_args(small_fit)
     x = small_fit.ds.X[0]
     with pytest.raises(InputError):
-        sample_survival(x=x, times=[0.5, 0.5], rng=root.child(1),
-                        n_draws=30, **args)
+        mean_survival_matrix(X=x, times=[0.5, 0.5], rng=root.child(1),
+                             n_draws=30, **args)
     with pytest.raises(InputError):
-        sample_survival(x=x, times=[-0.1, 0.5], rng=root.child(1),
-                        n_draws=30, **args)
+        mean_survival_matrix(X=x, times=[-0.1, 0.5], rng=root.child(1),
+                             n_draws=30, **args)
     with pytest.raises(InputError):
-        sample_survival(x=x, times=[], rng=root.child(1),
-                        n_draws=30, **args)
+        mean_survival_matrix(X=x, times=[], rng=root.child(1),
+                             n_draws=30, **args)
     with pytest.raises(InputError):
-        sample_survival(x=x, times=[0.1, 0.5], rng=root.child(1),
-                        n_draws=1, **args)
+        mean_survival_matrix(X=x, times=[0.1, 0.5], rng=root.child(1),
+                             n_draws=1, **args)
 
 
 def test_sample_survival_mean_stabilizes_with_draws(small_fit):
     args = _fit_args(small_fit)
     times = np.linspace(0.0, small_fit.ds.t_max, 17)
-    a = sample_survival(x=small_fit.ds.X[2], times=times,
-                        rng=RngStream.from_seed(303), n_draws=200, **args)
-    b = sample_survival(x=small_fit.ds.X[2], times=times,
-                        rng=RngStream.from_seed(909), n_draws=2000, **args)
-    assert np.max(np.abs(a.mean - b.mean)) < 0.05
+    x = small_fit.ds.X[2]
+    a, _ = mean_survival_matrix(X=x, times=times,
+                                rng=RngStream.from_seed(303), n_draws=200,
+                                **args)
+    b, _ = mean_survival_matrix(X=x, times=times,
+                                rng=RngStream.from_seed(909), n_draws=2000,
+                                **args)
+    assert np.max(np.abs(a.values - b.values)) < 0.05
 
 
 # ----------------------------------------------------------------- bands
@@ -124,46 +139,46 @@ def test_sample_survival_mean_stabilizes_with_draws(small_fit):
 
 def test_credible_band_degenerate_and_validation():
     curve = np.linspace(1.0, 0.2, 9)
-    samples = np.tile(curve, (25, 1))
-    lo, hi = credible_band(samples, 0.9)
-    assert np.allclose(lo, curve, rtol=0, atol=0)
-    assert np.allclose(hi, curve, rtol=0, atol=0)
+    samples = np.tile(curve[:, None], (1, 25))  # draws on the last axis
+    for arr in credible_band(samples, 0.9):
+        assert np.array_equal(arr, curve)
     with pytest.raises(InputError):
         credible_band(samples, 1.0)
     with pytest.raises(InputError):
         credible_band(samples, 0.0)
     with pytest.raises(InputError):
-        credible_band(samples[:19], 0.9)
+        credible_band(samples[:, :19], 0.9)
 
 
 def test_credible_band_coverage():
     rng = np.random.default_rng(1234)
-    samples = rng.normal(size=(10000, 6))
-    lo, hi = credible_band(samples, 0.9)
-    inside = np.mean((samples >= lo[None, :]) & (samples <= hi[None, :]))
+    samples = rng.normal(size=(6, 10000))
+    _, lo, hi = credible_band(samples, 0.9)
+    inside = np.mean((samples >= lo[:, None]) & (samples <= hi[:, None]))
     assert 0.88 < inside < 0.92
 
 
-
-@pytest.mark.parametrize("with_median", [False, True])
-@pytest.mark.parametrize("axis", [0, -1])
-def test_credible_band_is_bit_equal_to_numpys_quantile(axis, with_median):
+@pytest.mark.parametrize("with_nan", [False, True])
+@pytest.mark.parametrize("draw_axis", [0, -1])
+def test_credible_band_is_bit_equal_to_numpys_quantile(draw_axis, with_nan):
     # draws rounded to a coarse lattice tie often; a NaN in a slice
     # reads NaN; levels cover both branches of numpy's lerp and the
-    # virtual index at the last draw (1 - 1e-16 rounds q up to 1)
+    # virtual index at the last draw (1 - 1e-16 rounds q up to 1).
+    # Draws generated along axis 0 reach the band as a strided view.
     rng = np.random.default_rng(77)
     draws = np.round(rng.normal(size=(4, 37, 23)), 1)
-    draws[1, 5, 7] = np.nan
-    draws = draws if axis == -1 else np.moveaxis(draws, -1, 0)
+    if draw_axis == 0:
+        draws = np.moveaxis(np.moveaxis(draws, -1, 0).copy(), 0, -1)
+    if with_nan:
+        draws[1, 5, 7] = np.nan
     for level in (0.9, 0.5, 0.37, 1 - 1e-16):
         a = 1.0 - level
-        q = ([0.5] if with_median else []) + [a / 2.0, 1.0 - a / 2.0]
-        got = credible_band(draws, level, axis=axis, with_median=with_median)
-        want = np.quantile(draws, q, axis=axis)
-        assert len(got) == len(q)
+        got = credible_band(draws, level)
+        want = np.quantile(draws, [0.5, a / 2.0, 1.0 - a / 2.0], axis=-1)
+        assert len(got) == 3
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    assert np.isnan(got[0]).sum() == 1
+    assert np.isnan(got[0]).sum() == int(with_nan)
 
 # ------------------------------------------------------- subject batches
 
@@ -192,14 +207,15 @@ def test_mean_survival_matrix_common_draws(small_fit, root):
     assert np.array_equal(curves.values[0], curves.values[2])
     for arr in (band.median, band.lo, band.hi):
         assert np.array_equal(arr[0], arr[2])
-    # the means are the one-subject posterior means under the same draws
+    # each row is the one-subject result under the same draws
     for i in range(3):
-        ps = sample_survival(x=X[i], times=times, rng=root.child(777),
-                             n_draws=n_draws, **args)
-        assert np.array_equal(curves.values[i], ps.mean)
-        assert np.array_equal(band.median[i], ps.median)
-        assert np.array_equal(band.lo[i], ps.lo)
-        assert np.array_equal(band.hi[i], ps.hi)
+        one, one_band = mean_survival_matrix(X=X[i:i + 1], times=times,
+                                             rng=root.child(777),
+                                             n_draws=n_draws, **args)
+        assert np.array_equal(curves.values[i], one.values[0])
+        assert np.array_equal(band.median[i], one_band.median[0])
+        assert np.array_equal(band.lo[i], one_band.lo[0])
+        assert np.array_equal(band.hi[i], one_band.hi[0])
 
 
 def test_mean_survival_matrix_single_row(small_fit, root):
@@ -247,8 +263,7 @@ def _assert_matches_oracle(times, n_draws, level=0.9, t_max=2.5):
         RngStream.from_seed(4), n_draws=n_draws, level=level)
 
     def g_and_J(tq, X_rep):
-        return (forward_batch(model, tq, X_rep, theta_map),
-                jacobian_batch(model, tq, X_rep, theta_map))
+        return jacobian_batch(model, tq, X_rep, theta_map)
 
     mean, median, lo, hi = predictive_per_subject(
         post, g_and_J, 1.0, theta_map, t_max, X, times,
