@@ -134,10 +134,14 @@ class LowRankFactor:
         m = self.dim
         return 0.5 * (np.eye(m) + (self.U * self.C) @ self.U.T)
 
+    def gram(self) -> np.ndarray:
+        """U'^T U' for the weighted, pruned columns U' = U C^(1/2)."""
+        return self._Uw.T @ self._Uw
+
     def _prep(self) -> np.ndarray:
         if self._chol is None:
             r = self.effective_rank
-            M = np.eye(r) + self._Uw.T @ self._Uw
+            M = np.eye(r) + self.gram()
             self._chol = _cholesky(M, "Woodbury small matrix")
         return self._chol
 
@@ -186,8 +190,7 @@ class LowRankFactor:
         if self.effective_rank == 0:
             return np.asarray(z, dtype=float).copy()
         if self._eig is None:
-            G = self._Uw.T @ self._Uw
-            vals, vecs = np.linalg.eigh(G)
+            vals, vecs = np.linalg.eigh(self.gram())
             vals = np.maximum(vals, 0.0)
             s = np.where(
                 vals > 1e-12, (1.0 - 1.0 / np.sqrt(1.0 + vals)) / np.maximum(vals, 1e-300), 0.5

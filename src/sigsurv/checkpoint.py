@@ -210,9 +210,10 @@ def _require(ok: bool, what: str) -> None:
 
 def fit_from_doc(body: dict) -> FittedModel:
     """The fitted model a checkpoint body describes. Arrays must be
-    finite and sized for the architecture, and the Gamma factor, the
-    horizon and the feature scales positive; anything else is an
-    InputError, so a corrupt body never reaches prediction."""
+    finite and sized for the architecture, the covariance factor's Gram
+    matrix finite, and the Gamma factor, the horizon and the feature
+    scales positive; anything else is an InputError, so a corrupt body
+    never reaches prediction."""
     try:
         model = MlpModel(tuple(int(s) for s in body["architecture"]["layer_sizes"]))
         prior = BaselinePrior(**body["prior"])
@@ -242,6 +243,10 @@ def fit_from_doc(body: dict) -> FittedModel:
         _require(arr.shape == (m,) and np.isfinite(arr).all(),
                  f"{name} must hold {m} finite values")
     _require(post.sigma.dim == m, f"sigma.U must have {m} rows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = post.sigma.gram()
+    _require(np.isfinite(gram).all(),
+             "sigma.U's weighted Gram matrix must be finite")
     for name, val in (("alpha_tilde", post.alpha_tilde),
                       ("beta_tilde", post.beta_tilde), ("t_max", fit.t_max)):
         _require(math.isfinite(val) and val > 0,

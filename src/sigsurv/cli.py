@@ -288,19 +288,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
     curves, band = mean_survival_matrix(
         fit.post, fit.model, fit.prior, fit.theta_map, fit.t_max,
         ds.X, times, rng, n_draws=cfg["draws"], level=cfg["level"],
+        workers=args.threads,
     )
     # the bytes csv.writer would write for these rows (no cell needs
-    # quoting), one format per row
-    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
-    t = times.tolist()
+    # quoting): one format for a subject's rows, the times formatted once
+    rows = "".join("%%d,%.17g,%%.17g,%%.17g,%%.17g,%%.17g\r\n" % t
+                   for t in times.tolist())
+    cells = [0] * (5 * times.size)
+    columns = (curves.values, band.median, band.lo, band.hi)
     with open(args.out, "w", newline="") as fh:
         fh.write("subject,time,mean,median,lo,hi\r\n")
         for i in range(curves.n):
-            fh.writelines(
-                row % (i, *cells) for cells in zip(
-                    t, curves.values[i].tolist(), band.median[i].tolist(),
-                    band.lo[i].tolist(), band.hi[i].tolist())
-            )
+            cells[0::5] = [i] * times.size
+            for k, col in enumerate(columns, 1):
+                cells[k::5] = col[i].tolist()
+            fh.write(rows % tuple(cells))
     print(f"wrote {curves.n * times.size} rows to {args.out}")
     return EXIT_OK
 
@@ -333,6 +335,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         curves, _ = mean_survival_matrix(
             fit.post, fit.model, fit.prior, fit.theta_map, fit.t_max,
             ds.X, grid, rng, n_draws=cfg["draws"], level=cfg["level"],
+            workers=args.threads,
         )
 
     censor = km_censor(ds)
@@ -510,7 +513,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: $SIGSURV_SEED or 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/OpenMP thread pools")
+                   help="cap BLAS/OpenMP thread pools and the prediction "
+                        "workers (default: one worker per CPU)")
     p.add_argument("--config", default=None,
                    help="key = value config file; flags override it")
 
@@ -595,9 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
-        _apply_threads(args.threads)
     try:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise InputError(f"--threads must be >= 1, got {args.threads}")
+            _apply_threads(args.threads)
         return args.func(args)
     except (InputError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, UnicodeDecodeError) as exc:

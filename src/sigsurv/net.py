@@ -148,15 +148,16 @@ def _forward_trace(model: MlpModel, Z, layers):
     return out, acts, masks
 
 
-def jacobian_batch(model: MlpModel, T, X, theta):
+def jacobian_batch(model: MlpModel, T, X, theta, out=None):
     """Network output and its per-row gradient w.r.t. theta from one
-    forward trace: (g (n,), J (n, m))."""
+    forward trace: (g (n,), J (n, m)). J is written into `out`, a
+    C-contiguous (n, m) float array, when one is given."""
     Z = _as_batch(model, T, X)
     layers = unflatten(model, theta)
     g, acts, masks = _forward_trace(model, Z, layers)
 
     n = Z.shape[0]
-    J = np.empty((n, model.n_params))
+    J = np.empty((n, model.n_params)) if out is None else out
     # S: (n, fan_out) sensitivity of the output to each pre-activation.
     S = np.ones((n, 1))
     slices = list(_layer_slices(model))
@@ -164,7 +165,10 @@ def jacobian_batch(model: MlpModel, T, X, theta):
         W, _ = layers[li]
         w_sl, b_sl, fi, fo = slices[li]
         A = acts[li]
-        J[:, w_sl] = (S[:, :, None] * A[:, None, :]).reshape(n, fo * fi)
+        # (n, fo, fi) view of J's weight columns: splitting the
+        # contiguous last axis never copies
+        np.multiply(S[:, :, None], A[:, None, :],
+                    out=J[:, w_sl].reshape(n, fo, fi))
         J[:, b_sl] = S
         if li > 0:
             S = (S @ W) * masks[li - 1]

@@ -15,6 +15,7 @@ from scipy import special as _special
 __all__ = [
     "LOG2",
     "sigmoid",
+    "sigmoid_into",
     "pg_f",
     "pg_mean",
     "digamma",
@@ -47,6 +48,23 @@ def sigmoid(z):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def sigmoid_into(z, e, pos):
+    """`sigmoid` of the float array z, bit for bit, written over z, which
+    is returned; e (float) and pos (bool), each of z's shape, are
+    scratch. It allocates nothing, so a caller can reuse the three
+    buffers; on small arrays its extra passes make it slower than
+    `sigmoid`."""
+    np.negative(z, out=e)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)  # e = exp(min(z, -z))
+    np.greater_equal(z, 0.0, out=pos)
+    np.copyto(z, e)
+    np.copyto(z, 1.0, where=pos)
+    e += 1.0
+    z /= e  # where(z >= 0, 1, e) / (1 + e)
+    return z
 
 
 def pg_f(omega, z):

@@ -13,12 +13,18 @@ one forward trace at theta_MAP, which gives both g and the Jacobian,
 and the linearized hazard of every draw comes from one matrix product
 with the draws' offsets from theta_MAP. A chunk is sized so its
 Jacobian holds about _CHUNK_FLOATS floats; only per-subject summaries
-outlive the chunk.
+outlive the chunk. The draws are made once, before any chunk runs, so
+chunks are independent: they run on up to one thread per CPU, the
+caller's and a per-call pool's (numpy's GEMM and ufuncs release the
+interpreter lock), each thread in its own buffers, allocated once per
+call, and each chunk writes only its own rows of the result.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +35,7 @@ from .metrics import SurvivalCurves
 # forward_batch is not called here any more; it stays importable from
 # this namespace because bench/layers.py wraps it here.
 from .net import MlpModel, forward_batch, jacobian_batch  # noqa: F401
-from .numkit import RngStream, sigmoid
+from .numkit import RngStream, sigmoid_into
 
 __all__ = [
     "SurvivalBands",
@@ -121,30 +127,67 @@ def _draw_posterior(post, theta_map: np.ndarray, rng: RngStream,
     return phi_draws, theta_draws - theta_map[:, None]
 
 
-def _survival_draws(model, prior, theta_map, tq, prepend_zero, X,
-                    phi_draws, shift) -> np.ndarray:
-    """Survival curves (B, T, S) for the B rows of X under the S draws:
-    the linearized hazard on all B * Tq (t, x) rows from one forward
-    trace (g and its Jacobian) and one matrix product with the theta
-    offsets `shift`, a cumulative trapezoid along time,
-    exponentiate-negate."""
-    B, Tq, S = X.shape[0], tq.size, phi_draws.size
+class _Workspace:
+    """One worker's buffers for chunks of up to `subjects` subjects on a
+    Tq-point grid with S draws, allocated once per call: the chunk's
+    Jacobian, two (rows, S) draw buffers, the sign mask of the
+    linearized network value and the (subjects, Tq, S) survival curves."""
+
+    def __init__(self, subjects: int, tq_size: int, m: int, n_draws: int):
+        rows = subjects * tq_size
+        self.J = np.empty((rows, m))
+        self.z = np.empty((rows, n_draws))
+        self.e = np.empty((rows, n_draws))
+        self.pos = np.empty((rows, n_draws), dtype=bool)
+        self.cum = np.empty((subjects, tq_size, n_draws))
+
+
+def _survival_draws(ws: _Workspace, model, prior, theta_map, tq,
+                    prepend_zero, X, phi_draws, shift) -> np.ndarray:
+    """Survival curves (B, T, S) for the B rows of X under the S draws,
+    a view of `ws.cum`: the linearized hazard on all B * Tq (t, x) rows
+    from one forward trace (g and its Jacobian) and one matrix product
+    with the theta offsets `shift`, a cumulative trapezoid along time,
+    exponentiate-negate. Every step writes into the workspace in the
+    operation order of the allocating expressions, so the curves are
+    bit-equal to them."""
+    B, Tq = X.shape[0], tq.size
+    n = B * Tq
     T_rows = np.tile(tq, B)
     X_rows = np.repeat(X, Tq, axis=0)
-    base = baseline_factor(model, prior, T_rows, X_rows)          # (B*Tq,)
-    g_map, J = jacobian_batch(model, T_rows, X_rows, theta_map)   # (B*Tq, m)
+    base = baseline_factor(model, prior, T_rows, X_rows)          # (n,)
+    J, z, e, pos = ws.J[:n], ws.z[:n], ws.e[:n], ws.pos[:n]
+    g_map, _ = jacobian_batch(model, T_rows, X_rows, theta_map, out=J)
 
-    g_lin = g_map[:, None] + J @ shift                            # (B*Tq, S)
-    lam = phi_draws[None, :] * base[:, None] * sigmoid(g_lin)
-    lam = lam.reshape(B, Tq, S)
-    cum = np.zeros_like(lam)
+    np.matmul(J, shift, out=z)
+    z += g_map[:, None]                                # g_lin = g + J shift
+    sigmoid_into(z, e, pos)
+    np.multiply(phi_draws[None, :], base[:, None], out=e)
+    z *= e                                             # lam = (phi base) sig
+    lam = z.reshape(B, Tq, -1)
+    cum = ws.cum[:B]
+    cum[:, 0, :] = 0.0
     if Tq > 1:
-        cum[:, 1:, :] = np.cumsum(
-            0.5 * (lam[:, 1:, :] + lam[:, :-1, :]) * np.diff(tq)[:, None],
-            axis=1,
-        )
-    surv = np.exp(-cum)
-    return surv[:, 1:, :] if prepend_zero else surv
+        step = e.reshape(B, Tq, -1)[:, 1:, :]
+        np.add(lam[:, 1:, :], lam[:, :-1, :], out=step)
+        step *= 0.5
+        step *= np.diff(tq)[:, None]
+        np.cumsum(step, axis=1, out=cum[:, 1:, :])
+    np.negative(cum, out=cum)
+    np.exp(cum, out=cum)
+    return cum[:, 1:, :] if prepend_zero else cum
+
+
+def _worker_count(workers, n_chunks: int) -> int:
+    """Threads for `n_chunks` chunks: the CPUs this process may run on,
+    capped by `workers` when given and by the chunk count."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    if workers is not None:
+        cpus = min(cpus, workers)
+    return max(1, min(cpus, n_chunks))
 
 
 def mean_survival_matrix(
@@ -158,31 +201,60 @@ def mean_survival_matrix(
     rng: RngStream,
     n_draws: int = 200,
     level: float = 0.9,
+    workers: int | None = None,
 ):
     """Posterior-mean survival curves for every row of X under one
     shared set of posterior draws (common random numbers across
     subjects, so between-subject curve differences reflect covariates
     rather than Monte-Carlo noise). Returns (SurvivalCurves of the
     means, SurvivalBands of the per-subject median and band); below 20
-    draws the band is the draws' (min, max)."""
+    draws the band is the draws' (min, max).
+
+    The chunks of subjects run on min(CPUs, chunks) threads, at most
+    `workers` when given: this one and a pool of the rest, or this one
+    alone when the count is 1. The results are bit-identical for any
+    count, and an exception in a chunk re-raises here."""
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
+    if workers is not None and workers < 1:
+        raise InputError("workers must be >= 1")
     theta_map = np.asarray(theta_map, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     times, tq, prepend_zero, flagged = _prep_times(times, t_max)
     phi_draws, shift = _draw_posterior(post, theta_map, rng, n_draws)
+    n = X.shape[0]
     per_chunk = max(1, _CHUNK_FLOATS // (tq.size * theta_map.size))
-    out = np.empty((4, X.shape[0], times.size))
-    for start in range(0, X.shape[0], per_chunk):
-        rows = slice(start, start + per_chunk)
-        surv = _survival_draws(model, prior, theta_map, tq, prepend_zero,
-                               X[rows], phi_draws, shift)
-        out[0, rows] = surv.mean(axis=-1)
-        if n_draws >= 20:
-            out[1:, rows] = credible_band(surv, level)
-        else:
-            out[1, rows] = np.quantile(surv, 0.5, axis=-1)
-            out[2, rows], out[3, rows] = surv.min(axis=-1), surv.max(axis=-1)
+    out = np.empty((4, n, times.size))
+
+    def score(starts, ws) -> None:
+        for start in starts:
+            rows = slice(start, start + per_chunk)
+            surv = _survival_draws(ws, model, prior, theta_map, tq,
+                                   prepend_zero, X[rows], phi_draws, shift)
+            out[0, rows] = surv.mean(axis=-1)
+            if n_draws >= 20:
+                out[1:, rows] = credible_band(surv, level)
+            else:
+                out[1, rows] = np.quantile(surv, 0.5, axis=-1)
+                out[2, rows] = surv.min(axis=-1)
+                out[3, rows] = surv.max(axis=-1)
+
+    starts = range(0, n, per_chunk)
+    k = _worker_count(workers, len(starts))
+    # allocated here rather than in the pool's threads, so the memory
+    # returns to this thread's heap, not to per-thread malloc arenas;
+    # for the same reason this thread scores the first share itself
+    spaces = [_Workspace(min(per_chunk, n), tq.size, theta_map.size, n_draws)
+              for _ in range(k)]
+    if k == 1:
+        score(starts, spaces[0])
+    else:
+        with ThreadPoolExecutor(max_workers=k - 1) as pool:
+            jobs = [pool.submit(score, starts[i::k], spaces[i])
+                    for i in range(1, k)]
+            score(starts[0::k], spaces[0])
+            for job in jobs:
+                job.result()
     mean, median, lo, hi = out
     return (SurvivalCurves(times=times, values=mean),
             SurvivalBands(median=median, lo=lo, hi=hi, level=level,

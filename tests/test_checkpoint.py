@@ -216,3 +216,19 @@ def test_fit_from_doc_rejects_malformed(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError, match="malformed array"):
             load_checkpoint(path)
+
+
+def test_fit_from_doc_rejects_overflowing_factor():
+    # a finite factor whose Gram matrix U^T C U overflows: rank 1 used
+    # to draw from Sigma~ = I, rank 2 to end in eigh's LinAlgError
+    for U in (np.full((4, 1), 1e200), np.eye(4)[:, :2] * 1e200):
+        body = _small_body()
+        body["variational"]["sigma"] = {"kind": "factor", "U": U,
+                                        "C": np.ones(U.shape[1])}
+        with pytest.raises(InputError, match="Gram matrix"):
+            fit_from_doc(body)
+    # a large factor whose Gram matrix stays finite loads and draws
+    body = _small_body()
+    body["variational"]["sigma"]["U"] = np.eye(4)[:, :2] * 1e150
+    fit = fit_from_doc(body)
+    assert np.isfinite(fit.post.sigma.sqrt_matvec(np.ones((4, 3)))).all()

@@ -7,15 +7,19 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sigsurv.checkpoint import body_bytes, fit_from_doc, load_checkpoint
+from sigsurv import predict
+from sigsurv.checkpoint import (body_bytes, decode_array, encode_array,
+                                fit_from_doc, load_checkpoint)
 from sigsurv.cli import main
 from sigsurv.data import load_csv
+from sigsurv.errors import NumericalError
 from sigsurv.net import forward_batch, row_block
 from sigsurv.numkit import RngStream, build_grid
 from sigsurv.predict import mean_survival_matrix
@@ -330,6 +334,91 @@ def test_predict_rejects_corrupt_checkpoint_body(workdir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "input error" in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_predict_rejects_overflowing_covariance_factor(workdir, tmp_path,
+                                                       capsys):
+    # `rank` copies of the fitted U's first column times 1e200, so
+    # U^T C U overflows: rank 1 used to exit 0 with the draws taken from
+    # Sigma~ = I, and rank 2 to end in eigh's LinAlgError traceback
+    for rank in (1, 2):
+        doc = json.loads((workdir / "model.json").read_text())
+        sigma = doc["body"]["variational"]["sigma"]
+        U = decode_array(sigma["U"])[:, :1] * 1e200
+        sigma["U"] = encode_array(np.tile(U, (1, rank)))
+        sigma["C"] = encode_array(np.ones(rank))
+        ck = tmp_path / "huge.json"
+        ck.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--checkpoint", str(ck),
+                     "--data", str(workdir / "test.csv"),
+                     "--out", str(out), "--draws", "20"]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "Gram matrix" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _many_chunks(monkeypatch, workdir):
+    """Three subjects per chunk on a 12-point grid of the workdir model,
+    and three CPUs, so predict runs its 20 subjects' chunks on a pool."""
+    fit = fit_from_doc(load_checkpoint(workdir / "model.json")[1])
+    monkeypatch.setattr(predict, "_CHUNK_FLOATS", 3 * 12 * fit.model.n_params)
+    monkeypatch.setattr(predict.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    for var in _BLAS_VARS:  # --threads sets them; put them back after
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+
+
+def test_predict_threads_1_writes_the_default_bytes(workdir, tmp_path,
+                                                     monkeypatch, capsys):
+    _many_chunks(monkeypatch, workdir)
+    common = ["predict", "--checkpoint", str(workdir / "model.json"),
+              "--data", str(workdir / "test.csv"), "--draws", "30",
+              "--grid-points", "12", "--seed", "2"]
+    one, default = tmp_path / "one.csv", tmp_path / "default.csv"
+    assert main([*common, "--threads", "1", "--out", str(one)]) == 0
+    assert main([*common, "--out", str(default)]) == 0
+    assert one.read_bytes() == default.read_bytes()
+
+
+def test_predict_worker_failure_exits_3(workdir, tmp_path, monkeypatch,
+                                        capsys):
+    _many_chunks(monkeypatch, workdir)
+    real, calls, lock = predict.jacobian_batch, [], threading.Lock()
+
+    def failing_on_second_chunk(*args, **kwargs):
+        with lock:
+            calls.append(1)
+            second = len(calls) == 2
+        if second:
+            raise NumericalError("chunk 2 failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(predict, "jacobian_batch", failing_on_second_chunk)
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--checkpoint", str(workdir / "model.json"),
+                 "--data", str(workdir / "test.csv"), "--out", str(out),
+                 "--draws", "20", "--grid-points", "12"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: chunk 2 failed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_threads_below_one_exits_2(workdir, tmp_path, capsys):
+    for value in ("0", "-2"):
+        assert main(["predict", "--checkpoint", str(workdir / "model.json"),
+                     "--data", str(workdir / "test.csv"),
+                     "--out", str(tmp_path / "p.csv"),
+                     "--threads", value]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: --threads must be >= 1, got {value}" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_predict_rejects_non_finite_horizon(workdir, tmp_path, capsys):

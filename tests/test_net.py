@@ -177,6 +177,19 @@ def test_jacobian_batch_consistent_with_single():
                            rtol=0, atol=1e-13)
 
 
+def test_jacobian_batch_writes_into_out():
+    model = MlpModel((3, 6, 5, 1))
+    rng = np.random.default_rng(9)
+    theta = rng.normal(size=model.n_params)
+    T = rng.uniform(0, 1, size=11)
+    X = rng.normal(size=(11, 2))
+    g, J = jacobian_batch(model, T, X, theta)
+    buf = np.full((11, model.n_params), np.nan)
+    g_out, J_out = jacobian_batch(model, T, X, theta, out=buf)
+    assert J_out is buf
+    assert np.array_equal(g_out, g) and np.array_equal(buf, J)
+
+
 def test_rectifier_derivative_zero_at_kink():
     # pre-activation exactly zero: the convention relu'(0) = 0 means the
     # whole path through that unit contributes nothing

@@ -15,6 +15,7 @@ from sigsurv.numkit import (
     pg_f,
     pg_mean,
     sigmoid,
+    sigmoid_into,
 )
 
 from _oracles import digamma_euler_maclaurin, pg_series_draws, sigmoid_masked
@@ -76,6 +77,20 @@ def test_sigmoid_bit_identical_to_masked_formula():
         got, want = sigmoid(z), sigmoid_masked(z)
         assert isinstance(got, float)
         assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def test_sigmoid_into_is_sigmoid_bit_for_bit():
+    rng = np.random.default_rng(6)
+    edges = np.array([0.0, -0.0, 800.0, -800.0, 1e6, -1e6, 745.2, -745.2,
+                      5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan])
+    for z in (edges, rng.normal(scale=10.0, size=(40, 7)),
+              np.linspace(-50.0, 50.0, 1001)):
+        buf = z.copy()
+        with np.errstate(over="raise"):
+            got = sigmoid_into(buf, np.empty_like(z),
+                               np.empty(z.shape, dtype=bool))
+        assert got is buf
+        assert np.array_equal(got.view(np.int64), sigmoid(z).view(np.int64))
 
 
 # ---------------------------------------------------------------- pg_f

@@ -1,5 +1,6 @@
 """Posterior predictive survival curves and credible bands."""
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from sigsurv import predict
 from sigsurv.cavi import LowRankFactor, SigmaDense
-from sigsurv.errors import InputError
+from sigsurv.errors import InputError, NumericalError
 from sigsurv.hazard import BaselinePrior
 from sigsurv.net import MlpModel, jacobian_batch
 from sigsurv.numkit import RngStream
@@ -291,3 +292,106 @@ def test_mean_survival_matrix_matches_per_subject_oracle_without_zero():
     # integration starts at t = 0 even when the grid does not hold it
     _assert_matches_oracle(np.linspace(0.1, 2.5, 65), n_draws=40,
                            level=0.8)
+
+
+# ------------------------------------------------------------ worker pool
+
+# _wide_problem's 7 subjects split into chunks of 3 + 3 + 1, so up to 3
+# workers each get a chunk. The pool is sized from the CPU affinity
+# mask; these tests pretend there are 3 CPUs so the threaded path runs
+# on any host.
+
+
+def _three_cpus(monkeypatch):
+    monkeypatch.setattr(predict.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+
+
+def _wide_call(times, n_draws, **kw):
+    model, theta_map, post, X = _wide_problem(31)
+    curves, band = mean_survival_matrix(
+        post, model, BaselinePrior(), theta_map, 2.5, X, times,
+        RngStream.from_seed(4), n_draws=n_draws, **kw)
+    return np.stack([curves.values, band.median, band.lo, band.hi])
+
+
+def test_worker_count_is_bounded_by_cpus_workers_and_chunks(monkeypatch):
+    monkeypatch.setattr(predict.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    assert predict._worker_count(None, 100) == 2
+    assert predict._worker_count(3, 100) == 2
+    assert predict._worker_count(1, 100) == 1
+    assert predict._worker_count(None, 1) == 1
+    # no affinity mask: the CPU count stands in for it
+    monkeypatch.delattr(predict.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(predict.os, "cpu_count", lambda: 3)
+    assert predict._worker_count(None, 2) == 2
+    assert predict._worker_count(None, 100) == 3
+    monkeypatch.setattr(predict.os, "cpu_count", lambda: None)
+    assert predict._worker_count(None, 100) == 1
+
+
+@pytest.mark.parametrize("n_draws", [19, 60])
+@pytest.mark.parametrize("t0", [0.0, 0.1])
+def test_mean_survival_matrix_is_invariant_to_worker_count(
+        monkeypatch, t0, n_draws):
+    _three_cpus(monkeypatch)
+    pools = []
+    real_pool = predict.ThreadPoolExecutor
+
+    def counting_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(predict, "ThreadPoolExecutor", counting_pool)
+    times = np.linspace(t0, 2.5, 65)
+    want = _wide_call(times, n_draws, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        got = [_wide_call(times, n_draws, workers=k) for k in (2, 3)]
+        got.append(_wide_call(times, n_draws))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [1, 2, 2]  # the calling thread is one of the workers
+    for arr in got:
+        assert np.array_equal(arr, want)
+
+
+def test_one_subject_starts_no_pool(monkeypatch, small_fit, root):
+    _three_cpus(monkeypatch)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk call started a pool")
+
+    monkeypatch.setattr(predict, "ThreadPoolExecutor", no_pool)
+    curves, _ = mean_survival_matrix(
+        X=small_fit.ds.X[0], times=np.linspace(0.0, small_fit.ds.t_max, 9),
+        rng=root.child(7), n_draws=40, **_fit_args(small_fit))
+    assert curves.values.shape == (1, 9)
+
+
+def test_workers_must_be_positive(small_fit, root):
+    with pytest.raises(InputError, match="workers"):
+        mean_survival_matrix(X=small_fit.ds.X[0], times=[0.0, 1.0],
+                             rng=root.child(1), n_draws=30, workers=0,
+                             **_fit_args(small_fit))
+
+
+def test_worker_exception_reraises_with_its_type(monkeypatch):
+    _three_cpus(monkeypatch)
+    model, theta_map, post, X = _wide_problem(31)
+    real = predict.jacobian_batch
+
+    def failing_on_second_chunk(model_, T, X_rows, theta, out=None):
+        if np.array_equal(X_rows[0], X[3]):  # chunk 2 holds subjects 3..5
+            raise NumericalError("chunk 2 failed")
+        return real(model_, T, X_rows, theta, out=out)
+
+    monkeypatch.setattr(predict, "jacobian_batch", failing_on_second_chunk)
+    for workers in (1, 2, 3):
+        with pytest.raises(NumericalError, match="chunk 2 failed"):
+            mean_survival_matrix(post, model, BaselinePrior(), theta_map,
+                                 2.5, X, np.linspace(0.0, 2.5, 65),
+                                 RngStream.from_seed(4), n_draws=20,
+                                 workers=workers)
