@@ -2,10 +2,14 @@
 survival curves, evaluate metrics, and self-test the numerical core.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure,
-4 finished-but-not-converged (outputs are still written).
+4 finished-but-not-converged (outputs are still written), 1 standard
+output closed before everything was printed, e.g. piped into `head`
+(output files are written before anything is printed).
 
-numpy is imported lazily inside the command handlers so that --threads
-can cap the BLAS thread pools before they initialize.
+numpy is imported lazily inside the command handlers so that the BLAS
+thread pools can be sized before they initialize: `predict` and `eval`
+run one-thread BLAS in each prediction worker, and for the other
+commands --threads caps the BLAS pools.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .errors import ConvergenceError, InputError, NumericalError
 __all__ = ["main"]
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_NONCONV = 4
@@ -50,15 +55,25 @@ CONFIG_DEFAULTS: dict = {
 _PATH_KEYS = ("data", "out", "checkpoint", "trace", "config")
 
 
-def _apply_threads(n: int) -> None:
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(n)
+_BLAS_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def _size_blas_pools(command: str, threads: int | None) -> None:
+    """Set the BLAS/OpenMP thread counts before numpy loads. predict and
+    eval parallelize over prediction workers, so each gets one-thread
+    BLAS unless the variable is already exported; elsewhere --threads
+    caps the pools."""
+    for var in _BLAS_VARS:
+        if command in ("predict", "eval"):
+            os.environ.setdefault(var, "1")
+        elif threads is not None:
+            os.environ[var] = str(threads)
 
 
 def _coerce(key: str, text: str, where: str):
@@ -355,10 +370,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if c_reason:
         metrics["c_index_reason"] = c_reason
     text = json.dumps(metrics, sort_keys=True, indent=1)
-    print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
     return EXIT_OK
 
 
@@ -513,8 +528,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: $SIGSURV_SEED or 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/OpenMP thread pools and the prediction "
-                        "workers (default: one worker per CPU)")
+                   help="predict/eval: cap the prediction workers (default: "
+                        "one per CPU, each with one-thread BLAS); other "
+                        "commands: cap the BLAS/OpenMP thread pools")
     p.add_argument("--config", default=None,
                    help="key = value config file; flags override it")
 
@@ -600,11 +616,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is not None:
-            if args.threads < 1:
-                raise InputError(f"--threads must be >= 1, got {args.threads}")
-            _apply_threads(args.threads)
-        return args.func(args)
+        if args.threads is not None and args.threads < 1:
+            raise InputError(f"--threads must be >= 1, got {args.threads}")
+        _size_blas_pools(args.command, args.threads)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
+    except BrokenPipeError:
+        # the recipe of Python's `signal` docs: the interpreter flushes
+        # stdout again at exit, so point it at devnull first
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
     except (InputError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

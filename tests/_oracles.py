@@ -246,6 +246,68 @@ def ibs_brute(surv_matrix, grid, y, delta) -> float:
     return float(np.trapezoid(scores, grid) / (grid[-1] - grid[0]))
 
 
+def c_index_dense(curves, y, delta) -> float:
+    """The all-pairs vectorized concordance the blocked `c_index`
+    replaced: several (N, N) float arrays, one float sum of the pair
+    scores. `curves` needs only `.at`."""
+    A = curves.at(y)          # A[j, i] = S_j(y_i)
+    own = np.diag(A)          # S_i(y_i)
+    s_j_at_yi = A.T           # (i, j)
+    comparable = (delta[:, None] == 1) & (y[:, None] < y[None, :])
+    n_pairs = int(comparable.sum())
+    if n_pairs == 0:
+        raise ZeroDivisionError("no comparable pairs")
+    conc = (own[:, None] < s_j_at_yi).astype(float)
+    ties = (own[:, None] == s_j_at_yi).astype(float)
+    score = float((comparable * (conc + 0.5 * ties)).sum())
+    return score / n_pairs
+
+
+def km_censor_loop(y, delta):
+    """The censoring product-limit curve by one pass over the unique
+    times, as (times, surv): the loop the sorted `km_censor` replaced."""
+    cens = 1 - delta
+    times = np.unique(y)
+    n_at_risk = np.array([(y >= u).sum() for u in times], dtype=float)
+    d_cens = np.array([cens[y == u].sum() for u in times], dtype=float)
+    factors = 1.0 - d_cens / n_at_risk
+    return times, np.cumprod(factors)
+
+
+def brier_node(s_t, y, delta, t, censor):
+    """One node of the IPCW Brier score, formed the way the per-node
+    `ipcw_brier` did before `ipcw_ibs` scored the grid in one pass;
+    None where a censor weight is undefined (C = 0)."""
+    past_event = (y <= t) & (delta == 1)
+    still_at_risk = y > t
+    c_left = censor.eval_left(y)
+    c_t = float(censor.eval([float(t)])[0])
+    if np.any(past_event & (c_left <= 0.0)):
+        return None
+    if still_at_risk.any() and c_t <= 0.0:
+        return None
+    term1 = np.zeros(y.size)
+    np.divide(s_t**2, c_left, out=term1, where=past_event)
+    term1[~past_event] = 0.0
+    term2 = np.where(still_at_risk, (1.0 - s_t) ** 2 / max(c_t, 1e-300), 0.0)
+    return float((term1 + term2).mean())
+
+
+def ibs_node_loop(curves, y, delta, grid, censor):
+    """The integrated Brier score by one `brier_node` call per grid
+    node, skipping dead nodes; returns (ibs, number skipped)."""
+    vals, kept = [], []
+    for t in grid:
+        v = brier_node(curves.at([float(t)])[:, 0], y, delta, float(t), censor)
+        if v is not None:
+            vals.append(v)
+            kept.append(float(t))
+    kept_arr = np.asarray(kept)
+    ibs = float(np.trapezoid(np.asarray(vals), kept_arr)
+                / (kept_arr[-1] - kept_arr[0]))
+    return ibs, len(grid) - len(kept)
+
+
 # ---------------------------------------------------------------- Q function
 
 def q_straightline(y_norm, delta, X, nodes, weights, layer_sizes,

@@ -370,8 +370,50 @@ def _many_chunks(monkeypatch, workdir):
     monkeypatch.setattr(predict, "_CHUNK_FLOATS", 3 * 12 * fit.model.n_params)
     monkeypatch.setattr(predict.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2}, raising=False)
-    for var in _BLAS_VARS:  # --threads sets them; put them back after
+    for var in _BLAS_VARS:  # predict sets them; put them back after
         monkeypatch.setenv(var, os.environ.get(var, "1"))
+
+
+def _clear_blas_vars(monkeypatch):
+    """Unset the BLAS variables; monkeypatch restores what was there."""
+    for var in _BLAS_VARS:
+        monkeypatch.setenv(var, "0")
+        monkeypatch.delenv(var)
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_predict_eval_run_one_thread_blas(workdir, tmp_path, monkeypatch,
+                                          capsys, command):
+    workers = []
+
+    def spy(*args, **kwargs):
+        workers.append(kwargs["workers"])
+        return mean_survival_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(predict, "mean_survival_matrix", spy)
+    argv = [command, "--checkpoint", str(workdir / "model.json"),
+            "--data", str(workdir / "test.csv"), "--draws", "10",
+            "--out", str(tmp_path / "out")]
+    for threads, exported in ((None, None), ("2", None), ("2", "3")):
+        _clear_blas_vars(monkeypatch)
+        if exported:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", exported)
+        extra = ["--threads", threads] if threads else []
+        assert main([*argv, *extra]) == 0
+        assert {var: os.environ[var] for var in _BLAS_VARS} == {
+            var: exported if exported and var == "OPENBLAS_NUM_THREADS"
+            else "1" for var in _BLAS_VARS}
+        assert workers.pop() == (int(threads) if threads else None)
+
+
+def test_other_commands_size_blas_by_threads(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "s.csv")
+    _clear_blas_vars(monkeypatch)
+    assert main(["synth", "--n", "3", "--out", out]) == 0
+    assert not any(var in os.environ for var in _BLAS_VARS)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert main(["synth", "--n", "3", "--out", out, "--threads", "2"]) == 0
+    assert all(os.environ[var] == "2" for var in _BLAS_VARS)
 
 
 def test_predict_threads_1_writes_the_default_bytes(workdir, tmp_path,
@@ -527,6 +569,54 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_closed_stdout_keeps_the_output_file(workdir, tmp_path, command,
+                                             unbuffered):
+    # stdout is a pipe whose read end is closed before the process starts,
+    # as when `head -c 10` has exited; unbuffered, print itself fails
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    out = tmp_path / "out"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigsurv.cli", command,
+             "--checkpoint", str(workdir / "model.json"),
+             "--data", str(workdir / "test.csv"), "--draws", "10",
+             "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert out.stat().st_size > 0
+    if command == "eval":
+        assert set(json.loads(out.read_text())) >= {"c_index", "ipcw_ibs"}
+
+
+def test_eval_non_finite_curves_exit_3(workdir, tmp_path, monkeypatch,
+                                       capsys):
+    def nan_curves(*args, **kwargs):
+        curves, band = mean_survival_matrix(*args, **kwargs)
+        curves.values[0, 1:] = np.nan
+        return curves, band
+
+    monkeypatch.setattr(predict, "mean_survival_matrix", nan_curves)
+    out = tmp_path / "m.json"
+    assert main(["eval", "--checkpoint", str(workdir / "model.json"),
+                 "--data", str(workdir / "test.csv"), "--draws", "10",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: survival curves hold non-finite" in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ fuzzing

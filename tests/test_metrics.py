@@ -1,8 +1,12 @@
 """Concordance, IPCW Brier score, and censoring-survival weights."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from sigsurv import metrics
 from sigsurv.data import Dataset
 from sigsurv.errors import InputError, NumericalError
 from sigsurv.metrics import (
@@ -14,7 +18,9 @@ from sigsurv.metrics import (
     km_censor,
 )
 
-from _oracles import brier_brute, c_index_brute, ibs_brute, km_eval, km_product_limit
+from _oracles import (brier_brute, brier_node, c_index_brute, c_index_dense,
+                      ibs_brute, ibs_node_loop, km_censor_loop, km_eval,
+                      km_product_limit)
 
 
 def _dataset(y, delta, p=2, seed=0):
@@ -88,6 +94,51 @@ def test_c_index_matches_brute_force():
         assert c_index(sc, ds) == want
 
 
+def _tied_problem(n, seed):
+    """n subjects with tied times (censorings among the events at each
+    time) and curves rounded to 2 digits, the first fifth identical."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(1, 40, size=n).astype(float)
+    delta = rng.integers(0, 2, size=n)
+    vals = np.cumprod(rng.uniform(0.8, 1.0, size=(n, 20)), axis=1)
+    vals[: n // 5] = vals[0]
+    sc = SurvivalCurves(times=np.linspace(0.0, 45.0, 20),
+                        values=np.round(vals, 2))
+    return _dataset(y, delta, seed=seed), sc
+
+
+def test_c_index_equals_the_dense_formula():
+    ds, sc = _tied_problem(2500, seed=41)
+    b = metrics._BLOCK_FLOATS // ds.n
+    assert ds.n_events > 10 * b  # many blocks
+    assert c_index(sc, ds) == c_index_dense(sc, ds.y, ds.delta)
+
+
+@pytest.mark.parametrize("b", [1, 7, 40])
+def test_c_index_blocks_match_brute_force(monkeypatch, b):
+    # b = 7 leaves a partial last block of the 20 events
+    monkeypatch.setattr(metrics, "_BLOCK_FLOATS", 40 * b)
+    rng = np.random.default_rng(88)
+    y = rng.integers(1, 9, size=40).astype(float)
+    delta = (np.arange(40) % 9 < 4).astype(int)
+    assert delta.sum() == 20
+    ds = _dataset(y, delta)
+    sc = _random_curves(40, seed=89, t_hi=9.0)
+    A = sc.at(y)
+    assert c_index(sc, ds) == c_index_brute(A.T, y, delta)
+
+
+def test_c_index_memory_is_bounded():
+    ds, sc = _tied_problem(2000, seed=43)
+    tracemalloc.start()
+    try:
+        c_index(sc, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # the dense formula's (2000, 2000) arrays need ~134 MB
+
+
 def test_c_index_monotone_transform_invariant():
     rng = np.random.default_rng(5)
     n = 15
@@ -138,6 +189,17 @@ def test_km_censor_matches_product_limit_oracle():
     for t in np.linspace(0.0, 7.5, 40):
         assert abs(cc.eval([t])[0] - km_eval(jt, js, t)) < 1e-14
         assert abs(cc.eval_left([t])[0] - km_eval(jt, js, t, left=True)) < 1e-14
+
+
+def test_km_censor_equals_the_loop():
+    ds, _ = _tied_problem(2000, seed=45)
+    assert np.any([(ds.delta[ds.y == u] == 0).any()
+                   and (ds.delta[ds.y == u] == 1).any()
+                   for u in np.unique(ds.y)])  # censorings at event times
+    cc = km_censor(ds)
+    times, surv = km_censor_loop(ds.y, ds.delta)
+    assert np.array_equal(cc.times, times)
+    assert np.array_equal(cc.surv, surv)
 
 
 # ------------------------------------------------------------ Brier score
@@ -214,6 +276,53 @@ def test_ibs_skips_dead_weight_nodes():
     with pytest.raises(NumericalError):
         with pytest.warns(RuntimeWarning, match="skipping"):
             ipcw_ibs(sc, ds, np.array([2.1, 2.5, 2.9]), cc)
+
+
+def test_ibs_equals_the_node_loop_with_dead_nodes():
+    tied, sc = _tied_problem(300, seed=47)
+    # no events from t = 30 on, where C dies with subjects still at risk
+    # up to y = 39: the nodes in [30, 39) are dead, and those past the
+    # last time live again
+    ds = _dataset(tied.y, np.where(tied.y < 30, tied.delta, 0), seed=47)
+    censor = KmCensorCurve(times=np.array([10.0, 20.0, 30.0]),
+                           surv=np.array([0.9, 0.6, 0.0]))
+    grid = np.linspace(0.5, 44.0, 30)
+    want, n_dead = ibs_node_loop(sc, ds.y, ds.delta, grid, censor)
+    assert n_dead == np.count_nonzero((grid >= 30) & (grid < ds.y.max()))
+    assert 0 < n_dead < np.count_nonzero(grid >= 30)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = ipcw_ibs(sc, ds, grid, censor)
+    assert got == want
+    assert len(caught) == n_dead
+    assert all("skipping" in str(w.message) for w in caught)
+    for t in grid:
+        node = brier_node(sc.at([t])[:, 0], ds.y, ds.delta, t, censor)
+        if node is None:
+            with pytest.raises(NumericalError):
+                ipcw_brier(sc, ds, t, censor)
+        else:
+            assert ipcw_brier(sc, ds, t, censor) == node
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_metrics_reject_non_finite_curves(bad):
+    rng = np.random.default_rng(49)
+    y = rng.uniform(0.5, 4.5, size=20)
+    delta = rng.integers(0, 2, size=20)
+    delta[np.argmax(y)] = 1
+    ds = _dataset(y, delta)
+    sc = _random_curves(20, seed=50)
+    values = sc.values.copy()
+    values[3] = bad
+    sc = SurvivalCurves(times=sc.times, values=values)
+    cc = km_censor(ds)
+    with pytest.raises(NumericalError, match="non-finite"):
+        c_index(sc, ds)
+    with pytest.raises(NumericalError, match="non-finite"):
+        ipcw_ibs(sc, ds, np.linspace(0.5, 4.0, 9), cc)
+    with pytest.raises(NumericalError, match="non-finite"):
+        ipcw_brier(sc, ds, 2.0, cc)
 
 
 def test_ibs_grid_validation():
