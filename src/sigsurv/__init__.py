@@ -9,37 +9,8 @@ closed-form variational posterior by coordinate ascent; predictions are
 posterior survival curves with credible bands, scored by
 time-dependent concordance and the IPCW (integrated) Brier score.
 
-Submodules are imported lazily so the command-line entry point can cap
-BLAS thread pools before numpy loads.
+Importing the package imports none of its submodules, so the
+command-line entry point can size BLAS thread pools before numpy loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "errors",
-    "numkit",
-    "net",
-    "data",
-    "hazard",
-    "optim",
-    "map_em",
-    "cavi",
-    "predict",
-    "metrics",
-    "checkpoint",
-    "cli",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))

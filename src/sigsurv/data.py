@@ -136,7 +136,8 @@ def _parse_cell(text: str, where: str) -> float:
 
 
 def load_csv(path, schema: dict, stats: FeatureStats | None = None):
-    """Load a headered numeric CSV into a Dataset.
+    """Load a headered numeric CSV (UTF-8, a leading byte-order mark
+    skipped) into a Dataset.
 
     schema: {"time_col": str, "event_col": str,
              "feature_cols": list[str] | "rest"}.
@@ -149,7 +150,7 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
     event_col = schema["event_col"]
     feature_cols = schema["feature_cols"]
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -53,11 +53,6 @@ class MlpModel:
         if sizes[-1] != 1:
             raise ValueError("output layer must be scalar")
 
-    @classmethod
-    def default(cls, p: int) -> "MlpModel":
-        """Two hidden layers of 16 rectified-linear units on input (t, x)."""
-        return cls(layer_sizes=(p + 1, 16, 16, 1))
-
     @property
     def n_params(self) -> int:
         s = self.layer_sizes
@@ -116,15 +111,37 @@ def _as_batch(model: MlpModel, T, X):
     return Z
 
 
-def forward_batch(model: MlpModel, T, X, theta) -> np.ndarray:
-    """g(t_j, x_j; theta) for all rows: T (n,), X (n, p) -> (n,)."""
-    Z = _as_batch(model, T, X)
+def _forward_trace(model: MlpModel, T, X, theta):
+    """The one forward pass: (layers, g (n,), acts), where layers are
+    theta's (W, b) per layer and acts[i] is layer i's input, the raw
+    (t, x) rows first, then each hidden activation."""
+    h = _as_batch(model, T, X)
     layers = unflatten(model, theta)
-    h = Z
+    acts = [h]
     for W, b in layers[:-1]:
         h = np.maximum(h @ W.T + b, 0.0)
+        acts.append(h)
     W, b = layers[-1]
-    return (h @ W.T + b)[:, 0]
+    return layers, (h @ W.T + b)[:, 0], acts
+
+
+def _reverse(model: MlpModel, layers, acts, S):
+    """Walk the layers from last to first, starting from the output
+    sensitivity S (n, 1). Yields (W_slice, b_slice, fan_in, fan_out, S,
+    A) per layer, S the (n, fan_out) sensitivity of the seeded output
+    to the layer's pre-activations and A its (n, fan_in) input. The
+    rectifier's subgradient is 0 at the kink: act > 0 exactly when
+    pre > 0."""
+    slices = list(_layer_slices(model))
+    for li in range(len(layers) - 1, -1, -1):
+        yield (*slices[li], S, acts[li])
+        if li > 0:
+            S = (S @ layers[li][0]) * (acts[li] > 0.0)
+
+
+def forward_batch(model: MlpModel, T, X, theta) -> np.ndarray:
+    """g(t_j, x_j; theta) for all rows: T (n,), X (n, p) -> (n,)."""
+    return _forward_trace(model, T, X, theta)[1]
 
 
 def forward(model: MlpModel, t, x, theta) -> float:
@@ -132,46 +149,20 @@ def forward(model: MlpModel, t, x, theta) -> float:
     return float(forward_batch(model, [t], np.asarray(x)[None, :], theta)[0])
 
 
-def _forward_trace(model: MlpModel, Z, layers):
-    """Forward pass keeping layer inputs and rectifier masks for backprop."""
-    acts = [Z]
-    masks = []
-    h = Z
-    for W, b in layers[:-1]:
-        pre = h @ W.T + b
-        mask = pre > 0.0  # subgradient 0 at the kink
-        h = np.where(mask, pre, 0.0)
-        acts.append(h)
-        masks.append(mask)
-    W, b = layers[-1]
-    out = (h @ W.T + b)[:, 0]
-    return out, acts, masks
-
-
 def jacobian_batch(model: MlpModel, T, X, theta, out=None):
     """Network output and its per-row gradient w.r.t. theta from one
     forward trace: (g (n,), J (n, m)). J is written into `out`, a
     C-contiguous (n, m) float array, when one is given."""
-    Z = _as_batch(model, T, X)
-    layers = unflatten(model, theta)
-    g, acts, masks = _forward_trace(model, Z, layers)
-
-    n = Z.shape[0]
+    layers, g, acts = _forward_trace(model, T, X, theta)
+    n = g.shape[0]
     J = np.empty((n, model.n_params)) if out is None else out
-    # S: (n, fan_out) sensitivity of the output to each pre-activation.
-    S = np.ones((n, 1))
-    slices = list(_layer_slices(model))
-    for li in range(len(layers) - 1, -1, -1):
-        W, _ = layers[li]
-        w_sl, b_sl, fi, fo = slices[li]
-        A = acts[li]
+    for w_sl, b_sl, fi, fo, S, A in _reverse(model, layers, acts,
+                                             np.ones((n, 1))):
         # (n, fo, fi) view of J's weight columns: splitting the
         # contiguous last axis never copies
         np.multiply(S[:, :, None], A[:, None, :],
                     out=J[:, w_sl].reshape(n, fo, fi))
         J[:, b_sl] = S
-        if li > 0:
-            S = (S @ W) * masks[li - 1]
     return g, J
 
 
@@ -190,24 +181,14 @@ def forward_and_grad(model: MlpModel, T, X, theta, weights):
     Jacobian is never materialized, which matters inside the M-step's
     inner optimizer loop.
     """
-    Z = _as_batch(model, T, X)
-    layers = unflatten(model, theta)
-    g, acts, masks = _forward_trace(model, Z, layers)
+    layers, g, acts = _forward_trace(model, T, X, theta)
     w = np.asarray(weights(g), dtype=float).ravel()
-    if w.shape[0] != Z.shape[0]:
+    if w.shape[0] != g.shape[0]:
         raise ValueError("weight vector length mismatch")
-
     grad = np.empty(model.n_params)
-    S = w[:, None]
-    slices = list(_layer_slices(model))
-    for li in range(len(layers) - 1, -1, -1):
-        W, _ = layers[li]
-        w_sl, b_sl, fi, fo = slices[li]
-        A = acts[li]
+    for w_sl, b_sl, fi, fo, S, A in _reverse(model, layers, acts, w[:, None]):
         grad[w_sl] = (S.T @ A).ravel()
         grad[b_sl] = S.sum(axis=0)
-        if li > 0:
-            S = (S @ W) * masks[li - 1]
     return g, grad
 
 
@@ -253,10 +234,6 @@ class LinearizedModel:
     offset: np.ndarray  # (N+P,)
     V: np.ndarray  # (m, r)
     JV: np.ndarray  # (N+P, r)
-
-    @property
-    def n_params(self) -> int:
-        return self.model.n_params
 
     @property
     def J_grid(self) -> np.ndarray:

@@ -307,7 +307,7 @@ def test_build_factor_censoring_partition():
     assert np.all(b[:ds.n][ds.delta == 0] == 0.0)
     keep = b > 0
     Jk = lin.J[keep]
-    want = 0.5 * (np.eye(lin.n_params) + (Jk.T * b[keep]) @ Jk)
+    want = 0.5 * (np.eye(lin.model.n_params) + (Jk.T * b[keep]) @ Jk)
     assert np.allclose(build_factor(state, lin, ctx).assemble_B(), want,
                        rtol=0, atol=1e-12)
 
@@ -315,7 +315,7 @@ def test_build_factor_censoring_partition():
 def test_build_factor_is_the_exact_inverse_in_the_singular_basis():
     ctx, lin, state, b = _swept_weights(seed=11)
     factor = build_factor(state, lin, ctx)
-    m, r = lin.n_params, lin.V.shape[1]
+    m, r = lin.model.n_params, lin.V.shape[1]
     assert r <= min(lin.J.shape)
     assert factor.U.shape == (m, r) and factor.C.shape == (r,)
     want = np.linalg.inv(np.eye(m) + (lin.J.T * b) @ lin.J)

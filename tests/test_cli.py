@@ -14,13 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sigsurv import predict
+from sigsurv import net, predict
 from sigsurv.checkpoint import (body_bytes, decode_array, encode_array,
                                 fit_from_doc, load_checkpoint)
 from sigsurv.cli import main
 from sigsurv.data import load_csv
 from sigsurv.errors import NumericalError
-from sigsurv.net import forward_batch, row_block
+from sigsurv.metrics import SurvivalCurves
+from sigsurv.net import forward_batch, jacobian, row_block
 from sigsurv.numkit import RngStream, build_grid
 from sigsurv.predict import mean_survival_matrix
 
@@ -134,6 +135,34 @@ def test_fit_config_file(workdir, tmp_path, capsys):
                "--config", str(bad)])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("seed = 9\n", encoding="utf-8-sig")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["synth", "--n", "5", "--out", str(a), "--config",
+                 str(cfg)]) == 0
+    assert main(["synth", "--n", "5", "--out", str(b), "--seed", "9"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_unreadable_data_exits_2(workdir, tmp_path, monkeypatch, capsys):
+    # root ignores file modes, so the denial is simulated at open()
+    data = str(workdir / "test.csv")
+    real_open = open
+
+    def denying_open(path, *args, **kwargs):
+        if str(path) == data:
+            raise PermissionError(13, "Permission denied", data)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", denying_open)
+    assert main(["predict", "--checkpoint", str(workdir / "model.json"),
+                 "--data", data, "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Permission denied" in err
+    assert "Traceback" not in err
 
 
 def test_fit_writes_cavi_diagnostics(workdir, tmp_path):
@@ -525,8 +554,14 @@ def test_eval_metrics_json(workdir, tmp_path, capsys):
     assert saved["grid"]["points"] == 15
 
 
-def test_eval_constant_half_baseline(workdir, tmp_path, capsys):
+def test_eval_constant_half_baseline(workdir, tmp_path, monkeypatch, capsys):
     # all-event data: the constant-1/2 predictor scores IBS = 1/4 exactly
+    def constant_half(post, model, prior, theta_map, t_max, X, times, rng,
+                      **kwargs):
+        return SurvivalCurves(times=times,
+                              values=np.full((len(X), times.size), 0.5)), None
+
+    monkeypatch.setattr(predict, "mean_survival_matrix", constant_half)
     data = tmp_path / "events.csv"
     rows = ["time,event,group,x1,x2,x3"]
     rng = np.random.default_rng(0)
@@ -536,7 +571,7 @@ def test_eval_constant_half_baseline(workdir, tmp_path, capsys):
                     f"{rng.normal():.4f}")
     data.write_text("\n".join(rows) + "\n")
     rc = main(["eval", "--checkpoint", str(workdir / "model.json"),
-               "--data", str(data), "--constant-half", "--grid-points", "9"])
+               "--data", str(data), "--grid-points", "9"])
     assert rc == 0
     metrics = json.loads(capsys.readouterr().out)
     assert metrics["ipcw_ibs"] == 0.25
@@ -554,8 +589,14 @@ def test_selftest_passes(capsys):
     assert "[ok] predict-point-mass" in out
 
 
-def test_selftest_detects_sabotage(capsys):
-    assert main(["selftest", "--sabotage-jacobian"]) == 3
+def test_selftest_detects_sabotage(monkeypatch, capsys):
+    def sabotaged(*args):
+        J = jacobian(*args).copy()
+        J[0] += 1.0
+        return J
+
+    monkeypatch.setattr(net, "jacobian", sabotaged)
+    assert main(["selftest"]) == 3
     out = capsys.readouterr().out
     assert "[FAIL]" in out and "jacobian" in out
 

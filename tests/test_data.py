@@ -38,6 +38,18 @@ def test_load_csv_roundtrip(tmp_path):
     assert ds.t_max == 4.0
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    text = "time,event,a,b\n2.5,1,0.1,4.0\n1.0,0,-1.2,2.0\n4.0,1,0.7,0.0\n"
+    plain = _write(tmp_path, "plain.csv", text)
+    bom = tmp_path / "bom.csv"
+    bom.write_text(text, encoding="utf-8-sig")
+    ds_a, stats_a = load_csv(plain, SCHEMA)
+    ds_b, stats_b = load_csv(bom, SCHEMA)
+    for name in ("y", "delta", "X", "t_max"):
+        assert np.array_equal(getattr(ds_a, name), getattr(ds_b, name))
+    assert stats_a.to_doc() == stats_b.to_doc()
+
+
 def test_load_csv_drops_incomplete_rows(tmp_path):
     path = _write(tmp_path, "holes.csv",
                   "time,event,a\n"

@@ -35,11 +35,6 @@ def test_model_param_count():
     assert model.n_params == (5 * 16 + 16) + (16 * 16 + 16) + (16 * 1 + 1)
 
 
-def test_model_default_architecture():
-    model = MlpModel.default(4)
-    assert model.layer_sizes == (5, 16, 16, 1)
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         MlpModel((4,))
@@ -237,6 +232,22 @@ def test_forward_and_grad_matches_forward_then_weighted_sum():
                        @ (a - b * g_want), rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):
         forward_and_grad(model, T, X, theta, lambda g: g[:-1])
+
+
+@pytest.mark.parametrize("network_pass", [
+    forward_batch,
+    lambda *a: jacobian_batch(*a)[0],
+    lambda *a: forward_and_grad(*a, lambda g: np.ones_like(g))[0],
+], ids=["forward_batch", "jacobian_batch", "forward_and_grad"])
+def test_nan_parameter_gives_nan_output_on_every_pass(network_pass):
+    # a NaN in the first hidden bias reaches g on every pass: the
+    # rectifier passes it through instead of zeroing it
+    model = MlpModel((3, 4, 1))
+    rng = np.random.default_rng(5)
+    theta = rng.normal(size=model.n_params)
+    theta[3 * 4] = np.nan
+    T, X = rng.uniform(0, 1, size=6), rng.normal(size=(6, 2))
+    assert np.all(np.isnan(network_pass(model, T, X, theta)))
 
 
 # ------------------------------------------------- flat parameter layout
