@@ -308,23 +308,13 @@ def update_phi(state: VariationalState, ctx: HazardContext) -> VariationalState:
     return replace(state, alpha_tilde=alpha, e_log_phi=e_log_phi)
 
 
-def _row_coefficients(state: VariationalState, lin: LinearizedModel,
-                      ctx: HazardContext):
-    """(a, b) of the row block with tau = pg_mean(1, s~) at the live
-    pairs."""
-    tau = pg_mean(1.0, state.s_tilde[lin.n_event:])
-    return row_coefficients(ctx, state.e_omega, state.lam_q, tau)
-
-
-def build_factor(
-    state: VariationalState, lin: LinearizedModel, ctx: HazardContext
-) -> LowRankFactor:
-    """Sigma~'s factor: M = (JV)^T diag(b) JV = Q diag(c) Q^T (c clamped
-    at 0 against rounding), U = V Q and C = c, so that
-    U C U^T = J^T diag(b) J on J's row space. b carries delta_i
-    E[omega_i] on the event rows and the folded quadrature weight
-    v_ik lambda_ik tau_ik, tau = pg_mean(1, s~), on the live pairs."""
-    _, b = _row_coefficients(state, lin, ctx)
+def build_factor(b, lin: LinearizedModel) -> LowRankFactor:
+    """Sigma~'s factor from the row weights b (N+P,): M = (JV)^T diag(b)
+    JV = Q diag(c) Q^T (c clamped at 0 against rounding), U = V Q and
+    C = c, so that U C U^T = J^T diag(b) J on J's row space. b carries
+    delta_i E[omega_i] on the event rows and the folded quadrature
+    weight v_ik lambda_ik tau_ik, tau = pg_mean(1, s~), on the live
+    pairs (`hazard.row_coefficients`)."""
     c, Q = np.linalg.eigh((lin.JV * b[:, None]).T @ lin.JV)
     return LowRankFactor(U=lin.V @ Q, C=np.maximum(c, 0.0))
 
@@ -338,12 +328,15 @@ def update_theta(
     A = J^T (a - b off) over the row block and off = g_map - J theta_map
     the linearization offset, then the cached moments on the whole row
     block: m~ = off + J mu~ and s~ = sqrt(m~^2 + rows of J Sigma~ J^T).
-    In the factor's basis, with w = diag(1/(1+c)) (JV Q)^T (a - b off),
-    mu~ = U w and J mu~ = JV Q w (mu~ lies in J's row space), and the
-    rows of J Sigma~ J^T are the squared row norms of
-    JV Q diag((1+c)^(-1/2))."""
-    factor = build_factor(state, lin, ctx)
-    a, b = _row_coefficients(state, lin, ctx)
+    The row coefficients (a, b) are derived once, with
+    tau = pg_mean(1, s~) at the live pairs, and b also builds the
+    factor. In the factor's basis, with
+    w = diag(1/(1+c)) (JV Q)^T (a - b off), mu~ = U w and
+    J mu~ = JV Q w (mu~ lies in J's row space), and the rows of
+    J Sigma~ J^T are the squared row norms of JV Q diag((1+c)^(-1/2))."""
+    tau = pg_mean(1.0, state.s_tilde[lin.n_event:])
+    a, b = row_coefficients(ctx, state.e_omega, state.lam_q, tau)
+    factor = build_factor(b, lin)
     JVQ = lin.JV @ (lin.V.T @ factor.U)  # Q = V^T U
     shrink = 1.0 / (1.0 + factor.C)
     w = shrink * (JVQ.T @ (a - b * lin.offset))

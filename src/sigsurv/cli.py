@@ -238,6 +238,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "converged": bool(em.converged),
             "final_q": float(em.q_trace[-1]),
             "message": em.message,
+            # the M-steps' objective evaluations; gradients among them
+            "evaluations": em.n_fev,
+            "gradients": em.n_grad,
             # 0.0: the MAP network ignores time and covariates
             "g_spread": float(lin.g.max() - lin.g.min()),
         },
@@ -346,7 +349,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rng = RngStream.from_seed(cfg["seed"])
     curves, _ = mean_survival_matrix(
         fit.post, fit.model, fit.prior, fit.theta_map, fit.t_max,
-        ds.X, grid, rng, n_draws=cfg["draws"], level=cfg["level"],
+        ds.X, grid, rng, n_draws=cfg["draws"], level=None,
         workers=args.threads,
     )
 

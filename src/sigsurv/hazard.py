@@ -15,15 +15,17 @@ training horizon), matching the network's time input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .errors import InputError, NumericalError
-# jacobian_batch is not called here any more; it stays importable from
-# this namespace because bench/layers.py wraps it here.
-from .net import MlpModel, forward_batch, jacobian_batch, row_block  # noqa: F401
+# forward_batch and jacobian_batch are not called here any more; they
+# stay importable from this namespace because bench/layers.py wraps them
+# here.
+from .net import (MlpModel, Trace, forward_batch, jacobian_batch,  # noqa: F401
+                  row_block, trace)
 from .numkit import QuadratureGrid, RngStream, build_grid, log_gamma, sigmoid
 
 __all__ = [
@@ -92,19 +94,43 @@ class HazardContext:
     and then the P live pairs, the (subject, node) pairs with nonzero
     trapezoid weight, packed subject-major (C order of
     `grid.live_mask()`); a pair with zero weight adds nothing to any
-    quadrature. `w_live` and `base_live` are the live pairs' weights and
-    baseline factor, `base_event` the factor at the event times."""
+    quadrature. `inputs` is the block's read-only network input, one
+    (t, x) row each, built once. `w_live` and `base_live` are the live
+    pairs' weights and baseline factor, `base_event` the factor at the
+    event times."""
 
     model: MlpModel
     prior: BaselinePrior
     dataset: Dataset
     grid: QuadratureGrid
-    t_rows: np.ndarray       # (N+P,) event times, then node times
-    x_rows: np.ndarray       # (N+P, p) subject covariates
+    inputs: np.ndarray       # (N+P, p+1) (t, x) rows: events, then live pairs
     w_live: np.ndarray       # (P,) trapezoid weights
     base_live: np.ndarray    # (P,) t^(rho-1)/Z at the live pairs
     base_event: np.ndarray   # (N,) t^(rho-1)/Z at the event times
     phi_rate: float
+    # [(theta bytes, Trace)] of the last `trace` call, or [None]
+    _last: list = field(default_factory=lambda: [None], init=False,
+                        repr=False, compare=False)
+
+    def trace(self, theta) -> Trace:
+        """The network's forward trace over the row block at theta, its
+        g read-only. The context keeps the last trace it made and gives
+        it again for a theta of the same bytes, so one pass at an EM
+        iterate serves the line search that found it, the log
+        posterior, the next E-step and the next M-step's first
+        evaluation. It keeps no other: the last is dropped before the
+        next is made. Each slot write is one (key, trace) pair, so a
+        concurrent call returns its own trace or a consistent kept one."""
+        theta = np.array(theta, dtype=float)  # a copy the trace owns
+        key = theta.tobytes()
+        last = self._last[0]
+        if last is not None and last[0] == key:
+            return last[1]
+        self._last[0] = None
+        tr = trace(self.model, self.inputs, theta)
+        tr.g.flags.writeable = False
+        self._last[0] = (key, tr)
+        return tr
 
 
 def build_context(
@@ -121,6 +147,8 @@ def build_context(
     if grid is None:
         grid = build_grid(dataset.y_norm, n_nodes)
     t_rows, x_rows = row_block(grid, dataset)
+    inputs = np.column_stack([t_rows, x_rows])
+    inputs.flags.writeable = False
     base = baseline_factor(model, prior, t_rows, x_rows)
     n = dataset.n
     w_live = grid.weights[grid.live_mask()]
@@ -129,8 +157,7 @@ def build_context(
         prior=prior,
         dataset=dataset,
         grid=grid,
-        t_rows=t_rows,
-        x_rows=x_rows,
+        inputs=inputs,
         w_live=w_live,
         base_live=base[n:],
         base_event=base[:n],
@@ -154,12 +181,13 @@ def row_coefficients(ctx: HazardContext, e_omega, lam, tau):
 def log_likelihood(ctx: HazardContext, phi: float, theta) -> float:
     """Right-censored log likelihood sum_i [delta_i log lambda(y_i|x_i)
     - int_0^{y_i} lambda dt], the integral by the context's quadrature
-    grid. Exact network evaluations (no linearization)."""
+    grid. Exact network evaluations (no linearization), g from the
+    context's trace at theta (`HazardContext.trace`)."""
     if phi <= 0:
         raise InputError("phi must be positive")
     ds = ctx.dataset
 
-    g = forward_batch(ctx.model, ctx.t_rows, ctx.x_rows, theta)
+    g = ctx.trace(theta).g
     lam_event = phi * ctx.base_event * sigmoid(g[:ds.n])
     cum = float((ctx.w_live * (phi * ctx.base_live * sigmoid(g[ds.n:]))).sum())
 

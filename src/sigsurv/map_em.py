@@ -6,6 +6,13 @@ the thinned-process rates/moments at quadrature nodes from the current
 (theta, log phi) with the in-house L-BFGS. Network evaluations here are
 exact (no linearization) — the linearized machinery starts only in the
 variational stage that consumes this module's MAP estimate.
+
+Every evaluation reads g from the context's trace at its theta
+(`HazardContext.trace`), which keeps the last trace it made: the trial
+point the line search accepts is traced once, and that pass serves the
+log posterior, the next E-step and the next M-step's first evaluation.
+The M-step's objective takes the gradient lazily, so a trial that
+fails sufficient decrease pays for the forward pass alone.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .hazard import HazardContext, log_posterior, row_coefficients
-# grad_weighted_sum is not called here any more; it stays importable
-# from this namespace because bench/layers.py wraps it here.
-from .net import forward_and_grad, forward_batch, grad_weighted_sum  # noqa: F401
+# forward_batch and grad_weighted_sum are not called here any more; they
+# stay importable from this namespace because bench/layers.py wraps them
+# here.
+from .net import forward_batch, grad_weighted_sum  # noqa: F401
 from .numkit import RngStream, pg_mean, sigmoid
 from .optim import OptimResult, minimize_lbfgs
 
@@ -48,6 +56,12 @@ class EmState:
         if self.lam_grid is None:
             raise InputError("latent updates have not been run on this state")
 
+    def row_coefficients(self, ctx: HazardContext):
+        """(a, b) of the row block's quadratic form in g under these
+        latents (`hazard.row_coefficients`)."""
+        self.require_latents()
+        return row_coefficients(ctx, self.e_omega, self.lam_grid, self.tau_grid)
+
 
 @dataclass
 class EmResult:
@@ -55,7 +69,9 @@ class EmResult:
     constant dropped, so monotonicity across iterations is not
     guaranteed — the latent entropy drifts); objective_trace holds the
     log posterior under the shared quadrature, which full EM iterations
-    can never decrease. Convergence is judged on q_trace."""
+    can never decrease. Convergence is judged on q_trace. n_fev counts
+    the M-steps' objective evaluations and n_grad the gradients among
+    them."""
 
     theta_map: np.ndarray
     phi_map: float
@@ -65,6 +81,8 @@ class EmResult:
     converged: bool
     n_iter: int
     message: str
+    n_fev: int
+    n_grad: int
 
 
 def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
@@ -77,7 +95,7 @@ def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
     if not np.all(np.isfinite(theta)) or not np.isfinite(phi) or phi <= 0:
         raise InputError("state parameters must be finite with phi > 0")
 
-    g = forward_batch(ctx.model, ctx.t_rows, ctx.x_rows, theta)
+    g = ctx.trace(theta).g
     c_event = ds.delta * np.abs(g[:ds.n])
     e_omega = pg_mean(1.0, c_event)
 
@@ -94,13 +112,6 @@ def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
         state, c_event=c_event, e_omega=e_omega,
         lam_grid=lam_grid, tau_grid=tau_grid, a_coef=a_coef,
     )
-
-
-def _coefficients(ctx: HazardContext, state: EmState, phi: float):
-    state.require_latents()
-    if phi <= 0:
-        raise InputError("phi must be positive")
-    return row_coefficients(ctx, state.e_omega, state.lam_grid, state.tau_grid)
 
 
 def _q_value(ctx: HazardContext, state: EmState, theta, phi: float,
@@ -121,20 +132,27 @@ def q_function(ctx: HazardContext, state: EmState, theta, phi: float) -> float:
     """Q(theta, phi | state latents), up to the additive constant the
     entropy terms contribute (dropped, so values compare within a run
     only)."""
-    a, b = _coefficients(ctx, state, phi)
-    g = forward_batch(ctx.model, ctx.t_rows, ctx.x_rows, theta)
-    return _q_value(ctx, state, theta, phi, g, a, b)
+    return q_grad(ctx, state, theta, phi, state.row_coefficients(ctx))[0]
 
 
-def q_grad(ctx: HazardContext, state: EmState, theta, phi: float):
-    """(Q, gradient of Q w.r.t. (theta, log phi) of length m + 1), both
-    from one network trace over the row block."""
-    a, b = _coefficients(ctx, state, phi)
-    g, d_rows = forward_and_grad(ctx.model, ctx.t_rows, ctx.x_rows, theta,
-                                 lambda g: a - b * g)
-    q = _q_value(ctx, state, theta, phi, g, a, b)
-    d_logphi = state.a_coef - ctx.phi_rate * phi
-    return q, np.concatenate([d_rows - theta, [d_logphi]])
+def q_grad(ctx: HazardContext, state: EmState, theta, phi: float, coef):
+    """Q at (theta, phi) and a zero-argument callable for the gradient
+    of Q w.r.t. (theta, log phi), length m + 1. coef = (a, b) are the
+    state's row coefficients (`EmState.row_coefficients`), which an
+    M-step builds once for all its evaluations. Both come from the
+    context's trace at theta; the gradient's reverse walk runs only
+    when the callable is called."""
+    if phi <= 0:
+        raise InputError("phi must be positive")
+    a, b = coef
+    q = _q_value(ctx, state, theta, phi, ctx.trace(theta).g, a, b)
+
+    def grad():
+        tr = ctx.trace(theta)
+        d_logphi = state.a_coef - ctx.phi_rate * phi
+        return np.concatenate([tr.grad(a - b * tr.g) - theta, [d_logphi]])
+
+    return q, grad
 
 
 def em_m_step(
@@ -153,9 +171,11 @@ def em_m_step(
             "log-phi coefficient in Q is nonpositive; Q is unbounded as phi -> 0"
         )
 
+    coef = state.row_coefficients(ctx)
+
     def neg_q(z):
-        q, grad = q_grad(ctx, state, z[:-1], float(np.exp(z[-1])))
-        return -q, -grad
+        q, grad = q_grad(ctx, state, z[:-1], float(np.exp(z[-1])), coef)
+        return -q, lambda: -grad()
 
     z0 = np.concatenate([state.theta, [np.log(state.phi)]])
     res = minimize_lbfgs(neg_q, z0, memory=10, max_iter=max_iter, gtol=gtol)
@@ -199,6 +219,7 @@ def run_em(
     q_trace: list[float] = []
     objective_trace: list[float] = []
     records: list[dict] = []
+    n_fev = n_grad = 0
     hits = 0
     converged = False
     message = "iteration cap reached"
@@ -209,6 +230,8 @@ def run_em(
                                       gtol=m_step_gtol)
         q_trace.append(q_val)
         objective_trace.append(log_posterior(ctx, state.phi, state.theta))
+        n_fev += res.n_fev
+        n_grad += res.n_grad
         records.append(
             {
                 "iteration": it,
@@ -217,6 +240,8 @@ def run_em(
                 "objective": objective_trace[-1],
                 "phi": state.phi,
                 "theta_norm": float(np.linalg.norm(state.theta)),
+                "evaluations": res.n_fev,
+                "gradients": res.n_grad,
             }
         )
         if len(q_trace) >= 2:
@@ -235,4 +260,6 @@ def run_em(
         converged=converged,
         n_iter=it + 1,
         message=message,
+        n_fev=n_fev,
+        n_grad=n_grad,
     )

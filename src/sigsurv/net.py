@@ -27,6 +27,8 @@ __all__ = [
     "jacobian_batch",
     "forward_and_grad",
     "grad_weighted_sum",
+    "Trace",
+    "trace",
     "row_block",
     "unflatten",
     "LinearizedModel",
@@ -111,18 +113,24 @@ def _as_batch(model: MlpModel, T, X):
     return Z
 
 
-def _forward_trace(model: MlpModel, T, X, theta):
-    """The one forward pass: (layers, g (n,), acts), where layers are
-    theta's (W, b) per layer and acts[i] is layer i's input, the raw
-    (t, x) rows first, then each hidden activation."""
-    h = _as_batch(model, T, X)
+def _forward(model: MlpModel, Z, theta):
+    """The one forward pass, over a built (n, p+1) input Z of (t, x)
+    rows: (layers, g (n,), acts), where layers are theta's (W, b) per
+    layer and acts[i] is layer i's input, Z first, then each hidden
+    activation. Each layer's bias and rectifier act in place on its
+    product, which gives the bits of h @ W.T + b and np.maximum."""
     layers = unflatten(model, theta)
-    acts = [h]
+    acts = [Z]
+    h = Z
     for W, b in layers[:-1]:
-        h = np.maximum(h @ W.T + b, 0.0)
+        h = h @ W.T
+        h += b
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
     W, b = layers[-1]
-    return layers, (h @ W.T + b)[:, 0], acts
+    out = h @ W.T
+    out += b
+    return layers, out[:, 0], acts
 
 
 def _reverse(model: MlpModel, layers, acts, S):
@@ -136,12 +144,45 @@ def _reverse(model: MlpModel, layers, acts, S):
     for li in range(len(layers) - 1, -1, -1):
         yield (*slices[li], S, acts[li])
         if li > 0:
-            S = (S @ layers[li][0]) * (acts[li] > 0.0)
+            S = S @ layers[li][0]
+            S *= acts[li] > 0.0
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A finished forward pass of the network over n input rows at one
+    theta: theta's (W, b) per layer, the output g (n,) and each layer's
+    input. `grad(w)` walks it back once for a weight vector w."""
+
+    model: MlpModel
+    layers: list
+    g: np.ndarray
+    acts: list
+
+    def grad(self, w) -> np.ndarray:
+        """Gradient of sum_j w_j g(t_j, x_j; theta) w.r.t. theta, w (n,)
+        held fixed: one reverse pass seeded with w, the (n, m) Jacobian
+        never materialized."""
+        w = np.asarray(w, dtype=float).ravel()
+        if w.shape[0] != self.g.shape[0]:
+            raise ValueError("weight vector length mismatch")
+        grad = np.empty(self.model.n_params)
+        for w_sl, b_sl, fi, fo, S, A in _reverse(self.model, self.layers,
+                                                 self.acts, w[:, None]):
+            grad[w_sl] = (S.T @ A).ravel()
+            grad[b_sl] = S.sum(axis=0)
+        return grad
+
+
+def trace(model: MlpModel, Z, theta) -> Trace:
+    """The forward pass over a built (n, p+1) input Z whose rows are
+    (t, x), as `Trace`. Z is read, never written."""
+    return Trace(model, *_forward(model, Z, theta))
 
 
 def forward_batch(model: MlpModel, T, X, theta) -> np.ndarray:
     """g(t_j, x_j; theta) for all rows: T (n,), X (n, p) -> (n,)."""
-    return _forward_trace(model, T, X, theta)[1]
+    return _forward(model, _as_batch(model, T, X), theta)[1]
 
 
 def forward(model: MlpModel, t, x, theta) -> float:
@@ -153,7 +194,7 @@ def jacobian_batch(model: MlpModel, T, X, theta, out=None):
     """Network output and its per-row gradient w.r.t. theta from one
     forward trace: (g (n,), J (n, m)). J is written into `out`, a
     C-contiguous (n, m) float array, when one is given."""
-    layers, g, acts = _forward_trace(model, T, X, theta)
+    layers, g, acts = _forward(model, _as_batch(model, T, X), theta)
     n = g.shape[0]
     J = np.empty((n, model.n_params)) if out is None else out
     for w_sl, b_sl, fi, fo, S, A in _reverse(model, layers, acts,
@@ -175,21 +216,11 @@ def forward_and_grad(model: MlpModel, T, X, theta, weights):
     """g(t_j, x_j; theta) for all rows together with the gradient of
     sum_j w_j g(t_j, x_j; theta) w.r.t. theta, where w = weights(g) is
     computed from the output of the same forward trace and held fixed
-    under the derivative. Returns (g (n,), grad (m,)).
-
-    One forward trace and one reverse pass with seed w; the (n, m)
-    Jacobian is never materialized, which matters inside the M-step's
-    inner optimizer loop.
+    under the derivative. Returns (g (n,), grad (m,)): one forward
+    trace and one reverse pass with seed w (`Trace.grad`).
     """
-    layers, g, acts = _forward_trace(model, T, X, theta)
-    w = np.asarray(weights(g), dtype=float).ravel()
-    if w.shape[0] != g.shape[0]:
-        raise ValueError("weight vector length mismatch")
-    grad = np.empty(model.n_params)
-    for w_sl, b_sl, fi, fo, S, A in _reverse(model, layers, acts, w[:, None]):
-        grad[w_sl] = (S.T @ A).ravel()
-        grad[b_sl] = S.sum(axis=0)
-    return g, grad
+    tr = trace(model, _as_batch(model, T, X), theta)
+    return tr.g, tr.grad(weights(tr.g))
 
 
 def grad_weighted_sum(model: MlpModel, T, X, theta, w) -> np.ndarray:

@@ -200,7 +200,7 @@ def mean_survival_matrix(
     times,
     rng: RngStream,
     n_draws: int = 200,
-    level: float = 0.9,
+    level: float | None = 0.9,
     workers: int | None = None,
 ):
     """Posterior-mean survival curves for every row of X under one
@@ -208,7 +208,8 @@ def mean_survival_matrix(
     subjects, so between-subject curve differences reflect covariates
     rather than Monte-Carlo noise). Returns (SurvivalCurves of the
     means, SurvivalBands of the per-subject median and band); below 20
-    draws the band is the draws' (min, max).
+    draws the band is the draws' (min, max). With level None it returns
+    (curves, None) and computes no band.
 
     The chunks of subjects run on min(CPUs, chunks) threads, at most
     `workers` when given: this one and a pool of the rest, or this one
@@ -224,7 +225,7 @@ def mean_survival_matrix(
     phi_draws, shift = _draw_posterior(post, theta_map, rng, n_draws)
     n = X.shape[0]
     per_chunk = max(1, _CHUNK_FLOATS // (tq.size * theta_map.size))
-    out = np.empty((4, n, times.size))
+    out = np.empty((1 if level is None else 4, n, times.size))
 
     def score(starts, ws) -> None:
         for start in starts:
@@ -232,6 +233,8 @@ def mean_survival_matrix(
             surv = _survival_draws(ws, model, prior, theta_map, tq,
                                    prepend_zero, X[rows], phi_draws, shift)
             out[0, rows] = surv.mean(axis=-1)
+            if level is None:
+                continue
             if n_draws >= 20:
                 out[1:, rows] = credible_band(surv, level)
             else:
@@ -255,7 +258,8 @@ def mean_survival_matrix(
             score(starts[0::k], spaces[0])
             for job in jobs:
                 job.result()
-    mean, median, lo, hi = out
-    return (SurvivalCurves(times=times, values=mean),
-            SurvivalBands(median=median, lo=lo, hi=hi, level=level,
-                          flagged_extrapolation=flagged))
+    curves = SurvivalCurves(times=times, values=out[0])
+    if level is None:
+        return curves, None
+    return curves, SurvivalBands(median=out[1], lo=out[2], hi=out[3],
+                                 level=level, flagged_extrapolation=flagged)

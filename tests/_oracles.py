@@ -418,6 +418,85 @@ def em_full_grid(forward, grad_sum, y_norm, delta, X, nodes, weights,
     }
 
 
+def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500,
+                 m_step_iters=100, m_step_gtol=1e-6):
+    """`map_em.run_em` as it ran before its evaluations shared network
+    traces: every network value is a fresh `forward_batch` over the row
+    block's (t, x) rows, every M-step evaluation takes its gradient at
+    once through `forward_and_grad` and hands the optimizer a callable
+    returning it, and the latents, (a, b), Q, its gradient and the log
+    posterior are written out in full in the library's operation
+    order. Unlike the oracles above it calls the package's network,
+    Polya-Gamma mean and optimizer: what it checks is that sharing
+    traces and deferring gradients changes no bit of the fit. Returns
+    (theta, phi, q_trace, objective_trace, records, n_iter)."""
+    from sigsurv.hazard import log_prior
+    from sigsurv.net import forward_and_grad, forward_batch
+    from sigsurv.numkit import pg_mean, sigmoid
+    from sigsurv.optim import minimize_lbfgs
+
+    model, ds = ctx.model, ctx.dataset
+    T, X, n, delta = ctx.inputs[:, 0], ctx.inputs[:, 1:], ds.n, ds.delta
+    theta = (model.random_theta(rng, scale=init_scale) if init_scale > 0
+             else model.zero_theta())
+    phi = ctx.prior.alpha0 / ctx.prior.beta0
+
+    def log_post(phi, theta):
+        g = forward_batch(model, T, X, theta)
+        lam_event = phi * ctx.base_event * sigmoid(g[:n])
+        cum = float((ctx.w_live * (phi * ctx.base_live * sigmoid(g[n:]))).sum())
+        with np.errstate(divide="ignore"):
+            log_lam = np.log(lam_event)
+        event_terms = np.where(delta == 1, log_lam, 0.0)
+        return float(event_terms.sum() - cum) + log_prior(
+            model, ctx.prior, phi, theta)
+
+    q_trace, objective_trace, records = [], [], []
+    hits = 0
+    it = 0
+    for it in range(max_iter):
+        g = forward_batch(model, T, X, theta)
+        e_omega = pg_mean(1.0, delta * np.abs(g[:n]))
+        ag = np.abs(g[n:])
+        lam = ctx.base_live * phi * sigmoid(ag) * np.exp(-0.5 * (g[n:] + ag))
+        tau = pg_mean(1.0, ag)
+        a_coef = (ctx.prior.alpha0 - 1.0 + float(delta.sum())
+                  + float((ctx.w_live * lam).sum()))
+        vlam = ctx.w_live * lam
+        a = np.concatenate([0.5 * delta, -0.5 * vlam])
+        b = np.concatenate([delta * e_omega, vlam * tau])
+
+        def neg_q(z):
+            th, ph = z[:-1], float(np.exp(z[-1]))
+            g, d_rows = forward_and_grad(model, T, X, th,
+                                         lambda g: a - b * g)
+            q = (float((a * g - 0.5 * b * g**2).sum())
+                 + -0.5 * float(th @ th)
+                 + (a_coef * float(np.log(ph)) - ctx.phi_rate * ph))
+            grad = np.concatenate([d_rows - th,
+                                   [a_coef - ctx.phi_rate * ph]])
+            return -q, lambda: -grad
+
+        res = minimize_lbfgs(neg_q, np.concatenate([theta, [np.log(phi)]]),
+                             memory=10, max_iter=m_step_iters, gtol=m_step_gtol)
+        theta, phi = res.x[:-1], float(np.exp(res.x[-1]))
+        q_trace.append(-res.f)
+        objective_trace.append(log_post(phi, theta))
+        records.append({
+            "iteration": it, "q": -res.f, "q_before_m_step": -res.f0,
+            "objective": objective_trace[-1], "phi": phi,
+            "theta_norm": float(np.linalg.norm(theta)),
+            "evaluations": res.n_fev, "gradients": res.n_grad,
+        })
+        if len(q_trace) >= 2:
+            rel = abs(q_trace[-1] - q_trace[-2]) / (abs(q_trace[-2]) + 1e-12)
+            hits = hits + 1 if rel < tol else 0
+            if hits >= 2:
+                break
+    return (theta, phi, np.asarray(q_trace), np.asarray(objective_trace),
+            records, it + 1)
+
+
 # ----------------------------------------------------------------- CAVI bits
 
 def psi_rate_scalar(m_t, s_t, e_log_phi, base) -> float:

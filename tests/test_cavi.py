@@ -308,13 +308,17 @@ def test_build_factor_censoring_partition():
     keep = b > 0
     Jk = lin.J[keep]
     want = 0.5 * (np.eye(lin.model.n_params) + (Jk.T * b[keep]) @ Jk)
-    assert np.allclose(build_factor(state, lin, ctx).assemble_B(), want,
+    assert np.allclose(build_factor(b, lin).assemble_B(), want,
                        rtol=0, atol=1e-12)
 
 
 def test_build_factor_is_the_exact_inverse_in_the_singular_basis():
     ctx, lin, state, b = _swept_weights(seed=11)
-    factor = build_factor(state, lin, ctx)
+    factor = build_factor(b, lin)
+    # the theta update builds its factor from the same row weights
+    swept = update_theta(state, lin, ctx).sigma
+    assert np.array_equal(swept.U, factor.U)
+    assert np.array_equal(swept.C, factor.C)
     m, r = lin.model.n_params, lin.V.shape[1]
     assert r <= min(lin.J.shape)
     assert factor.U.shape == (m, r) and factor.C.shape == (r,)

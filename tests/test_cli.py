@@ -106,6 +106,15 @@ def test_fit_synth_n_and_trace(tmp_path):
     assert "em" in doc and "cavi_rel_change" in doc
     qs = [rec["q"] for rec in doc["em"]]
     assert all(b >= a - 1e-8 for a, b in zip(qs, qs[1:]))
+    # each M-step's objective evaluations and the gradients among them,
+    # summed in the checkpoint's diagnostics
+    assert all(1 <= rec["gradients"] <= rec["evaluations"]
+               for rec in doc["em"])
+    _, body = load_checkpoint(ck)
+    em = body["diagnostics"]["em"]
+    assert em["evaluations"] == sum(rec["evaluations"] for rec in doc["em"])
+    assert em["gradients"] == sum(rec["gradients"] for rec in doc["em"])
+    assert em["gradients"] < em["evaluations"]
 
 
 def test_fit_nonconvergence_exit_code(workdir, tmp_path):

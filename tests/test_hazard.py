@@ -95,9 +95,10 @@ def test_build_context_dimensions_and_constants():
     # subject-major
     subject, node = np.nonzero(ctx.grid.weights > 0)
     assert 0 < subject.size < 3 * 16
-    assert np.array_equal(ctx.t_rows, np.concatenate([ds.y_norm,
-                                                      ctx.grid.nodes[node]]))
-    assert np.array_equal(ctx.x_rows, np.vstack([ds.X, ds.X[subject]]))
+    # each row of the network input is (t, x)
+    assert np.array_equal(ctx.inputs[:, 0],
+                          np.concatenate([ds.y_norm, ctx.grid.nodes[node]]))
+    assert np.array_equal(ctx.inputs[:, 1:], np.vstack([ds.X, ds.X[subject]]))
     assert np.array_equal(ctx.w_live, ctx.grid.weights[subject, node])
     # t^(rho-1) / Z with Z = 1/2 is the constant 2
     assert np.array_equal(ctx.base_live, np.full(subject.size, 2.0))

@@ -19,11 +19,15 @@ from sigsurv.map_em import (
     q_grad,
     run_em,
 )
+from sigsurv import net
+from sigsurv.data import gen_synthetic, standardize
 from sigsurv.net import (MlpModel, forward_batch, grad_weighted_sum,
                          unflatten)
 from sigsurv.numkit import RngStream, sigmoid
 
-from _oracles import em_full_grid, q_straightline
+from _oracles import em_full_grid, q_straightline, run_em_eager
+
+ROOT_SEED = 20260814
 
 
 def _toy_ctx(n_nodes=12, seed=0, layers=(3, 4, 1), n=6, t_max=1.0,
@@ -148,9 +152,9 @@ def test_packed_em_matches_full_grid_oracle(rho):
     assert np.isclose(state.a_coef, want["a_coef"], **close)
     assert np.isclose(ctx.phi_rate, want["phi_rate"], **close)
     assert np.isclose(q_function(ctx, state, theta, 0.8), want["q"], **close)
-    q, grad = q_grad(ctx, state, theta, 0.8)
+    q, grad = q_grad(ctx, state, theta, 0.8, state.row_coefficients(ctx))
     assert np.isclose(q, want["q"], **close)
-    assert np.allclose(grad, want["grad"], **close)
+    assert np.allclose(grad(), want["grad"], **close)
 
 
 # ----------------------------------------------------------- Q function
@@ -222,8 +226,9 @@ def test_q_grad_matches_finite_differences():
         ctx, EmState(theta=rng.normal(size=ctx.model.n_params) * 0.3, phi=1.2)
     )
     theta = rng.normal(size=ctx.model.n_params) * 0.3
-    q, g = q_grad(ctx, state, theta, 1.2)
+    q, grad = q_grad(ctx, state, theta, 1.2, state.row_coefficients(ctx))
     assert q == q_function(ctx, state, theta, 1.2)
+    g = grad()
     h = 1e-6
     for j in range(0, ctx.model.n_params, 3):
         e = np.zeros(ctx.model.n_params)
@@ -346,3 +351,72 @@ def test_run_em_zero_init_scale_starts_at_origin():
                 max_iter=3)
     assert len(em.q_trace) == len(em.records)
     assert em.records[0]["iteration"] == 0
+
+
+# ------------------------------------------------- shared network traces
+
+
+def _gate_ctx(n, key):
+    raw = gen_synthetic(n, RngStream.from_seed(ROOT_SEED).child(key))
+    X_std, _ = standardize(raw.X)
+    ds = Dataset(X=X_std, y=raw.y, delta=raw.delta)
+    return build_context(MlpModel((ds.p + 1, 16, 16, 1)), BaselinePrior(),
+                         ds, n_nodes=64)
+
+
+def _assert_equals_eager(ctx, em, want):
+    theta, phi, q_trace, objective_trace, records, n_iter = want
+    assert em.theta_map.tobytes() == theta.tobytes()
+    assert em.phi_map == phi
+    assert em.q_trace.tobytes() == q_trace.tobytes()
+    assert em.objective_trace.tobytes() == objective_trace.tobytes()
+    assert em.records == records
+    assert em.n_iter == n_iter
+    assert em.n_fev == sum(r["evaluations"] for r in records)
+    assert em.n_grad == sum(r["gradients"] for r in records) < em.n_fev
+
+
+def test_run_em_equals_the_eager_oracle_on_the_gate_set(small_fit):
+    # small_fit is the gate's N=25 fit (training key 25, EM stream 26)
+    want = run_em_eager(small_fit.ctx,
+                        RngStream.from_seed(ROOT_SEED).child(26))
+    _assert_equals_eager(small_fit.ctx, small_fit.em, want)
+
+
+def test_run_em_equals_the_eager_oracle_off_the_collapsed_set():
+    # the gate's N=50 set from a wide start: g varies across rows
+    ctx = _gate_ctx(50, 50)
+    em = run_em(ctx, RngStream.from_seed(ROOT_SEED).child(51),
+                init_scale=1.0, max_iter=4)
+    g = forward_batch(ctx.model, ctx.inputs[:, 0], ctx.inputs[:, 1:],
+                      em.theta_map)
+    assert g.max() - g.min() > 1.0
+    want = run_em_eager(ctx, RngStream.from_seed(ROOT_SEED).child(51),
+                        init_scale=1.0, max_iter=4)
+    _assert_equals_eager(ctx, em, want)
+
+
+@pytest.mark.parametrize("n, key, scale, iters",
+                         [(25, 25, 0.1, 500), (50, 50, 1.0, 4)])
+def test_run_em_traces_no_theta_more_than_twice(monkeypatch, n, key, scale,
+                                                iters):
+    ctx = _gate_ctx(n, key)
+    passes = {}
+    forward = net._forward
+
+    def counted(model, Z, theta):
+        key = np.asarray(theta).tobytes()
+        passes[key] = passes.get(key, 0) + 1
+        return forward(model, Z, theta)
+
+    monkeypatch.setattr(net, "_forward", counted)
+    em = run_em(ctx, RngStream.from_seed(ROOT_SEED).child(key + 1),
+                init_scale=scale, max_iter=iters)
+    assert max(passes.values()) <= 2
+    # one pass at the start and one per evaluation but each M-step's
+    # first: the E-step, the log posterior and that evaluation reuse the
+    # pass that ended the step before, unless the line search ended on
+    # an earlier trial (a second pass). An own pass for each took
+    # n_fev + 2 n_iter.
+    again = sum(count == 2 for count in passes.values())
+    assert sum(passes.values()) == em.n_fev - em.n_iter + 1 + again

@@ -308,7 +308,8 @@ def test_linearize_small_ball_gap(small_fit):
     for _ in range(5):
         d = rng.normal(size=theta_ref.size)
         d *= 0.01 / np.linalg.norm(d)
-        exact = forward_batch(model, ctx.t_rows, ctx.x_rows, theta_ref + d)
+        exact = forward_batch(model, ctx.inputs[:, 0], ctx.inputs[:, 1:],
+                              theta_ref + d)
         gap = np.max(np.abs(lin.g_lin(theta_ref + d) - exact))
         assert gap < 1e-3
 

@@ -315,6 +315,24 @@ def _wide_call(times, n_draws, **kw):
     return np.stack([curves.values, band.median, band.lo, band.hi])
 
 
+@pytest.mark.parametrize("n_draws", [19, 60])
+def test_level_none_gives_the_means_alone(monkeypatch, n_draws):
+    model, theta_map, post, X = _wide_problem(31)
+    times = np.linspace(0.0, 2.5, 65)
+    want = _wide_call(times, n_draws)
+
+    def no_band(*args, **kwargs):
+        raise AssertionError("a band was computed")
+
+    monkeypatch.setattr(predict, "credible_band", no_band)
+    monkeypatch.setattr(predict.np, "quantile", no_band)
+    curves, band = mean_survival_matrix(
+        post, model, BaselinePrior(), theta_map, 2.5, X, times,
+        RngStream.from_seed(4), n_draws=n_draws, level=None, workers=2)
+    assert band is None
+    assert np.array_equal(curves.values, want[0])
+
+
 def test_worker_count_is_bounded_by_cpus_workers_and_chunks(monkeypatch):
     monkeypatch.setattr(predict.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
