@@ -497,6 +497,25 @@ def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500,
             records, it + 1)
 
 
+# ------------------------------------------------------------ linearization
+
+def rsvd_singular_basis(J):
+    """J's singular basis at its numerical rank the R-SVD way, with no
+    truncation before the SVD: an economic QR of J's tall orientation
+    (J^T when R <= m), Q formed explicitly, then gesdd of the whole
+    square triangular factor. Returns (V (m, r), JV (R, r), s), s all
+    min(R, m) singular values; r counts s > s[0] * max(R, m) * eps."""
+    from scipy.linalg import qr, svd
+
+    wide = J.shape[0] <= J.shape[1]
+    Q, F = qr(J.T if wide else J, mode="economic")
+    U, s, Wt = svd(F, lapack_driver="gesdd")
+    r = int(np.count_nonzero(s > s[0] * max(J.shape) * np.finfo(float).eps))
+    if wide:  # J = Wt^T S (Q U)^T
+        return Q @ U[:, :r], Wt[:r].T * s[:r], s
+    return Wt[:r].T, (Q @ U[:, :r]) * s[:r], s
+
+
 # ----------------------------------------------------------------- CAVI bits
 
 def psi_rate_scalar(m_t, s_t, e_log_phi, base) -> float:

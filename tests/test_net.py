@@ -1,10 +1,14 @@
 """Feedforward network: forward pass, reverse-mode Jacobian, local
 linearization, and the flat parameter layout."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sigsurv.cavi import run_cavi
 from sigsurv.errors import NumericalError
+from sigsurv.map_em import run_em
 from sigsurv.net import (
     LinearizedModel,
     MlpModel,
@@ -17,8 +21,10 @@ from sigsurv.net import (
     linearize,
     unflatten,
 )
+from sigsurv.numkit import build_grid
 
-from _oracles import jacobian_central_fd, mlp_forward_naive
+from _oracles import (jacobian_central_fd, mlp_forward_naive,
+                      rsvd_singular_basis)
 
 
 def _rand_point(rng, p):
@@ -329,22 +335,39 @@ def test_linearize_shapes(small_fit):
 
 
 def test_linearize_keeps_the_jacobians_singular_basis(make_ctx):
-    # a tall J (R > m), a wide J (m > R) and J at theta = 0, where only
-    # the output bias moves g and J has rank 1; each against numpy's SVD
+    # each J against numpy's SVD: a tall J (R > m); the same net with
+    # three dead hidden units, whose weights drop out of J; a wide J
+    # (m > R); J at theta = 0, where only the output bias moves g and J
+    # has rank 1; and a full-rank wide J, where the rank-revealing QR
+    # keeps every row (k = n). Its grid is built on 0.9 y, so that no
+    # grid pair repeats an event row, and two nodes put its 13 rows in
+    # distinct regions of a 64-unit net.
     tall = make_ctx(12, 7, layers=(5, 6, 1), n_nodes=8)
     wide = make_ctx(6, 7, layers=(5, 16, 16, 1), n_nodes=8)
+    full = make_ctx(6, 7, layers=(5, 64, 1), n_nodes=2)
+    dead = tall.model.random_theta(tall.root.child(1), scale=0.5)
+    W, b = unflatten(tall.model, dead)[0]
+    W[:3], b[:3] = 0.0, -1.0
     cases = [
-        (tall, tall.model.random_theta(tall.root.child(1), scale=0.5)),
-        (wide, wide.model.random_theta(wide.root.child(1), scale=0.5)),
-        (wide, wide.model.zero_theta()),
+        (tall, tall.ctx.grid,
+         tall.model.random_theta(tall.root.child(1), scale=0.5), "mid"),
+        (tall, tall.ctx.grid, dead, "mid"),
+        (wide, wide.ctx.grid,
+         wide.model.random_theta(wide.root.child(1), scale=0.5), "mid"),
+        (wide, wide.ctx.grid, wide.model.zero_theta(), "one"),
+        (full, build_grid(0.9 * full.ds.y_norm, 2),
+         full.model.random_theta(full.root.child(1), scale=1.0), "full"),
     ]
-    for c, theta in cases:
-        lin = linearize(c.model, theta, c.ctx.grid, c.ds)
+    ranks = []
+    for c, grid, theta, rank in cases:
+        lin = linearize(c.model, theta, grid, c.ds)
         R, m = lin.J.shape
         assert (R > m) == (c is tall)
         r = lin.V.shape[1]
+        ranks.append(r)
         assert r == np.linalg.matrix_rank(lin.J)
-        assert r == 1 if not theta.any() else r > 1
+        assert {"one": r == 1, "mid": 1 < r < min(R, m),
+                "full": r == min(R, m)}[rank]
         _, s, Vt = np.linalg.svd(lin.J, full_matrices=False)
         assert np.allclose(np.linalg.norm(lin.JV, axis=0), s[:r],
                            rtol=0, atol=1e-12)
@@ -355,6 +378,34 @@ def test_linearize_keeps_the_jacobians_singular_basis(make_ctx):
         assert np.allclose(lin.JV @ lin.V.T, lin.J, rtol=0, atol=1e-12)
         assert np.allclose(lin.offset + lin.J @ theta, lin.g,
                            rtol=0, atol=1e-12)
+    assert ranks[1] < ranks[0]  # the dead units lowered the rank
+
+
+def test_linearize_matches_the_untruncated_rsvd_oracle(small_fit, make_ctx):
+    # the gate's collapsed N=25 fit (r = 1) and a short non-collapsed
+    # fit (r = 28 of 57), each against the R-SVD with no rank-revealing
+    # cut, down to the CAVI posterior mean it feeds
+    c = make_ctx(15, 7, layers=(5, 8, 1), n_nodes=64)
+    em = run_em(c.ctx, c.root.child(8), init_scale=1.0)
+    fits = [(small_fit.ctx, small_fit.em, small_fit.lin),
+            (c.ctx, em, linearize(c.model, em.theta_map, c.ctx.grid, c.ds))]
+    ranks = []
+    for ctx, em, lin in fits:
+        V, JV, s = rsvd_singular_basis(lin.J)
+        r = lin.V.shape[1]
+        ranks.append(r)
+        assert r == V.shape[1]
+        assert np.allclose(np.linalg.norm(lin.JV, axis=0), s[:r],
+                           rtol=0, atol=1e-13 * s[0])
+        assert np.allclose(lin.JV @ lin.V.T, lin.J, rtol=0, atol=1e-12)
+        new = run_cavi(ctx, lin, em.theta_map, em.phi_map)
+        old = run_cavi(ctx, replace(lin, V=V, JV=JV), em.theta_map,
+                       em.phi_map)
+        assert new.n_iter == old.n_iter
+        mu_new, mu_old = new.state.mu_tilde, old.state.mu_tilde
+        assert np.max(np.abs(mu_new - mu_old)) <= 1e-10 * np.max(
+            np.abs(mu_old))
+    assert ranks[0] == 1 and 1 < ranks[1] < min(fits[1][2].J.shape)
 
 
 def test_linearize_rejects_an_overflowing_jacobian(make_ctx):
