@@ -17,7 +17,9 @@ by `net.linearize`: with JV = P S, each sweep takes the eigenvalues c
 and eigenvectors Q of the r x r matrix M = (JV)^T diag(b) JV, and
 Sigma~ = (I + U diag(c) U^T)^(-1) with orthonormal U = V Q. Every
 product a sweep forms is (R, r) or (m, r), so it costs
-O((R + m) r^2).
+O((R + m) r^2). `LowRankFactor` holds (U, c) and serves every use of
+Sigma~ (its diagonal, quadratic forms, products and square root) from
+one eigendecomposition of its r x r weighted Gram matrix.
 """
 
 from __future__ import annotations
@@ -61,16 +63,6 @@ def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
         ) from None
 
 
-def _tri_solve(L: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(L, b, lower=lower, check_finite=False)
-
-
-def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return _tri_solve(L.T, _tri_solve(L, rhs, lower=True), lower=False)
-
-
 class SigmaDense:
     """Dense covariance of a posterior stated directly (e.g. a point
     mass): row-wise quadratic forms J Sigma J^T and a Cholesky square
@@ -93,10 +85,16 @@ class SigmaDense:
 
 @dataclass
 class LowRankFactor:
-    """Factor form of B = (1/2)(I_m + U C U^T) for any U (m, R) and R
+    """Sigma~ = (I_m + U C U^T)^(-1) = 2 B^(-1) for any U (m, R) and R
     nonnegative diagonal weights C; CAVI's has orthonormal U = V Q (see
-    `build_factor`). Zero-weight columns are dropped internally before
-    any solve: they contribute nothing to U C U^T."""
+    `build_factor`). Zero-weight columns are dropped first: they add
+    nothing to U C U^T. Every operation reads one cached spectral form:
+    with U' = U C^(1/2) and U'^T U' = Q diag(g) Q^T, W = U' Q and
+    h = 1/(1 + g), Sigma~ = I - W diag(h) W^T, and its symmetric square
+    root is I - W diag(h / (1 + sqrt(h))) W^T. An empty factor has W of
+    shape (m, 0), so every operation is exactly the identity's. The
+    eigendecomposition is backward stable in norm only, so rounding
+    errors grow with ||U'^T U'||."""
 
     U: np.ndarray
     C: np.ndarray
@@ -114,16 +112,11 @@ class LowRankFactor:
             raise NumericalError("non-finite factor columns U")
         keep = self.C > 0.0
         self._Uw = self.U[:, keep] * np.sqrt(self.C[keep])  # U C^(1/2), pruned
-        self._chol: np.ndarray | None = None
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._spec: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
         return self.U.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.U.shape[1]
 
     @property
     def effective_rank(self) -> int:
@@ -138,19 +131,25 @@ class LowRankFactor:
         """U'^T U' for the weighted, pruned columns U' = U C^(1/2)."""
         return self._Uw.T @ self._Uw
 
-    def _prep(self) -> np.ndarray:
-        if self._chol is None:
-            r = self.effective_rank
-            M = np.eye(r) + self.gram()
-            self._chol = _cholesky(M, "Woodbury small matrix")
-        return self._chol
+    def _spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W, h, s): W = U' Q, h = 1/(1 + g) with g clamped at 0 against
+        rounding, and the root's weights s = h / (1 + sqrt(h)), which is
+        (1 - 1/sqrt(1 + g)) / g without its 0/0 at g = 0."""
+        if self._spec is None:
+            g, Q = np.linalg.eigh(self.gram())
+            h = 1.0 / (1.0 + np.maximum(g, 0.0))
+            self._spec = (self._Uw @ Q, h, h / (1.0 + np.sqrt(h)))
+        return self._spec
+
+    def _minus_low_rank(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """v - W diag(d) W^T v for a vector or the columns of a matrix."""
+        W = self._spectral()[0]
+        e = W.T @ v
+        return v - W @ (d * e if e.ndim == 1 else d[:, None] * e)
 
     def sigma_matvec(self, v: np.ndarray) -> np.ndarray:
-        """Sigma~ v with Sigma~ = (I + U C U^T)^(-1)."""
-        if self.effective_rank == 0:
-            return np.asarray(v, dtype=float).copy()
-        L = self._prep()
-        return v - self._Uw @ _cho_solve(L, self._Uw.T @ v)
+        """Sigma~ v."""
+        return self._minus_low_rank(self._spectral()[1], v)
 
     def solve_B(self, rhs: np.ndarray) -> np.ndarray:
         """B^(-1) rhs = 2 Sigma~ rhs."""
@@ -158,49 +157,23 @@ class LowRankFactor:
 
     def quad_rows(self, J: np.ndarray) -> np.ndarray:
         """Row-wise J_n Sigma~ J_n^T for J (n, m)."""
+        W, h, _ = self._spectral()
         J2 = np.atleast_2d(J)
-        base = np.einsum("nm,nm->n", J2, J2)
-        if self.effective_rank == 0:
-            return base
-        L = self._prep()
-        P = J2 @ self._Uw  # (n, r)
-        W = _tri_solve(L, P.T, lower=True)  # (r, n)
-        return np.maximum(base - np.einsum("rn,rn->n", W, W), 0.0)
+        P = J2 @ W  # (n, r)
+        return np.maximum(np.einsum("nm,nm->n", J2, J2) - (P * P) @ h, 0.0)
 
     def diag(self) -> np.ndarray:
-        if self.effective_rank == 0:
-            return np.ones(self.dim)
-        L = self._prep()
-        W = _tri_solve(L, self._Uw.T, lower=True)  # (r, m)
-        return np.maximum(1.0 - np.einsum("rm,rm->m", W, W), 0.0)
+        W, h, _ = self._spectral()
+        return np.maximum(1.0 - (W * W) @ h, 0.0)
 
     def dense(self) -> np.ndarray:
         """Materialized Sigma~ (small m only)."""
-        m = self.dim
-        if self.effective_rank == 0:
-            return np.eye(m)
-        L = self._prep()
-        W = _tri_solve(L, self._Uw.T, lower=True)
-        return np.eye(m) - W.T @ W
+        W, h, _ = self._spectral()
+        return np.eye(self.dim) - (W * h) @ W.T
 
     def sqrt_matvec(self, z: np.ndarray) -> np.ndarray:
-        """L z with L L^T = Sigma~, exact in O(m R) per vector:
-        L = I - U' Q diag(s) Q^T U'^T, where U'^T U' = Q diag(g) Q^T and
-        s = (1 - 1/sqrt(1 + g)) / g (limit 1/2 at g -> 0)."""
-        if self.effective_rank == 0:
-            return np.asarray(z, dtype=float).copy()
-        if self._eig is None:
-            vals, vecs = np.linalg.eigh(self.gram())
-            vals = np.maximum(vals, 0.0)
-            s = np.where(
-                vals > 1e-12, (1.0 - 1.0 / np.sqrt(1.0 + vals)) / np.maximum(vals, 1e-300), 0.5
-            )
-            self._eig = (s, vecs)
-        s, Q = self._eig
-        e = Q.T @ (self._Uw.T @ z)
-        if e.ndim == 1:
-            return z - self._Uw @ (Q @ (s * e))
-        return z - self._Uw @ (Q @ (s[:, None] * e))
+        """L z with L = L^T and L L^T = Sigma~, in O(m r) per vector."""
+        return self._minus_low_rank(self._spectral()[2], z)
 
 
 @dataclass(frozen=True)
@@ -390,6 +363,8 @@ def run_cavi(
     largest blockwise relative change across (alpha~, mu~, diag Sigma~,
     c~) falls below tol, or the iteration cap. A non-finite state
     aborts with ConvergenceError carrying the last finite state."""
+    if max_iter < 1:
+        raise InputError("max_iter must be >= 1")
     state = init_state(ctx, lin, theta_map, phi_map)
     rel_trace: list[float] = []
     converged = False

@@ -163,18 +163,6 @@ class FittedModel:
     config_hash: str
 
 
-def _sigma_to_doc(sigma) -> dict:
-    if isinstance(sigma, LowRankFactor):
-        return {"kind": "factor", "U": sigma.U, "C": sigma.C}
-    raise InputError(f"unknown covariance representation {type(sigma)!r}")
-
-
-def _sigma_from_doc(doc: dict):
-    if doc["kind"] == "factor":
-        return LowRankFactor(U=doc["U"], C=doc["C"])
-    raise InputError(f"unknown covariance kind {doc['kind']!r}")
-
-
 def fit_to_doc(
     model: MlpModel,
     prior: BaselinePrior,
@@ -197,7 +185,8 @@ def fit_to_doc(
             "beta_tilde": float(state.beta_tilde),
             "e_log_phi": float(state.e_log_phi),
             "mu_tilde": state.mu_tilde,
-            "sigma": _sigma_to_doc(state.sigma),
+            "sigma": {"kind": "factor", "U": state.sigma.U,
+                      "C": state.sigma.C},
         },
         "diagnostics": diagnostics or {},
     }
@@ -219,12 +208,15 @@ def fit_from_doc(body: dict) -> FittedModel:
         prior = BaselinePrior(**body["prior"])
         stats = FeatureStats.from_doc(body["normalization"]["stats"])
         var = body["variational"]
+        sigma = var["sigma"]
+        if sigma["kind"] != "factor":
+            raise InputError(f"unknown covariance kind {sigma['kind']!r}")
         post = PosteriorParams(
             alpha_tilde=float(var["alpha_tilde"]),
             beta_tilde=float(var["beta_tilde"]),
             e_log_phi=float(var["e_log_phi"]),
             mu_tilde=np.asarray(var["mu_tilde"], dtype=float),
-            sigma=_sigma_from_doc(var["sigma"]),
+            sigma=LowRankFactor(U=sigma["U"], C=sigma["C"]),
         )
         fit = FittedModel(
             model=model,

@@ -595,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None, help="metrics JSON path")
     p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--level", type=float, default=None)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 

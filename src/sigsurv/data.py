@@ -141,10 +141,10 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
 
     schema: {"time_col": str, "event_col": str,
              "feature_cols": list[str] | "rest"}.
-    Rows with missing values (empty/NA cells) are dropped. Covariates
-    are standardized: with `stats=None` the statistics are computed
-    from this file (training); otherwise the supplied training stats
-    are applied. Returns (dataset, stats).
+    Column names must be unique. Rows with missing values (empty/NA
+    cells) are dropped. Covariates are standardized: with `stats=None`
+    the statistics are computed from this file (training); otherwise
+    the supplied training stats are applied. Returns (dataset, stats).
     """
     time_col = schema["time_col"]
     event_col = schema["event_col"]
@@ -159,12 +159,15 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
         header = [h.strip() for h in header]
         rows = [row for row in reader if any(cell.strip() for cell in row)]
 
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise InputError(f"{path}: repeated column names {repeated}")
     if feature_cols == "rest":
         feature_cols = [c for c in header if c not in (time_col, event_col)]
     missing = [c for c in [time_col, event_col, *feature_cols] if c not in header]
     if missing:
         raise InputError(f"{path}: missing columns {missing}")
-    col_idx = {c: header.index(c) for c in header}
+    col_idx = {c: i for i, c in enumerate(header)}
 
     parsed = []
     for r, row in enumerate(rows):

@@ -208,6 +208,8 @@ def run_em(
     """
     if init_scale < 0:
         raise InputError("init_scale must be >= 0")
+    if max_iter < 1:
+        raise InputError("max_iter must be >= 1")
     theta0 = (
         ctx.model.random_theta(rng, scale=init_scale)
         if init_scale > 0

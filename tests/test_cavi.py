@@ -224,7 +224,6 @@ def test_low_rank_factor_prunes_zero_weights():
     U = rng.normal(size=(5, 4))
     C = np.array([0.0, 1.3, 0.0, 0.4])
     factor = LowRankFactor(U=U, C=C)
-    assert factor.rank == 4
     assert factor.effective_rank == 2
     kept = LowRankFactor(U=U[:, [1, 3]], C=C[[1, 3]])
     assert np.allclose(factor.dense(), kept.dense(), rtol=0, atol=1e-14)
@@ -262,17 +261,46 @@ def test_woodbury_matches_dense_inverse_120_30():
 
 
 def test_woodbury_quad_diag_sqrt_consistent():
+    """Every operation of the spectral form against the materialized
+    Sigma~, which is checked against the dense inverse; the root L from
+    sqrt_matvec(I) is symmetric with L L^T = Sigma~. `tol` bounds those
+    two dense comparisons: the eigendecomposition of U'^T U' is backward
+    stable in norm, so the error grows with ||U'^T U'||; at weights
+    spanning 1e-8..1e12 (||U'^T U'|| ~ 5e13) Sigma~, L L^T and the dense
+    inverse agree to about 1e-3."""
     rng = np.random.default_rng(7)
-    U = rng.normal(size=(40, 12))
-    C = rng.uniform(0.1, 2.0, size=12)
-    factor = LowRankFactor(U=U, C=C)
-    S = factor.dense()
-    J = rng.normal(size=(9, 40))
-    assert np.allclose(factor.quad_rows(J),
-                       np.einsum("nm,nm->n", J @ S, J), rtol=1e-10, atol=1e-12)
-    assert np.allclose(factor.diag(), np.diag(S), rtol=1e-10, atol=1e-12)
-    L = factor.sqrt_matvec(np.eye(40))
-    assert np.allclose(L @ L.T, S, rtol=0, atol=1e-10)
+    cases = [  # (U, C, tol)
+        (rng.normal(size=(40, 12)), rng.uniform(0.1, 2.0, size=12), 1e-10)]
+    base = rng.normal(size=(40, 5))
+    cases += [
+        # repeated columns and a zero-weight one: U'^T U' has zero
+        # eigenvalues
+        (np.hstack([base, base[:, :3], base[:, :1]]),
+         np.r_[rng.uniform(0.5, 2.0, size=8), 0.0], 1e-10),
+        (rng.normal(size=(40, 12)), np.logspace(-8, 12, 12), 1e-3),
+        # a point mass: Sigma~ = 1e-20 I and its root 1e-10 I
+        (np.eye(40), np.full(40, 1e20), 1e-15),
+    ]
+    for U, C, tol in cases:
+        factor = LowRankFactor(U=U, C=C)
+        S = factor.dense()
+        assert np.allclose(S, woodbury_dense_inverse(U, C), rtol=0, atol=tol)
+        J = rng.normal(size=(9, 40))
+        assert np.allclose(factor.quad_rows(J),
+                           np.einsum("nm,nm->n", J @ S, J),
+                           rtol=1e-10, atol=1e-12)
+        assert np.allclose(factor.diag(), np.diag(S), rtol=1e-10, atol=1e-12)
+        V = rng.normal(size=(40, 3))
+        assert np.allclose(factor.sigma_matvec(V), S @ V, rtol=0, atol=1e-12)
+        assert np.allclose(factor.sigma_matvec(V[:, 0]), S @ V[:, 0],
+                           rtol=0, atol=1e-12)
+        L = factor.sqrt_matvec(np.eye(40))
+        assert np.allclose(L, L.T, rtol=0, atol=1e-15)
+        assert np.allclose(factor.sqrt_matvec(V[:, 0]), L @ V[:, 0],
+                           rtol=0, atol=1e-12)
+        assert np.allclose(L @ L.T, S, rtol=0, atol=tol)
+    # L of the last case, the point mass
+    assert np.allclose(L, 1e-10 * np.eye(40), rtol=1e-6, atol=1e-15)
 
 
 def test_sigma_dense_operations():
@@ -399,6 +427,12 @@ def test_cavi_small_fit_converges(small_fit):
     assert cavi.rel_trace[-1] < 1e-6
     assert cavi.state.finite()
     assert cavi.state.alpha_tilde / cavi.state.beta_tilde > 0
+
+
+def test_run_cavi_rejects_a_zero_iteration_cap():
+    ctx, lin, theta_map, _ = _small_problem(seed=9)
+    with pytest.raises(InputError, match="max_iter must be >= 1"):
+        run_cavi(ctx, lin, theta_map, 1.2, max_iter=0)
 
 
 def test_cavi_rerun_bit_identical(small_fit):

@@ -563,6 +563,15 @@ def test_eval_metrics_json(workdir, tmp_path, capsys):
     assert saved["grid"]["points"] == 15
 
 
+def test_eval_has_no_level_flag(workdir):
+    # eval scores the posterior mean curves and draws no credible band
+    code, err = _exit_code(["eval", "--checkpoint", str(workdir / "model.json"),
+                            "--data", str(workdir / "test.csv"),
+                            "--level", "0.9"])
+    assert code == 2
+    assert "unrecognized arguments: --level" in err
+
+
 def test_eval_constant_half_baseline(workdir, tmp_path, monkeypatch, capsys):
     # all-event data: the constant-1/2 predictor scores IBS = 1/4 exactly
     def constant_half(post, model, prior, theta_map, t_max, X, times, rng,
@@ -752,7 +761,7 @@ def test_fuzz_fit_flags_exit_cleanly(workdir, argv):
 def test_fuzz_predict_eval_flags_exit_cleanly(workdir, argv):
     common = ["--checkpoint", str(workdir / "model.json"),
               "--data", str(workdir / "test.csv")]
-    scoring = [a for a in argv if not a.startswith("--t-hi=")]
+    scoring = [a for a in argv if not a.startswith(("--t-hi=", "--level="))]
     for cmd in (["predict", "--out", str(workdir / "fuzz.csv"), *argv],
                 ["eval", *scoring]):
         code, err = _exit_code([*cmd, *common])

@@ -107,6 +107,15 @@ def test_load_csv_rejects_malformed_files(tmp_path):
                  SCHEMA)
 
 
+def test_load_csv_rejects_repeated_column_names(tmp_path):
+    # with one name for two columns, the second one would go unread
+    path = _write(tmp_path, "dup.csv",
+                  "time,event,x,x,a,a\n2.0,1,0.5,9.0,1.0,2.0\n"
+                  "1.0,0,1.5,8.0,3.0,4.0\n")
+    with pytest.raises(InputError, match=r"repeated column names \['a', 'x'\]"):
+        load_csv(path, SCHEMA)
+
+
 def test_load_csv_rejects_infinite_cells(tmp_path):
     for i, cell in enumerate(("inf", "-inf", "Infinity", "1e400")):
         path = _write(tmp_path, f"inf{i}.csv",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sigsurv.data import Dataset
-from sigsurv.errors import NumericalError
+from sigsurv.errors import InputError, NumericalError
 from sigsurv.hazard import (BaselinePrior, baseline_factor, build_context,
                             log_posterior)
 from sigsurv.map_em import (
@@ -343,6 +343,12 @@ def test_run_em_iteration_cap_reports_unconverged():
     assert not em.converged
     assert em.n_iter == 2
     assert "max" in em.message or "iteration" in em.message
+
+
+def test_run_em_rejects_a_zero_iteration_cap():
+    ctx = _toy_ctx(seed=21, n=8, n_nodes=16)
+    with pytest.raises(InputError, match="max_iter must be >= 1"):
+        run_em(ctx, RngStream.from_seed(1).child(0), max_iter=0)
 
 
 def test_run_em_zero_init_scale_starts_at_origin():
