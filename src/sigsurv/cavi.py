@@ -17,9 +17,10 @@ by `net.linearize`: with JV = P S, each sweep takes the eigenvalues c
 and eigenvectors Q of the r x r matrix M = (JV)^T diag(b) JV, and
 Sigma~ = (I + U diag(c) U^T)^(-1) with orthonormal U = V Q. Every
 product a sweep forms is (R, r) or (m, r), so it costs
-O((R + m) r^2). `LowRankFactor` holds (U, c) and serves every use of
-Sigma~ (its diagonal, quadratic forms, products and square root) from
-one eigendecomposition of its r x r weighted Gram matrix.
+O((R + m) r^2). That eigendecomposition is the only one behind
+Sigma~: `LowRankFactor` holds (U, c) and serves every use of Sigma~
+(its diagonal, quadratic forms, products and square root) in closed
+form from them, Sigma~ = I - U diag(c/(1+c)) U^T.
 """
 
 from __future__ import annotations
@@ -85,16 +86,15 @@ class SigmaDense:
 
 @dataclass
 class LowRankFactor:
-    """Sigma~ = (I_m + U C U^T)^(-1) = 2 B^(-1) for any U (m, R) and R
-    nonnegative diagonal weights C; CAVI's has orthonormal U = V Q (see
-    `build_factor`). Zero-weight columns are dropped first: they add
-    nothing to U C U^T. Every operation reads one cached spectral form:
-    with U' = U C^(1/2) and U'^T U' = Q diag(g) Q^T, W = U' Q and
-    h = 1/(1 + g), Sigma~ = I - W diag(h) W^T, and its symmetric square
-    root is I - W diag(h / (1 + sqrt(h))) W^T. An empty factor has W of
-    shape (m, 0), so every operation is exactly the identity's. The
-    eigendecomposition is backward stable in norm only, so rounding
-    errors grow with ||U'^T U'||."""
+    """Sigma~ = (I_m + U diag(C) U^T)^(-1) = 2 B^(-1) for U (m, r) with
+    orthonormal columns and eigenweights C >= 0: the factor
+    `build_factor` makes, U = V Q. `checkpoint.fit_from_doc` checks the
+    orthonormality of a U read from a file; no other U enters. Every
+    operation is closed form in that basis: Sigma~ = I - U diag(d) U^T
+    with d = C/(1+C), and its symmetric square root is
+    I - U diag(s) U^T with s = 1 - 1/sqrt(1+C), computed as
+    C/((1+C) + sqrt(1+C)) without the cancellation at small C. An empty
+    factor (r = 0) is exactly the identity."""
 
     U: np.ndarray
     C: np.ndarray
@@ -110,9 +110,6 @@ class LowRankFactor:
             )
         if not np.all(np.isfinite(self.U)):
             raise NumericalError("non-finite factor columns U")
-        keep = self.C > 0.0
-        self._Uw = self.U[:, keep] * np.sqrt(self.C[keep])  # U C^(1/2), pruned
-        self._spec: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -120,36 +117,24 @@ class LowRankFactor:
 
     @property
     def effective_rank(self) -> int:
-        return self._Uw.shape[1]
+        return int(np.count_nonzero(self.C))
 
     def assemble_B(self) -> np.ndarray:
         """Dense B = (1/2)(I + U C U^T); for tests."""
         m = self.dim
         return 0.5 * (np.eye(m) + (self.U * self.C) @ self.U.T)
 
-    def gram(self) -> np.ndarray:
-        """U'^T U' for the weighted, pruned columns U' = U C^(1/2)."""
-        return self._Uw.T @ self._Uw
+    def _shrink(self) -> np.ndarray:  # d = C/(1+C)
+        return self.C / (1.0 + self.C)
 
-    def _spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(W, h, s): W = U' Q, h = 1/(1 + g) with g clamped at 0 against
-        rounding, and the root's weights s = h / (1 + sqrt(h)), which is
-        (1 - 1/sqrt(1 + g)) / g without its 0/0 at g = 0."""
-        if self._spec is None:
-            g, Q = np.linalg.eigh(self.gram())
-            h = 1.0 / (1.0 + np.maximum(g, 0.0))
-            self._spec = (self._Uw @ Q, h, h / (1.0 + np.sqrt(h)))
-        return self._spec
-
-    def _minus_low_rank(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """v - W diag(d) W^T v for a vector or the columns of a matrix."""
-        W = self._spectral()[0]
-        e = W.T @ v
-        return v - W @ (d * e if e.ndim == 1 else d[:, None] * e)
+    def _minus_low_rank(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """v - U diag(w) U^T v for a vector or the columns of a matrix."""
+        e = self.U.T @ v
+        return v - self.U @ (w * e if e.ndim == 1 else w[:, None] * e)
 
     def sigma_matvec(self, v: np.ndarray) -> np.ndarray:
         """Sigma~ v."""
-        return self._minus_low_rank(self._spectral()[1], v)
+        return self._minus_low_rank(self._shrink(), v)
 
     def solve_B(self, rhs: np.ndarray) -> np.ndarray:
         """B^(-1) rhs = 2 Sigma~ rhs."""
@@ -157,23 +142,23 @@ class LowRankFactor:
 
     def quad_rows(self, J: np.ndarray) -> np.ndarray:
         """Row-wise J_n Sigma~ J_n^T for J (n, m)."""
-        W, h, _ = self._spectral()
         J2 = np.atleast_2d(J)
-        P = J2 @ W  # (n, r)
-        return np.maximum(np.einsum("nm,nm->n", J2, J2) - (P * P) @ h, 0.0)
+        P = J2 @ self.U  # (n, r)
+        return np.maximum(
+            np.einsum("nm,nm->n", J2, J2) - (P * P) @ self._shrink(), 0.0
+        )
 
     def diag(self) -> np.ndarray:
-        W, h, _ = self._spectral()
-        return np.maximum(1.0 - (W * W) @ h, 0.0)
+        return np.maximum(1.0 - (self.U * self.U) @ self._shrink(), 0.0)
 
     def dense(self) -> np.ndarray:
         """Materialized Sigma~ (small m only)."""
-        W, h, _ = self._spectral()
-        return np.eye(self.dim) - (W * h) @ W.T
+        return np.eye(self.dim) - (self.U * self._shrink()) @ self.U.T
 
     def sqrt_matvec(self, z: np.ndarray) -> np.ndarray:
         """L z with L = L^T and L L^T = Sigma~, in O(m r) per vector."""
-        return self._minus_low_rank(self._spectral()[2], z)
+        one_c = 1.0 + self.C
+        return self._minus_low_rank(self.C / (one_c + np.sqrt(one_c)), z)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,9 @@ __all__ = [
 
 _TOOL = "sigsurv"
 _FORMAT_VERSION = 1
+# Bound on max |U^T U - I| for a stored covariance factor; CAVI's
+# U = V Q reads ~3e-15 at r = 119.
+_ORTHONORMAL_TOL = 1e-8
 
 
 def encode_array(arr: np.ndarray) -> dict:
@@ -119,13 +122,25 @@ def save_checkpoint(path, body: dict, meta: dict | None = None) -> None:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
 
+def _finite_number(text: str, kind=float):
+    """json's hook for number literals and NaN/Infinity: finite only."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"non-finite number {text!r}")
+    return kind(text)
+
+
 def load_checkpoint(path):
     """Returns (meta, body) with arrays decoded. Only files written in
-    this version's format (`meta.format`) are accepted."""
+    this version's format (`meta.format`) are accepted; a number that is
+    not finite as a float (NaN, Infinity, or a literal such as 1e400
+    or 10**400 written out), which `save_checkpoint` never writes, is
+    an InputError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # truncated, not JSON, or not UTF-8 text
+            doc = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number,
+                            parse_int=lambda text: _finite_number(text, int))
+    except ValueError as exc:  # truncated, not JSON, not UTF-8, non-finite
         raise InputError(f"{path}: not a checkpoint file ({exc})") from exc
     if not isinstance(doc, dict) or "body" not in doc or "meta" not in doc:
         raise InputError(f"{path}: not a checkpoint file")
@@ -146,7 +161,6 @@ class PosteriorParams:
 
     alpha_tilde: float
     beta_tilde: float
-    e_log_phi: float
     mu_tilde: np.ndarray
     sigma: LowRankFactor
 
@@ -183,7 +197,6 @@ def fit_to_doc(
         "variational": {
             "alpha_tilde": float(state.alpha_tilde),
             "beta_tilde": float(state.beta_tilde),
-            "e_log_phi": float(state.e_log_phi),
             "mu_tilde": state.mu_tilde,
             "sigma": {"kind": "factor", "U": state.sigma.U,
                       "C": state.sigma.C},
@@ -199,10 +212,12 @@ def _require(ok: bool, what: str) -> None:
 
 def fit_from_doc(body: dict) -> FittedModel:
     """The fitted model a checkpoint body describes. Arrays must be
-    finite and sized for the architecture, the covariance factor's Gram
-    matrix finite, and the Gamma factor, the horizon and the feature
+    finite and sized for the architecture, the covariance factor's U
+    orthonormal (max |U^T U - I| <= 1e-8, the precondition of
+    `LowRankFactor`), and the Gamma factor, the horizon and the feature
     scales positive; anything else is an InputError, so a corrupt body
-    never reaches prediction."""
+    never reaches prediction. A `variational.e_log_phi`, which earlier
+    versions wrote, is ignored."""
     try:
         model = MlpModel(tuple(int(s) for s in body["architecture"]["layer_sizes"]))
         prior = BaselinePrior(**body["prior"])
@@ -214,7 +229,6 @@ def fit_from_doc(body: dict) -> FittedModel:
         post = PosteriorParams(
             alpha_tilde=float(var["alpha_tilde"]),
             beta_tilde=float(var["beta_tilde"]),
-            e_log_phi=float(var["e_log_phi"]),
             mu_tilde=np.asarray(var["mu_tilde"], dtype=float),
             sigma=LowRankFactor(U=sigma["U"], C=sigma["C"]),
         )
@@ -235,10 +249,11 @@ def fit_from_doc(body: dict) -> FittedModel:
         _require(arr.shape == (m,) and np.isfinite(arr).all(),
                  f"{name} must hold {m} finite values")
     _require(post.sigma.dim == m, f"sigma.U must have {m} rows")
+    U = post.sigma.U
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = post.sigma.gram()
-    _require(np.isfinite(gram).all(),
-             "sigma.U's weighted Gram matrix must be finite")
+        gap = np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0)
+    _require(gap <= _ORTHONORMAL_TOL, "sigma.U must have orthonormal "
+             f"columns (max |U^T U - I| = {gap:.3g} > {_ORTHONORMAL_TOL:g})")
     for name, val in (("alpha_tilde", post.alpha_tilde),
                       ("beta_tilde", post.beta_tilde), ("t_max", fit.t_max)):
         _require(math.isfinite(val) and val > 0,

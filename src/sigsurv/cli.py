@@ -429,7 +429,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     # 3. Woodbury solve vs dense solve
     r3 = rng.child(3)
     m, r = 80, 20
-    U = r3.gen.standard_normal((m, r))
+    U = np.linalg.qr(r3.gen.standard_normal((m, r)))[0]
     C = r3.gen.uniform(0.1, 2.0, size=r)
     fac = LowRankFactor(U=U, C=C)
     rhs = r3.gen.standard_normal(m)
@@ -500,7 +500,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     m7 = model7.n_params
     phi0 = 1.7
     point_mass = PosteriorParams(alpha_tilde=phi0 * 1e10, beta_tilde=1e10,
-                                 e_log_phi=float(np.log(phi0)),
                                  mu_tilde=np.zeros(m7),
                                  sigma=SigmaDense(1e-20 * np.eye(m7)))
     t7 = np.linspace(0.0, 1.0, 21)

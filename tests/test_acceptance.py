@@ -178,7 +178,7 @@ def test_criterion_5_woodbury_scaling():
     rng = np.random.default_rng(5)
     worst = 0.0
     for m, R in [(120, 30), (300, 50)]:
-        U = rng.normal(size=(m, R))
+        U = np.linalg.qr(rng.normal(size=(m, R)))[0]
         C = 10.0 ** rng.uniform(-3, 1, size=R)
         fac = LowRankFactor(U=U, C=C)
         want = woodbury_dense_inverse(U, C)
@@ -187,7 +187,7 @@ def test_criterion_5_woodbury_scaling():
     sizes = [1_000, 10_000, 100_000]
     best = []
     for m in sizes:
-        U = rng.normal(size=(m, 50))
+        U = np.linalg.qr(rng.normal(size=(m, 50)))[0]
         C = rng.uniform(0.1, 2.0, size=50)
         v = rng.normal(size=m)
         t_min = math.inf

@@ -219,9 +219,16 @@ def test_low_rank_factor_empty_is_prior():
     assert np.array_equal(factor.sqrt_matvec(v), v)
 
 
+def _orthonormal(a):
+    """Q of a thin QR: the orthonormal U that LowRankFactor takes."""
+    return np.linalg.qr(a)[0]
+
+
 def test_low_rank_factor_prunes_zero_weights():
+    """Zero-weight columns count for nothing: not in effective_rank,
+    not in Sigma~."""
     rng = np.random.default_rng(3)
-    U = rng.normal(size=(5, 4))
+    U = _orthonormal(rng.normal(size=(5, 4)))
     C = np.array([0.0, 1.3, 0.0, 0.4])
     factor = LowRankFactor(U=U, C=C)
     assert factor.effective_rank == 2
@@ -248,36 +255,34 @@ def test_sigma_dense_not_positive_definite_is_numerical_error():
 
 def test_woodbury_matches_dense_inverse_120_30():
     rng = np.random.default_rng(120)
-    U = rng.normal(size=(120, 30))
+    U = _orthonormal(rng.normal(size=(120, 30)))
     C = 10.0 ** rng.uniform(-3, 1, size=30)
     factor = LowRankFactor(U=U, C=C)
     want = woodbury_dense_inverse(U, C)
     got = factor.dense()
     rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-    assert rel < 1e-8
+    assert rel < 1e-13
     rhs = rng.normal(size=120)
     direct = np.linalg.solve(factor.assemble_B(), rhs)
-    assert np.allclose(factor.solve_B(rhs), direct, rtol=1e-8, atol=1e-10)
+    assert np.allclose(factor.solve_B(rhs), direct, rtol=1e-12, atol=1e-13)
 
 
 def test_woodbury_quad_diag_sqrt_consistent():
-    """Every operation of the spectral form against the materialized
-    Sigma~, which is checked against the dense inverse; the root L from
-    sqrt_matvec(I) is symmetric with L L^T = Sigma~. `tol` bounds those
-    two dense comparisons: the eigendecomposition of U'^T U' is backward
-    stable in norm, so the error grows with ||U'^T U'||; at weights
-    spanning 1e-8..1e12 (||U'^T U'|| ~ 5e13) Sigma~, L L^T and the dense
-    inverse agree to about 1e-3."""
+    """Every operation of the closed form against the materialized
+    Sigma~, which is checked against the dense inverse to `tol`; the
+    root L from sqrt_matvec(I) is symmetric with L L^T = Sigma~. The
+    dense inverse of B, not the factor, limits `tol`: at weights
+    spanning 1e-8..1e12 B's condition number is ~1e12, and inv(B) is
+    good to about 2e-5."""
     rng = np.random.default_rng(7)
     cases = [  # (U, C, tol)
-        (rng.normal(size=(40, 12)), rng.uniform(0.1, 2.0, size=12), 1e-10)]
-    base = rng.normal(size=(40, 5))
-    cases += [
-        # repeated columns and a zero-weight one: U'^T U' has zero
-        # eigenvalues
-        (np.hstack([base, base[:, :3], base[:, :1]]),
-         np.r_[rng.uniform(0.5, 2.0, size=8), 0.0], 1e-10),
-        (rng.normal(size=(40, 12)), np.logspace(-8, 12, 12), 1e-3),
+        (_orthonormal(rng.normal(size=(40, 12))),
+         rng.uniform(0.1, 2.0, size=12), 1e-14),
+        # a zero-weight column: it adds nothing to U C U^T
+        (_orthonormal(rng.normal(size=(40, 9))),
+         np.r_[rng.uniform(0.5, 2.0, size=8), 0.0], 1e-14),
+        (_orthonormal(rng.normal(size=(40, 12))), np.logspace(-8, 12, 12),
+         1e-4),
         # a point mass: Sigma~ = 1e-20 I and its root 1e-10 I
         (np.eye(40), np.full(40, 1e20), 1e-15),
     ]
@@ -288,19 +293,47 @@ def test_woodbury_quad_diag_sqrt_consistent():
         J = rng.normal(size=(9, 40))
         assert np.allclose(factor.quad_rows(J),
                            np.einsum("nm,nm->n", J @ S, J),
-                           rtol=1e-10, atol=1e-12)
-        assert np.allclose(factor.diag(), np.diag(S), rtol=1e-10, atol=1e-12)
+                           rtol=1e-13, atol=1e-14)
+        assert np.allclose(factor.diag(), np.diag(S), rtol=1e-13, atol=1e-15)
         V = rng.normal(size=(40, 3))
-        assert np.allclose(factor.sigma_matvec(V), S @ V, rtol=0, atol=1e-12)
+        assert np.allclose(factor.sigma_matvec(V), S @ V, rtol=0, atol=1e-14)
         assert np.allclose(factor.sigma_matvec(V[:, 0]), S @ V[:, 0],
-                           rtol=0, atol=1e-12)
+                           rtol=0, atol=1e-14)
         L = factor.sqrt_matvec(np.eye(40))
         assert np.allclose(L, L.T, rtol=0, atol=1e-15)
         assert np.allclose(factor.sqrt_matvec(V[:, 0]), L @ V[:, 0],
-                           rtol=0, atol=1e-12)
-        assert np.allclose(L @ L.T, S, rtol=0, atol=tol)
+                           rtol=0, atol=1e-14)
+        assert np.allclose(L @ L.T, S, rtol=0, atol=1e-14)
     # L of the last case, the point mass
     assert np.allclose(L, 1e-10 * np.eye(40), rtol=1e-6, atol=1e-15)
+
+
+def test_low_rank_factor_exact_at_extreme_weights():
+    """Orthonormal U (385, 119) with weights spanning 1e-8..1e12 against
+    a reference built from a completed basis [U U_perp], in which
+    Sigma~ has eigenvalues 1/(1+C) on U and 1 on U_perp: every
+    operation agrees to rounding, whatever the weights' spread."""
+    rng = np.random.default_rng(385)
+    m, r = 385, 119
+    Q = np.linalg.qr(rng.normal(size=(m, r)), mode="complete")[0]
+    U = Q[:, :r]
+    C = np.logspace(-8, 12, r)
+    ev = np.r_[1.0 / (1.0 + C), np.ones(m - r)]
+    S_ref = (Q * ev) @ Q.T
+    L_ref = (Q * np.sqrt(ev)) @ Q.T
+    factor = LowRankFactor(U=U, C=C)
+    tol = 1e-12
+    assert np.abs(factor.dense() - S_ref).max() < tol
+    assert np.abs(factor.diag() - np.diag(S_ref)).max() < tol
+    J = rng.normal(size=(20, m))
+    want = np.einsum("nm,nm->n", J @ S_ref, J)
+    assert np.all(np.abs(factor.quad_rows(J) - want) < tol * np.abs(want))
+    V = rng.normal(size=(m, 3))
+    assert np.abs(factor.sigma_matvec(V) - S_ref @ V).max() < tol
+    assert np.abs(factor.sqrt_matvec(V) - L_ref @ V).max() < tol
+    L = factor.sqrt_matvec(np.eye(m))
+    assert np.abs(L - L.T).max() < 1e-15
+    assert np.abs(L @ L.T - S_ref).max() < tol
 
 
 def test_sigma_dense_operations():

@@ -119,8 +119,8 @@ def test_fit_doc_roundtrip_dense(small_fit):
 
 def test_fit_doc_roundtrip_low_rank(small_fit):
     rng = np.random.default_rng(8)
-    factor = LowRankFactor(U=rng.normal(size=(small_fit.model.n_params, 4)),
-                           C=rng.uniform(0.1, 1.0, size=4))
+    U = np.linalg.qr(rng.normal(size=(small_fit.model.n_params, 4)))[0]
+    factor = LowRankFactor(U=U, C=rng.uniform(0.1, 1.0, size=4))
     import dataclasses
     state = dataclasses.replace(small_fit.cavi.state, sigma=factor)
     body = fit_to_doc(small_fit.model, small_fit.prior, small_fit.stats,
@@ -154,7 +154,7 @@ def _small_body():
                           "t_max": 1.0},
         "map": {"theta": np.zeros(4), "phi": 1.0},
         "variational": {
-            "alpha_tilde": 2.0, "beta_tilde": 3.0, "e_log_phi": 0.0,
+            "alpha_tilde": 2.0, "beta_tilde": 3.0,
             "mu_tilde": np.zeros(4),
             "sigma": {"kind": "factor", "U": np.eye(4)[:, :2],
                       "C": np.ones(2)},
@@ -219,16 +219,65 @@ def test_fit_from_doc_rejects_malformed(tmp_path):
 
 
 def test_fit_from_doc_rejects_overflowing_factor():
-    # a finite factor whose Gram matrix U^T C U overflows: rank 1 used
-    # to draw from Sigma~ = I, rank 2 to end in eigh's LinAlgError
+    # a finite factor whose U^T U overflows: rank 1 used to draw from
+    # Sigma~ = I, rank 2 to end in eigh's LinAlgError
     for U in (np.full((4, 1), 1e200), np.eye(4)[:, :2] * 1e200):
         body = _small_body()
         body["variational"]["sigma"] = {"kind": "factor", "U": U,
                                         "C": np.ones(U.shape[1])}
-        with pytest.raises(InputError, match="Gram matrix"):
+        with pytest.raises(InputError, match="orthonormal columns"):
             fit_from_doc(body)
-    # a large factor whose Gram matrix stays finite loads and draws
+    # an orthonormal factor with huge weights loads and draws
     body = _small_body()
-    body["variational"]["sigma"]["U"] = np.eye(4)[:, :2] * 1e150
+    body["variational"]["sigma"]["C"] = np.full(2, 1e300)
     fit = fit_from_doc(body)
     assert np.isfinite(fit.post.sigma.sqrt_matvec(np.ones((4, 3)))).all()
+
+
+def test_fit_from_doc_rejects_non_orthonormal_factor():
+    # duplicated columns, a scaled column and a column a hair off unit
+    # length; an empty factor and one 1e-12 off orthonormal load
+    e = np.eye(4)
+    for U in (e[:, [0, 0]], e[:, :2] * [1.0, 2.0],
+              e[:, :2] * [1.0, 1.0 + 1e-7]):
+        body = _corrupt(_small_body(), ("variational", "sigma", "U"), U)
+        with pytest.raises(InputError, match="orthonormal columns"):
+            fit_from_doc(body)
+    for U, C in ((np.zeros((4, 0)), np.zeros(0)),
+                 (e[:, :2] * [1.0, 1.0 + 1e-12], np.ones(2))):
+        body = _small_body()
+        body["variational"]["sigma"] = {"kind": "factor", "U": U, "C": C}
+        assert fit_from_doc(body).post.sigma.U.shape == U.shape
+
+
+def test_fit_from_doc_ignores_e_log_phi():
+    # earlier checkpoints carry variational.e_log_phi; they still load
+    body = _small_body()
+    body["variational"]["e_log_phi"] = 0.5
+    fit = fit_from_doc(body)
+    assert not hasattr(fit.post, "e_log_phi")
+    assert fit.post.alpha_tilde == 2.0
+
+
+def test_load_checkpoint_rejects_non_finite_numbers(tmp_path):
+    # json reads NaN, Infinity and overflowing literals, none of which
+    # save_checkpoint writes: a layer size of 1e400 or a rho of 10**400
+    # used to end in an OverflowError, and a rho of Infinity in curves
+    # of 1
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, _small_body())
+    text = path.read_text()
+    assert '"rho":1.0' in text and '"layer_sizes":[3,1]' in text
+    for old, new in (('"rho":1.0', '"rho":Infinity'),
+                     ('"rho":1.0', '"rho":1e999'),
+                     ('"rho":1.0', '"rho":NaN'),
+                     ('"rho":1.0', '"rho":-Infinity'),
+                     ('"rho":1.0', '"rho":1' + '0' * 400),
+                     ('"layer_sizes":[3,1]', '"layer_sizes":[3,1e400,1]')):
+        path.write_text(text.replace(old, new))
+        with pytest.raises(InputError, match="non-finite number"):
+            load_checkpoint(path)
+    path.write_text(text.replace('"rho":1.0', '"rho":1e300'))
+    meta, body = load_checkpoint(path)
+    assert body["prior"]["rho"] == 1e300
+    assert meta["format"] == 1 and type(meta["format"]) is int

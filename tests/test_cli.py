@@ -377,7 +377,7 @@ def test_predict_rejects_corrupt_checkpoint_body(workdir, tmp_path, capsys):
 def test_predict_rejects_overflowing_covariance_factor(workdir, tmp_path,
                                                        capsys):
     # `rank` copies of the fitted U's first column times 1e200, so
-    # U^T C U overflows: rank 1 used to exit 0 with the draws taken from
+    # U^T U overflows: rank 1 used to exit 0 with the draws taken from
     # Sigma~ = I, and rank 2 to end in eigh's LinAlgError traceback
     for rank in (1, 2):
         doc = json.loads((workdir / "model.json").read_text())
@@ -392,7 +392,31 @@ def test_predict_rejects_overflowing_covariance_factor(workdir, tmp_path,
                      "--data", str(workdir / "test.csv"),
                      "--out", str(out), "--draws", "20"]) == 2
         err = capsys.readouterr().err
-        assert "input error" in err and "Gram matrix" in err
+        assert "input error" in err and "orthonormal columns" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_predict_eval_reject_non_finite_checkpoint_numbers(workdir, tmp_path,
+                                                          capsys):
+    # a layer size of 1e400 or Infinity used to end in an OverflowError
+    # traceback (exit 1), and a rho of Infinity or 1e999 in curves of 1
+    # with exit 0
+    text = (workdir / "model.json").read_text()
+    edits = [('"layer_sizes":[5,4,1]', '"layer_sizes":[5,1e400,4,1]'),
+             ('"layer_sizes":[5,4,1]', '"layer_sizes":[5,Infinity,4,1]'),
+             ('"rho":1.0', '"rho":Infinity'), ('"rho":1.0', '"rho":1e999')]
+    for old, new in edits:
+        assert old in text
+        ck = tmp_path / "inf.json"
+        ck.write_text(text.replace(old, new))
+        common = ["--checkpoint", str(ck), "--data", str(workdir / "test.csv")]
+        out = tmp_path / "p.csv"
+        assert main(["predict", *common, "--out", str(out),
+                     "--draws", "20"]) == 2
+        assert main(["eval", *common, "--draws", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("non-finite number") == 2
         assert "Traceback" not in err
         assert not out.exists()
 

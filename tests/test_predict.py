@@ -238,7 +238,8 @@ _WIDE = (5, 32, 32, 1)
 
 def _wide_problem(seed):
     """A network far from silent and a posterior with a low-rank
-    covariance, so every draw moves every subject's curve."""
+    covariance (orthonormal U, as CAVI makes it), so every draw moves
+    every subject's curve."""
     rng = RngStream.from_seed(seed)
     model = MlpModel(_WIDE)
     theta_map = model.random_theta(rng, scale=0.3)
@@ -246,8 +247,9 @@ def _wide_problem(seed):
     post = SimpleNamespace(
         alpha_tilde=40.0, beta_tilde=30.0,
         mu_tilde=theta_map + 0.05 * rng.gen.standard_normal(m),
-        sigma=LowRankFactor(U=rng.gen.standard_normal((m, 12)),
-                            C=rng.gen.uniform(0.5, 2.0, size=12)),
+        sigma=LowRankFactor(
+            U=np.linalg.qr(rng.gen.standard_normal((m, 12)))[0],
+            C=rng.gen.uniform(0.5, 2.0, size=12)),
     )
     X = rng.gen.standard_normal((7, 4))
     return model, theta_map, post, X
