@@ -1,7 +1,7 @@
 """sigsurv — Bayesian survival analysis with a sigmoid-modulated
 network hazard.
 
-The hazard lambda(t|x) = phi t^(rho-1)/Z(t,x) * sigmoid(g(t,x; theta))
+The hazard lambda(t|x) = phi t^(rho-1)/Z * sigmoid(g(t,x; theta)), Z = 1/2,
 couples a Gamma-prior baseline with a feedforward network g under a
 standard-normal prior on the weights. Fitting runs expectation-
 maximization to the MAP point, linearizes g there, and then obtains a

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, NumericalError
+from .errors import InputError, NumericalError
 from .hazard import HazardContext, row_coefficients
 from .net import LinearizedModel
 from .numkit import digamma, pg_mean, sigmoid
@@ -211,7 +211,7 @@ def init_state(
     beta_tilde = ctx.phi_rate
     alpha_tilde = phi_map * beta_tilde
     sigma = LowRankFactor(U=np.zeros((theta_map.size, 0)), C=np.zeros(0))
-    m_tilde = lin.g_lin(theta_map)
+    m_tilde = lin.g.copy()
     N = lin.n_event
     return VariationalState(
         alpha_tilde=alpha_tilde,
@@ -347,7 +347,7 @@ def run_cavi(
     """Iterate sweeps from the MAP-matched initialization until the
     largest blockwise relative change across (alpha~, mu~, diag Sigma~,
     c~) falls below tol, or the iteration cap. A non-finite state
-    aborts with ConvergenceError carrying the last finite state."""
+    raises NumericalError."""
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
     state = init_state(ctx, lin, theta_map, phi_map)
@@ -357,19 +357,10 @@ def run_cavi(
     it = 0
     blocks = _blocks(state)  # carried over: one sigma.diag() per sweep
     for it in range(max_iter):
-        new_state = cavi_sweep(state, lin, ctx)
-        if not new_state.finite():
-            raise ConvergenceError(
-                f"non-finite variational state at sweep {it + 1}",
-                result=CaviResult(
-                    state=state,
-                    rel_trace=np.asarray(rel_trace),
-                    converged=False,
-                    n_iter=it,
-                    message="aborted on non-finite state",
-                ),
-            )
-        state = new_state
+        state = cavi_sweep(state, lin, ctx)
+        if not state.finite():
+            raise NumericalError(
+                f"non-finite variational state at sweep {it + 1}")
         new_blocks = _blocks(state)
         rel = _max_rel_change(blocks, new_blocks)
         blocks = new_blocks

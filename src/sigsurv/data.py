@@ -54,12 +54,19 @@ def standardize(X: np.ndarray, stats: FeatureStats | None = None):
     """Zero-mean unit-variance columns; returns (X_std, stats).
 
     When `stats` is given (test-time), it is applied as-is. Columns
-    with zero variance standardize with divisor 1 to stay finite.
+    with zero variance standardize with divisor 1 to stay finite; a
+    column whose mean or standard deviation overflows is rejected.
     """
     X = np.asarray(X, dtype=float)
     if stats is None:
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = X.mean(axis=0)
+            std = X.std(axis=0)
+        bad = np.nonzero(~(np.isfinite(mean) & np.isfinite(std)))[0]
+        if bad.size:
+            raise InputError(
+                f"feature columns {bad.tolist()} (0-based, in feature "
+                f"order) have a non-finite mean or standard deviation")
         std = np.where(std > 0, std, 1.0)
         stats = FeatureStats(mean=mean, std=std)
     return stats.apply(X), stats
@@ -180,7 +187,7 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
         ]
         parsed.append(vals)
 
-    arr = np.asarray(parsed, dtype=float)
+    arr = np.asarray(parsed, dtype=float).reshape(-1, 2 + len(feature_cols))
     keep = ~np.isnan(arr).any(axis=1)
     arr = arr[keep]
     if arr.shape[0] == 0:

@@ -16,13 +16,3 @@ class InputError(SigsurvError):
 class NumericalError(SigsurvError):
     """A numerical routine produced non-finite or impossible values."""
 
-
-class ConvergenceError(SigsurvError):
-    """An iterative routine hit its cap without meeting its tolerance.
-
-    Carries partial results so callers can still inspect/emit them.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result

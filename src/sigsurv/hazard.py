@@ -1,11 +1,11 @@
 """Sigmoid-modulated hazard model.
 
-The hazard is lambda(t|x) = phi * t^(rho-1) / Z(t, x) * sigmoid(g(t, x; theta)),
-where g is the network and Z(t, x) is the prior-predictive mean of
-sigmoid(g) under theta ~ N(0, I), linearized at theta = 0, which is
-exactly 1/2 for this network class. This module holds the baseline
-prior, the normalizer, the right-censored log likelihood, and the two
-augmentation samplers (Polya-Gamma gamma-series draws; the marked
+The hazard is lambda(t|x) = phi * t^(rho-1) / Z * sigmoid(g(t, x; theta)),
+where g is the network and Z is the prior-predictive mean of sigmoid(g)
+under theta ~ N(0, I), linearized at theta = 0, which is exactly 1/2
+for this network class (`baseline_factor`). This module holds the
+baseline prior and factor, the right-censored log likelihood, and the
+two augmentation samplers (Polya-Gamma gamma-series draws; the marked
 Poisson process whose exponential functional reproduces the censoring
 term).
 
@@ -31,7 +31,6 @@ from .numkit import QuadratureGrid, RngStream, build_grid, log_gamma, sigmoid
 __all__ = [
     "BaselinePrior",
     "HazardContext",
-    "normalizer_Z",
     "baseline_factor",
     "build_context",
     "row_coefficients",
@@ -61,34 +60,26 @@ class BaselinePrior:
             raise InputError("alpha0, beta0, rho must all be positive")
 
 
-def normalizer_Z(model: MlpModel, T, X):
-    """Z(t, x) = E_{theta ~ N(0,I)}[sigmoid(g(t, x; theta))] under the
-    linearization of g at theta = 0, one value per row of (T, X). A
+def baseline_factor(prior: BaselinePrior, T):
+    """The phi-free baseline t^(rho-1) / Z = 2 t^(rho-1), one value per
+    time in T. Z(t, x) is the prior-predictive mean of sigmoid(g(t, x;
+    theta)) under theta ~ N(0, I) with g linearized at theta = 0. A
     fully-connected network with zero weights and biases outputs
-    g(., .; 0) = 0, so the linearized g is a zero-mean Gaussian at
-    every point and Z = sigmoid(0) = 1/2 whatever its variance; the
-    constant is returned without evaluating the network."""
-    return np.full(np.asarray(T, dtype=float).size, 0.5)
-
-
-def _t_power(t, rho: float):
-    t = np.asarray(t, dtype=float)
-    if rho == 1.0:
-        return np.ones_like(t)
-    return np.maximum(t, _T_POWER_FLOOR) ** (rho - 1.0)
-
-
-def baseline_factor(model: MlpModel, prior: BaselinePrior, T, X):
-    """The phi-free baseline piece t^(rho-1) / Z(t, x), one value per row."""
-    return _t_power(T, prior.rho) / normalizer_Z(model, T, X)
+    g(., .; 0) = 0, so the linearized g is a zero-mean Gaussian at every
+    (t, x) and Z = sigmoid(0) = 1/2 whatever its variance: the baseline
+    depends on time alone."""
+    t = np.asarray(T, dtype=float)
+    if prior.rho == 1.0:
+        return np.full_like(t, 2.0)
+    return 2.0 * np.maximum(t, _T_POWER_FLOOR) ** (prior.rho - 1.0)
 
 
 @dataclass(frozen=True)
 class HazardContext:
     """Per-dataset caches shared by the likelihood, EM, and CAVI: the
     quadrature grid, the network inputs of the row block, the phi-free
-    baseline factor t^(rho-1)/Z on it, and the resulting constant rate
-    term phi_rate = beta0 + sum_i int_0^{y_i} t^(rho-1)/Z dt.
+    baseline factor 2 t^(rho-1) on it, and the resulting constant rate
+    term phi_rate = beta0 + sum_i int_0^{y_i} 2 t^(rho-1) dt.
 
     The row block (`net.row_block`) stacks the N event rows (y_i, x_i)
     and then the P live pairs, the (subject, node) pairs with nonzero
@@ -105,8 +96,8 @@ class HazardContext:
     grid: QuadratureGrid
     inputs: np.ndarray       # (N+P, p+1) (t, x) rows: events, then live pairs
     w_live: np.ndarray       # (P,) trapezoid weights
-    base_live: np.ndarray    # (P,) t^(rho-1)/Z at the live pairs
-    base_event: np.ndarray   # (N,) t^(rho-1)/Z at the event times
+    base_live: np.ndarray    # (P,) 2 t^(rho-1) at the live pairs
+    base_event: np.ndarray   # (N,) 2 t^(rho-1) at the event times
     phi_rate: float
     # [(theta bytes, Trace)] of the last `trace` call, or [None]
     _last: list = field(default_factory=lambda: [None], init=False,
@@ -144,12 +135,17 @@ def build_context(
         raise InputError(
             f"network expects {model.input_dim - 1} covariates, data has {dataset.p}"
         )
+    bad = np.nonzero(dataset.y_norm == 0)[0]
+    if bad.size:
+        raise InputError(
+            f"observation times of rows {bad.tolist()} underflow to 0 "
+            f"when divided by the training horizon {dataset.t_max:g}")
     if grid is None:
         grid = build_grid(dataset.y_norm, n_nodes)
     t_rows, x_rows = row_block(grid, dataset)
     inputs = np.column_stack([t_rows, x_rows])
     inputs.flags.writeable = False
-    base = baseline_factor(model, prior, t_rows, x_rows)
+    base = baseline_factor(prior, t_rows)
     n = dataset.n
     w_live = grid.weights[grid.live_mask()]
     return HazardContext(
@@ -250,19 +246,17 @@ def sample_pg_series(
 
 
 def sample_marked_pp_batch(
-    model: MlpModel,
     prior: BaselinePrior,
     phi: float,
     y: float,
-    x,
     rng: RngStream,
     n_rep: int,
     n_grid: int = 2048,
     pg_terms: int = 2000,
 ):
     """`n_rep` independent draws of the marked Poisson process on
-    [0, y] x R+ with intensity lambda0(t, x; phi) * PG(omega | 1, 0),
-    lambda0 = phi t^(rho-1) / Z(t, x).
+    [0, y] x R+ with intensity lambda0(t; phi) * PG(omega | 1, 0),
+    lambda0 = phi * baseline_factor(prior, t), the same for every subject.
 
     Counts are Poisson with mean int_0^y lambda0 dt; locations are iid
     from the normalized intensity via inverse-CDF on an `n_grid`-point
@@ -274,9 +268,8 @@ def sample_marked_pp_batch(
         raise InputError("phi and y must be positive")
     if n_rep < 1 or n_grid < 2:
         raise InputError("n_rep must be >= 1 and n_grid >= 2")
-    x = np.asarray(x, dtype=float).ravel()
     tg = np.linspace(0.0, float(y), n_grid)
-    lam0 = phi * baseline_factor(model, prior, tg, np.tile(x, (n_grid, 1)))
+    lam0 = phi * baseline_factor(prior, tg)
     cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (lam0[1:] + lam0[:-1]) * np.diff(tg))]
     )

@@ -242,13 +242,13 @@ def row_block(grid, dataset):
 
 @dataclass
 class LinearizedModel:
-    """First-order expansion of the network around theta_ref.
+    """First-order expansion of the network around theta_MAP.
 
-    g_lin(t, x; theta) = g(t, x; theta_ref) + J(t, x)^T (theta - theta_ref)
+    g_lin(t, x; theta) = g(t, x; theta_MAP) + J(t, x)^T (theta - theta_MAP)
 
     Caches g and J on the row block of `row_block`: the first n_event
     rows are the (y_i, x_i), the rest the P live grid pairs (t_k, x_i).
-    offset = g - J theta_ref, so that g_lin(theta) = offset + J theta.
+    offset = g - J theta_MAP, so that g_lin(theta) = offset + J theta.
     V and JV come from J's thin SVD J = P S V^T truncated to its
     numerical rank r: V (m, r) holds J's leading r right singular
     vectors, an orthonormal basis of its row space, and JV = J V = P S
@@ -256,7 +256,6 @@ class LinearizedModel:
     """
 
     model: MlpModel
-    theta_ref: np.ndarray
     g: np.ndarray  # (N+P,)
     J: np.ndarray  # (N+P, m)
     n_event: int
@@ -268,11 +267,6 @@ class LinearizedModel:
     def J_grid(self) -> np.ndarray:
         """(P, m) view of the Jacobian rows at the live grid pairs."""
         return self.J[self.n_event:]
-
-    def g_lin(self, theta) -> np.ndarray:
-        """(N+P,) linearized values on the cached row block."""
-        d = np.asarray(theta, dtype=float) - self.theta_ref
-        return self.g + self.J @ d
 
 
 # The rank-revealing cut's bound on the dropped block, as a fraction of
@@ -335,7 +329,6 @@ def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
         V, JV = np.ascontiguousarray(Wt[:r].T), UA * s[:r]
     return LinearizedModel(
         model=model,
-        theta_ref=theta_map.copy(),
         g=g,
         J=J,
         n_event=dataset.n,

@@ -142,12 +142,13 @@ class _Workspace:
         self.cum = np.empty((subjects, tq_size, n_draws))
 
 
-def _survival_draws(ws: _Workspace, model, prior, theta_map, tq,
-                    prepend_zero, X, phi_draws, shift) -> np.ndarray:
+def _survival_draws(ws: _Workspace, model, theta_map, tq, prepend_zero,
+                    X, rate, shift) -> np.ndarray:
     """Survival curves (B, T, S) for the B rows of X under the S draws,
     a view of `ws.cum`: the linearized hazard on all B * Tq (t, x) rows
     from one forward trace (g and its Jacobian) and one matrix product
-    with the theta offsets `shift`, a cumulative trapezoid along time,
+    with the theta offsets `shift`, scaled by `rate` (Tq, S), phi_s
+    times the baseline at t_k; a cumulative trapezoid along time,
     exponentiate-negate. Every step writes into the workspace in the
     operation order of the allocating expressions, so the curves are
     bit-equal to them."""
@@ -155,16 +156,14 @@ def _survival_draws(ws: _Workspace, model, prior, theta_map, tq,
     n = B * Tq
     T_rows = np.tile(tq, B)
     X_rows = np.repeat(X, Tq, axis=0)
-    base = baseline_factor(model, prior, T_rows, X_rows)          # (n,)
     J, z, e, pos = ws.J[:n], ws.z[:n], ws.e[:n], ws.pos[:n]
     g_map, _ = jacobian_batch(model, T_rows, X_rows, theta_map, out=J)
 
     np.matmul(J, shift, out=z)
     z += g_map[:, None]                                # g_lin = g + J shift
     sigmoid_into(z, e, pos)
-    np.multiply(phi_draws[None, :], base[:, None], out=e)
-    z *= e                                             # lam = (phi base) sig
     lam = z.reshape(B, Tq, -1)
+    lam *= rate                                        # lam = (phi base) sig
     cum = ws.cum[:B]
     cum[:, 0, :] = 0.0
     if Tq > 1:
@@ -223,6 +222,7 @@ def mean_survival_matrix(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     times, tq, prepend_zero, flagged = _prep_times(times, t_max)
     phi_draws, shift = _draw_posterior(post, theta_map, rng, n_draws)
+    rate = phi_draws[None, :] * baseline_factor(prior, tq)[:, None]  # (Tq, S)
     n = X.shape[0]
     per_chunk = max(1, _CHUNK_FLOATS // (tq.size * theta_map.size))
     out = np.empty((1 if level is None else 4, n, times.size))
@@ -230,8 +230,8 @@ def mean_survival_matrix(
     def score(starts, ws) -> None:
         for start in starts:
             rows = slice(start, start + per_chunk)
-            surv = _survival_draws(ws, model, prior, theta_map, tq,
-                                   prepend_zero, X[rows], phi_draws, shift)
+            surv = _survival_draws(ws, model, theta_map, tq, prepend_zero,
+                                   X[rows], rate, shift)
             out[0, rows] = surv.mean(axis=-1)
             if level is None:
                 continue

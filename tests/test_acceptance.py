@@ -220,7 +220,7 @@ def test_criterion_6_marked_process_identity():
         phi = float(r.gen.uniform(0.5, 1.5))
         y = float(r.gen.uniform(0.4, 0.9))
         times, omegas, counts = sample_marked_pp_batch(
-            model, prior, phi, y, x, r, 100_000, n_grid=1024, pg_terms=400)
+            prior, phi, y, r, 100_000, n_grid=1024, pg_terms=400)
         g_at = (forward_batch(model, times, np.tile(x, (times.size, 1)), theta)
                 if times.size else np.zeros(0))
         logf = pg_f(omegas, -g_at)
@@ -229,7 +229,7 @@ def test_criterion_6_marked_process_identity():
         mc = float(np.exp(csum[ends] - csum[ends - counts]).mean())
         tg = np.linspace(0.0, y, 4097)
         X_rep = np.tile(x, (tg.size, 1))
-        lam = phi * baseline_factor(model, prior, tg, X_rep)
+        lam = phi * baseline_factor(prior, tg)
         gg = forward_batch(model, tg, X_rep, theta)
         exact = float(np.exp(-np.trapezoid(lam * sigmoid(gg), tg)))
         rel = abs(mc - exact) / exact

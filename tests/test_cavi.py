@@ -140,8 +140,7 @@ def test_update_psi_matches_scalar_oracle():
                      lin, ctx)
     count = 0
     for p, (i, k) in enumerate(zip(*np.nonzero(ctx.grid.weights > 0))):
-        base = baseline_factor(ctx.model, ctx.prior, [ctx.grid.nodes[k]],
-                               ctx.dataset.X[i][None, :])[0]
+        base = baseline_factor(ctx.prior, [ctx.grid.nodes[k]])[0]
         want = psi_rate_scalar(m[p], s[p], elp, base)
         assert abs(new.lam_q[p] - want) <= 1e-12 * max(want, 1e-6)
         count += 1
@@ -428,7 +427,7 @@ def test_cavi_sweep_matches_all_pairs_oracle():
         T_all = np.tile(grid.nodes, N)
         X_all = np.repeat(ds.X, K, axis=0)
         g_all, J_all = jacobian_batch(ctx.model, T_all, X_all, theta_map)
-        base_grid = baseline_factor(ctx.model, ctx.prior, T_all, X_all)
+        base_grid = baseline_factor(ctx.prior, T_all)
         want = cavi_sweep_all_pairs(
             J_all.reshape(N, K, -1), g_all.reshape(N, K), lin.J[:N],
             lin.g[:N], theta_map, grid.weights, base_grid.reshape(N, K),

@@ -250,6 +250,57 @@ def test_fit_input_errors(tmp_path, capsys):
     assert rc == 2
 
 
+def test_fit_diverging_cavi_exits_3_without_checkpoint(workdir, tmp_path,
+                                                      capsys):
+    ck = tmp_path / "diverged.json"
+    rc = main(["fit", "--data", str(workdir / "train.csv"), "--out", str(ck),
+               "--grid-k", "16", "--alpha0", "1e300"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite variational state" in err
+    assert not ck.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "eval"])
+def test_header_only_csv_exits_2(workdir, tmp_path, capsys, command):
+    data = tmp_path / "header.csv"
+    data.write_text("time,event,group,x1,x2,x3\n")
+    out = tmp_path / "out"
+    argv = ([command, "--data", str(data), "--out", str(out)]
+            + ([] if command == "fit"
+               else ["--checkpoint", str(workdir / "model.json")]))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "no complete rows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_fit_rejects_times_that_underflow_when_normalized(workdir, tmp_path,
+                                                         capsys):
+    data = tmp_path / "tiny.csv"
+    data.write_text("time,event,x1\n1e300,1,0.5\n1e-300,0,0.2\n2,1,0.1\n")
+    ck = tmp_path / "x.json"
+    assert main(["fit", "--data", str(data), "--out", str(ck),
+                 "--hidden", "4", "--grid-k", "16"]) == 2
+    err = capsys.readouterr().err
+    assert "rows [1] underflow to 0" in err and "Traceback" not in err
+    assert not ck.exists()
+
+
+def test_fit_rejects_feature_column_with_overflowing_statistics(tmp_path,
+                                                               capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text("time,event,x1,x2\n1,1,0.5,1e308\n2,0,0.2,-1e308\n"
+                    "3,1,0.1,1e308\n")
+    ck = tmp_path / "x.json"
+    assert main(["fit", "--data", str(data), "--out", str(ck),
+                 "--hidden", "4", "--grid-k", "16"]) == 2
+    err = capsys.readouterr().err
+    assert "feature columns [1]" in err and "non-finite" in err
+    assert "Traceback" not in err
+    assert not ck.exists()
+
+
 def test_fit_rejects_zero_iteration_caps(workdir, tmp_path, capsys):
     ck = tmp_path / "capped.json"
     common = ["fit", "--data", str(workdir / "train.csv"), "--out", str(ck),

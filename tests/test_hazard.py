@@ -1,5 +1,5 @@
-"""Hazard layer: normalizer, baseline, likelihood, prior, and the
-marked-point-process sampler behind the augmented model."""
+"""Hazard layer: baseline, likelihood, prior, and the marked-point-
+process sampler behind the augmented model."""
 
 import math
 
@@ -15,11 +15,10 @@ from sigsurv.hazard import (
     log_likelihood,
     log_posterior,
     log_prior,
-    normalizer_Z,
     sample_marked_pp_batch,
     sample_pg_series,
 )
-from sigsurv.net import MlpModel
+from sigsurv.net import MlpModel, forward_batch
 from sigsurv.numkit import RngStream, pg_f, pg_mean, sigmoid
 
 from _oracles import fine_grid_loglik
@@ -52,33 +51,32 @@ def test_prior_validation():
 
 
 def test_normalizer_is_half_at_zero_reference():
-    # g(.; 0) = 0 for every architecture, so the closed form gives 1/2
+    # g(.; 0) = 0 for every architecture, so Z = sigmoid(0) = 1/2 and
+    # the baseline factor 1/Z at rho = 1 is 2
+    T = np.linspace(0.0, 1.0, 9)
     for layers in [(3, 4, 1), (5, 16, 16, 1), (2, 1)]:
         model = MlpModel(layers)
-        T = np.linspace(0.0, 1.0, 9)
-        X = np.zeros((9, layers[0] - 1))
-        Z = normalizer_Z(model, T, X)
-        assert np.array_equal(Z, np.full(9, 0.5))
+        X = np.random.default_rng(3).normal(size=(9, layers[0] - 1))
+        g0 = forward_batch(model, T, X, np.zeros(model.n_params))
+        assert np.array_equal(sigmoid(g0), np.full(9, 0.5))
+    assert np.array_equal(baseline_factor(BaselinePrior(), T), np.full(9, 2.0))
 
 
 def test_normalizer_matches_prior_mc_single_unit():
-    # (1, 1) network: g = w t + b with (w, b) ~ N(0, I)
-    model = MlpModel((2, 1))
+    # a (2, 1) network, g = w t + b with (w, b) ~ N(0, I)
     rng = np.random.default_rng(13)
     wb = rng.standard_normal((1_000_000, 2))
     for t in (0.1, 0.5, 1.0):
         mc = sigmoid(wb[:, 0] * t + wb[:, 1]).mean()
-        Z = float(normalizer_Z(model, np.array([t]), np.zeros((1, 1)))[0])
+        Z = 1.0 / float(baseline_factor(BaselinePrior(), [t])[0])
         assert abs(Z - mc) < 0.01
 
 
 def test_baseline_factor_constant_shape():
-    model = MlpModel((3, 4, 1))
     T = np.linspace(0.0, 1.0, 6)
-    X = np.zeros((6, 2))
-    base = baseline_factor(model, BaselinePrior(rho=1.0), T, X)
+    base = baseline_factor(BaselinePrior(rho=1.0), T)
     assert np.allclose(base, 2.0, rtol=0, atol=1e-14)
-    base2 = baseline_factor(model, BaselinePrior(rho=2.0), T, X)
+    base2 = baseline_factor(BaselinePrior(rho=2.0), T)
     # t = 0 is floored to 1e-12 before the power, hence the 5e-12 slack
     assert np.allclose(base2, 2.0 * T, rtol=0, atol=5e-12)
 
@@ -213,12 +211,10 @@ def test_pg_series_sampler_means():
 
 
 def test_marked_pp_count_mean():
-    model = MlpModel((3, 4, 1))
     prior = BaselinePrior()
     root = RngStream.from_seed(31)
-    x = np.array([0.2, -0.4])
     times, omegas, counts = sample_marked_pp_batch(
-        model, prior, 1.3, 0.8, x, root.child(0), 10_000,
+        prior, 1.3, 0.8, root.child(0), 10_000,
         n_grid=1024, pg_terms=400,
     )
     want = 2.0 * 1.3 * 0.8      # constant intensity phi * base over [0, y]
@@ -229,11 +225,10 @@ def test_marked_pp_count_mean():
 
 def test_marked_pp_marks_are_pg_one_zero_at_silent_network():
     # theta* = 0 makes every mark PG(1, |g|) = PG(1, 0)
-    model = MlpModel((3, 4, 1))
     prior = BaselinePrior()
     root = RngStream.from_seed(32)
     _, omegas, _ = sample_marked_pp_batch(
-        model, prior, 2.0, 1.0, np.zeros(2), root.child(0), 8_000,
+        prior, 2.0, 1.0, root.child(0), 8_000,
         n_grid=512, pg_terms=400,
     )
     se = omegas.std(ddof=1) / math.sqrt(omegas.size)
@@ -242,13 +237,11 @@ def test_marked_pp_marks_are_pg_one_zero_at_silent_network():
 
 def test_marked_pp_exponential_functional_constant_g():
     # E[prod exp f(omega_j, -g)] = exp(-int lambda0 sigma(g)) for g = 0.3
-    model = MlpModel((3, 4, 1))
     prior = BaselinePrior()
-    theta = _bias_only_theta(model, 0.3)
     phi, y = 0.5, 1.0
     root = RngStream.from_seed(33)
     times, omegas, counts = sample_marked_pp_batch(
-        model, prior, phi, y, np.zeros(2), root.child(0), 100_000,
+        prior, phi, y, root.child(0), 100_000,
         n_grid=1024, pg_terms=400,
     )
     logf = pg_f(omegas, -0.3)
@@ -261,13 +254,12 @@ def test_marked_pp_exponential_functional_constant_g():
 
 
 def test_marked_pp_single_and_determinism():
-    model = MlpModel((3, 4, 1))
     prior = BaselinePrior()
     root = RngStream.from_seed(34)
-    t1, om1, n1 = sample_marked_pp_batch(model, prior, 1.0, 0.7, np.zeros(2),
-                                         root.child(9), n_rep=1)
-    t2, om2, n2 = sample_marked_pp_batch(model, prior, 1.0, 0.7, np.zeros(2),
-                                         root.child(9), n_rep=1)
+    t1, om1, n1 = sample_marked_pp_batch(prior, 1.0, 0.7, root.child(9),
+                                         n_rep=1)
+    t2, om2, n2 = sample_marked_pp_batch(prior, 1.0, 0.7, root.child(9),
+                                         n_rep=1)
     assert np.array_equal(t1, t2) and np.array_equal(om1, om2)
     assert n1.shape == (1,) and np.array_equal(n1, n2)
     assert t1.shape == om1.shape == (int(n1[0]),)

@@ -80,7 +80,7 @@ def test_latent_rate_equals_sign_flipped_hazard():
     T = ctx.grid.nodes[node]
     Xr = ctx.dataset.X[subject]
     g = forward_batch(ctx.model, T, Xr, theta)
-    want = baseline_factor(ctx.model, ctx.prior, T, Xr) * phi * sigmoid(-g)
+    want = baseline_factor(ctx.prior, T) * phi * sigmoid(-g)
     assert np.allclose(state.lam_grid, want, rtol=1e-13, atol=1e-300)
 
 
@@ -133,8 +133,8 @@ def test_packed_em_matches_full_grid_oracle(rho):
     live = grid.live_mask()
     assert 0 < live.sum() < live.size
     N, K = live.shape
-    base_grid = baseline_factor(model, ctx.prior, np.tile(grid.nodes, N),
-                                np.repeat(ds.X, K, axis=0)).reshape(N, K)
+    base_grid = baseline_factor(ctx.prior,
+                                np.tile(grid.nodes, N)).reshape(N, K)
     rng = np.random.default_rng(19)
     state_theta = rng.normal(size=model.n_params) * 0.8
     theta = rng.normal(size=model.n_params) * 0.8
