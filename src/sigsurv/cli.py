@@ -237,11 +237,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "iterations": em.n_iter,
             "converged": bool(em.converged),
             "final_q": float(em.q_trace[-1]),
+            # the log posterior at theta_MAP: EM stops on its change
+            "final_log_posterior": float(em.objective_trace[-1]),
             "message": em.message,
             # the M-steps' objective evaluations; gradients among them
             "evaluations": em.n_fev,
             "gradients": em.n_grad,
-            # 0.0: the MAP network ignores time and covariates
+            # max - min of g over the row block; 0.0 flags an
+            # intercept-only MAP network
             "g_spread": float(lin.g.max() - lin.g.min()),
         },
         "cavi": {
@@ -562,7 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha0", type=float, default=None)
     p.add_argument("--beta0", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--em-tol", dest="em_tol", type=float, default=None)
+    p.add_argument("--em-tol", dest="em_tol", type=float, default=None,
+                   help="EM stops when the log posterior's relative change "
+                        "is below this twice in a row (default 1e-6)")
     p.add_argument("--em-max-iter", dest="em_max_iter", type=int, default=None)
     p.add_argument("--em-init-scale", dest="em_init_scale", type=float,
                    default=None)

@@ -5,7 +5,9 @@ the thinned-process rates/moments at quadrature nodes from the current
 (theta, phi); the M-step maximizes the resulting Q-function over
 (theta, log phi) with the in-house L-BFGS. Network evaluations here are
 exact (no linearization) — the linearized machinery starts only in the
-variational stage that consumes this module's MAP estimate.
+variational stage that consumes this module's MAP estimate. The loop
+stops on the log posterior, the quantity full EM iterations can never
+decrease (Dempster, Laird & Rubin, 1977).
 
 Every evaluation reads g from the context's trace at its theta
 (`HazardContext.trace`), which keeps the last trace it made: the trial
@@ -69,9 +71,9 @@ class EmResult:
     constant dropped, so monotonicity across iterations is not
     guaranteed — the latent entropy drifts); objective_trace holds the
     log posterior under the shared quadrature, which full EM iterations
-    can never decrease. Convergence is judged on q_trace. n_fev counts
-    the M-steps' objective evaluations and n_grad the gradients among
-    them."""
+    can never decrease. Convergence is judged on objective_trace. n_fev
+    counts the M-steps' objective evaluations and n_grad the gradients
+    among them."""
 
     theta_map: np.ndarray
     phi_map: float
@@ -201,10 +203,11 @@ def run_em(
     gradient except the output bias vanishes there and stays zero, so
     init_scale = 0 — which reproduces that literal start — trains an
     intercept-only model); phi starts at its prior mean alpha0/beta0.
-    Converges when |dQ|/|Q| < tol on two consecutive iterations; the
-    returned flag reports convergence vs. iteration cap. The result
-    carries the maximized-Q trace and the log-posterior trace (the
-    latter is the quantity EM iterations provably never decrease).
+    Converges when the log posterior's relative change |dL|/|L| is
+    below tol on two consecutive iterations; the returned flag reports
+    convergence vs. iteration cap. The result carries the log-posterior
+    trace the stop test reads (the quantity EM iterations provably
+    never decrease) and the maximized-Q trace.
     """
     if init_scale < 0:
         raise InputError("init_scale must be >= 0")
@@ -246,12 +249,13 @@ def run_em(
                 "gradients": res.n_grad,
             }
         )
-        if len(q_trace) >= 2:
-            rel = abs(q_trace[-1] - q_trace[-2]) / (abs(q_trace[-2]) + 1e-12)
+        if len(objective_trace) >= 2:
+            prev = objective_trace[-2]
+            rel = abs(objective_trace[-1] - prev) / (abs(prev) + 1e-12)
             hits = hits + 1 if rel < tol else 0
             if hits >= 2:
                 converged = True
-                message = "relative Q change below tolerance twice"
+                message = "relative log-posterior change below tolerance twice"
                 break
     return EmResult(
         theta_map=state.theta,

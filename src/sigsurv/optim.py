@@ -3,6 +3,8 @@
 Implemented from scratch (two-loop recursion, bracket + zoom line
 search) rather than bound from a library; the maximization step of the
 EM loop runs this on the negated objective. Memory defaults to 10 pairs.
+A directional derivative that is not finite (an overflowing or
+non-finite gradient) raises NumericalError: no step can be chosen on it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 __all__ = ["OptimResult", "minimize_lbfgs"]
 
@@ -50,6 +52,18 @@ def _two_loop(g, s_list, y_list, rho_list):
     return q
 
 
+def _slope(g, d) -> float:
+    """The directional derivative g @ d. A non-finite g makes it
+    non-finite too, so this one check also covers every gradient the
+    line search accepts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dg = float(g @ d)
+    if not np.isfinite(dg):
+        raise NumericalError("directional derivative is not finite "
+                             "(the objective's gradient overflows)")
+    return dg
+
+
 def _quad_interp(a_lo, f_lo, dg_lo, a_hi, f_hi):
     """Minimizer of the quadratic through (a_lo, f_lo, dg_lo) and
     (a_hi, f_hi); None when degenerate."""
@@ -75,7 +89,7 @@ def _zoom(fg, x, d, f0, dg0, a_lo, f_lo, g_lo, dg_lo, a_hi, f_hi, c1, c2, max_it
             a_hi, f_hi = a, f_a
         else:
             g_a = grad_a()
-            dg_a = float(g_a @ d)
+            dg_a = _slope(g_a, d)
             if abs(dg_a) <= -c2 * dg0:
                 return a, f_a, g_a
             if dg_a * (a_hi - a_lo) >= 0:
@@ -92,7 +106,7 @@ def _wolfe_search(fg, x, f0, g0, d, a_first, c1, c2, max_iter):
     """Bracketing phase of the strong-Wolfe search (doubling steps). A
     trial's gradient is taken only when it passes sufficient decrease
     and lowers f below the previous trial's."""
-    dg0 = float(g0 @ d)
+    dg0 = _slope(g0, d)
     a_prev, f_prev, g_prev, dg_prev = 0.0, f0, g0, dg0
     a = a_first
     for i in range(max_iter):
@@ -103,7 +117,7 @@ def _wolfe_search(fg, x, f0, g0, d, a_first, c1, c2, max_iter):
                 max_iter,
             )
         g_a = grad_a()
-        dg_a = float(g_a @ d)
+        dg_a = _slope(g_a, d)
         if abs(dg_a) <= -c2 * dg0:
             return a, f_a, g_a
         if dg_a >= 0:
@@ -153,7 +167,8 @@ def minimize_lbfgs(
     `n_fev` counts evaluations and `n_grad` gradients. Stops on
     sup-norm gradient <= gtol, iteration cap, or an irrecoverable
     line-search failure (the best iterate so far is returned either
-    way; `converged` reports which exit fired).
+    way; `converged` reports which exit fired). Raises NumericalError
+    when a directional derivative is not finite.
     """
     if memory < 1 or max_iter < 1:
         raise InputError("memory and max_iter must be >= 1")
@@ -176,7 +191,7 @@ def minimize_lbfgs(
             converged, message = True, "gradient tolerance reached"
             break
         d = -_two_loop(g, s_list, y_list, rho_list)
-        if not np.all(np.isfinite(d)) or float(g @ d) >= 0.0:
+        if not np.all(np.isfinite(d)) or _slope(g, d) >= 0.0:
             s_list, y_list, rho_list = [], [], []
             d = -g
         a_first = 1.0 if s_list else min(1.0, 1.0 / max(1.0, float(np.abs(g).max())))

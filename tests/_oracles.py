@@ -428,7 +428,9 @@ def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500,
     posterior are written out in full in the library's operation
     order. Unlike the oracles above it calls the package's network,
     Polya-Gamma mean and optimizer: what it checks is that sharing
-    traces and deferring gradients changes no bit of the fit. Returns
+    traces and deferring gradients changes no bit of the fit. Like
+    run_em it stops when the log posterior's relative change is below
+    tol twice in a row. Returns
     (theta, phi, q_trace, objective_trace, records, n_iter)."""
     from sigsurv.hazard import log_prior
     from sigsurv.net import forward_and_grad, forward_batch
@@ -488,8 +490,9 @@ def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500,
             "theta_norm": float(np.linalg.norm(theta)),
             "evaluations": res.n_fev, "gradients": res.n_grad,
         })
-        if len(q_trace) >= 2:
-            rel = abs(q_trace[-1] - q_trace[-2]) / (abs(q_trace[-2]) + 1e-12)
+        if len(objective_trace) >= 2:
+            prev = objective_trace[-2]
+            rel = abs(objective_trace[-1] - prev) / (abs(prev) + 1e-12)
             hits = hits + 1 if rel < tol else 0
             if hits >= 2:
                 break

@@ -2,19 +2,21 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sigsurv import net, predict
+from sigsurv import cavi, map_em, net, predict
 from sigsurv.checkpoint import (body_bytes, decode_array, encode_array,
                                 fit_from_doc, load_checkpoint)
 from sigsurv.cli import main
@@ -209,6 +211,23 @@ def test_fit_reports_g_spread(workdir):
     assert abs(got - float(np.ptp(g))) <= 1e-12 * max(1.0, abs(got))
 
 
+def test_fit_reports_final_log_posterior(workdir, tmp_path, monkeypatch):
+    runs = []
+    run_em = map_em.run_em
+
+    def recorded(*args, **kwargs):
+        runs.append(run_em(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(map_em, "run_em", recorded)
+    ck = tmp_path / "lp.json"
+    assert main(["fit", "--data", str(workdir / "train.csv"), "--out", str(ck),
+                 "--hidden", "4", "--grid-k", "16", "--seed", "3"]) == 0
+    _, body = load_checkpoint(ck)
+    got = body["diagnostics"]["em"]["final_log_posterior"]
+    assert got == float(runs[0].objective_trace[-1])
+
+
 def test_fit_rejects_non_finite_float_flags(workdir, tmp_path, capsys):
     ck = tmp_path / "nf.json"
     common = ["fit", "--data", str(workdir / "train.csv"), "--out", str(ck),
@@ -251,13 +270,38 @@ def test_fit_input_errors(tmp_path, capsys):
 
 
 def test_fit_diverging_cavi_exits_3_without_checkpoint(workdir, tmp_path,
-                                                      capsys):
+                                                      monkeypatch, capsys):
+    # a sweep that leaves alpha~ infinite stands in for a diverging CAVI
+    update_phi = cavi.update_phi
+
+    def diverging(state, ctx):
+        return dataclasses.replace(update_phi(state, ctx), alpha_tilde=np.inf)
+
+    monkeypatch.setattr(cavi, "update_phi", diverging)
     ck = tmp_path / "diverged.json"
     rc = main(["fit", "--data", str(workdir / "train.csv"), "--out", str(ck),
-               "--grid-k", "16", "--alpha0", "1e300"])
+               "--hidden", "4", "--grid-k", "16"])
     assert rc == 3
     err = capsys.readouterr().err
     assert "numerical failure: non-finite variational state" in err
+    assert not ck.exists()
+
+
+@pytest.mark.parametrize("hidden", ["4", "16,16"])
+def test_fit_overflowing_em_gradient_exits_3_without_checkpoint(
+        workdir, tmp_path, capsys, hidden):
+    # alpha0 = 1e300 overflows the log-phi gradient's directional
+    # derivative in the first M-step's line search
+    ck = tmp_path / "overflow.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", "--data", str(workdir / "train.csv"), "--out",
+                   str(ck), "--hidden", hidden, "--grid-k", "16",
+                   "--alpha0", "1e300"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: directional derivative is not finite" in err
+    assert "Traceback" not in err
     assert not ck.exists()
 
 

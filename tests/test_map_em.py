@@ -382,6 +382,33 @@ def _assert_equals_eager(ctx, em, want):
     assert em.n_grad == sum(r["gradients"] for r in records) < em.n_fev
 
 
+def _first_double_hit(objective_trace, tol):
+    """The iteration count at the first (0-based) iteration i >= 2 whose
+    log posterior changed, relative to the one before, by less than tol
+    at both i - 1 and i; None when no iteration qualifies."""
+    def rel(i):
+        prev = objective_trace[i - 1]
+        return abs(objective_trace[i] - prev) / (abs(prev) + 1e-12)
+
+    for i in range(2, len(objective_trace)):
+        if rel(i - 1) < tol and rel(i) < tol:
+            return i + 1
+    return None
+
+
+@pytest.mark.parametrize("n, key, scale", [(25, 25, 0.1), (50, 50, 1.0)])
+def test_run_em_stops_at_the_first_double_hit_on_the_log_posterior(n, key,
+                                                                    scale):
+    tol = 1e-6
+    ctx = _gate_ctx(n, key)
+    em = run_em(ctx, RngStream.from_seed(ROOT_SEED).child(key + 1),
+                init_scale=scale, tol=tol)
+    assert em.converged
+    assert em.message == "relative log-posterior change below tolerance twice"
+    assert len(em.objective_trace) == em.n_iter
+    assert _first_double_hit(em.objective_trace, tol) == em.n_iter
+
+
 def test_run_em_equals_the_eager_oracle_on_the_gate_set(small_fit):
     # small_fit is the gate's N=25 fit (training key 25, EM stream 26)
     want = run_em_eager(small_fit.ctx,
