@@ -2,10 +2,10 @@
 survival curves, evaluate metrics, and self-test the numerical core.
 
 Exit codes: 0 success, 2 input error (also a file that cannot be
-opened), 3 numerical failure, 4 finished-but-not-converged (outputs are
-still written), 1 standard output closed before everything was
-printed, e.g. piped into `head` (output files are written before
-anything is printed).
+opened, or sizes whose arrays do not fit in memory), 3 numerical
+failure, 4 finished-but-not-converged (outputs are still written), 1
+standard output closed before everything was printed, e.g. piped into
+`head` (output files are written before anything is printed).
 
 numpy is imported lazily inside the command handlers so that the BLAS
 thread pools can be sized before they initialize: `predict` and `eval`
@@ -54,6 +54,14 @@ CONFIG_DEFAULTS: dict = {
 }
 
 _PATH_KEYS = ("data", "out", "checkpoint", "trace", "config")
+
+# What sizes each command's arrays, named when they do not fit in memory.
+_SIZE_FLAGS = {
+    "synth": "--n",
+    "fit": "--grid-k, --hidden or the training rows",
+    "predict": "--draws, --grid-points or the rows of --data",
+    "eval": "--draws, --grid-points or the rows of --data",
+}
 
 
 _BLAS_VARS = (
@@ -627,6 +635,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        sizes = _SIZE_FLAGS.get(args.command, "the input sizes")
+        print(f"input error: out of memory: {exc}; lower {sizes}",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -191,16 +191,21 @@ def forward(model: MlpModel, t, x, theta) -> float:
 
 def jacobian_batch(model: MlpModel, T, X, theta, out=None):
     """Network output and its per-row gradient w.r.t. theta from one
-    forward trace: (g (n,), J (n, m)). J is written into `out`, a
-    C-contiguous (n, m) float array, when one is given."""
+    forward trace: (g (n,), J (n, m)). J is written into `out`, a C- or
+    F-contiguous (n, m) float array, when one is given; either layout
+    holds the same products, bit for bit."""
     layers, g, acts = _forward(model, _as_batch(model, T, X), theta)
     n = g.shape[0]
     J = np.empty((n, model.n_params)) if out is None else out
     for w_sl, b_sl, fi, fo, S, A in _reverse(model, layers, acts,
                                              np.ones((n, 1))):
-        # (n, fo, fi) view of J's weight columns: splitting the
-        # contiguous last axis never copies
-        np.einsum("nj,nk->njk", S, A, out=J[:, w_sl].reshape(n, fo, fi))
+        # (n, fo, fi) view of J's weight columns, or (fo, fi, n) of its
+        # transpose's rows when J is column-major: splitting one axis
+        # never copies, and the einsum writes along the contiguous one
+        if J.flags.c_contiguous:
+            np.einsum("nj,nk->njk", S, A, out=J[:, w_sl].reshape(n, fo, fi))
+        else:
+            np.einsum("nj,nk->jkn", S, A, out=J.T[w_sl].reshape(fo, fi, n))
         J[:, b_sl] = S
     return g, J
 
@@ -248,6 +253,7 @@ class LinearizedModel:
 
     Caches g and J on the row block of `row_block`: the first n_event
     rows are the (y_i, x_i), the rest the P live grid pairs (t_k, x_i).
+    J is C-contiguous, from `linearize`'s second trace of the network.
     offset = g - J theta_MAP, so that g_lin(theta) = offset + J theta.
     V and JV come from J's thin SVD J = P S V^T truncated to its
     numerical rank r: V (m, r) holds J's leading r right singular
@@ -273,20 +279,27 @@ class LinearizedModel:
 # the rank threshold's lower bound: no kept singular value moves by more.
 _TRUNCATE = 1e-2
 
+# Rows of the triangular factor squared at a time by `_triu_row_sumsq`.
+_SUMSQ_BLOCK = 64
+
 
 def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
     """Build the expansion around theta_map on the row block of the
     QuadratureGrid `grid` over `dataset`'s (normalized) times.
 
-    J's thin SVD is taken at its numerical rank, with no orthogonal
-    factor ever formed:
-    1. a Householder QR of J's tall orientation (A = J^T when R <= m,
-       A = J otherwise) gives A = Q F, F square and triangular of side
-       n = min(R, m), Q kept as LAPACK's reflectors;
-    2. a column-pivoted QR (Businger & Golub 1965) F P = Q2 R2 reveals
-       the rank: R2 is cut to its leading k rows, k the smallest index
-       whose trailing block ||R2[k:, k:]||_F is below
-       _TRUNCATE * |R2[0, 0]| * max(R, m) * eps;
+    J (R, m) is traced once into a buffer laid out as the column-major
+    tall orientation A its QR needs: C-order when R <= m, so that
+    A = J^T is F-contiguous, and F-order when R > m, where A = J. J's
+    thin SVD is taken at its numerical rank from A, with no orthogonal
+    factor ever formed and every factorization written over its input:
+    1. a Householder QR of A in the buffer itself gives A = Q F, F
+       square and upper triangular of side n = min(R, m), Q kept as
+       LAPACK's reflectors;
+    2. a column-pivoted QR (Businger & Golub 1965) in F's own column-
+       major array, F P = Q2 R2, reveals the rank: R2 is cut to its
+       leading k rows, k the smallest index whose trailing block
+       ||R2[k:, k:]||_F is below _TRUNCATE * |R2[0, 0]| * max(R, m) *
+       eps;
     3. the divide-and-conquer gesdd factors the k x n block
        B = R2[:k] P^T (the R-SVD of Chan, ACM TOMS 1982). J's singular
        values are B's; those above s_max * max(R, m) * eps (numpy's
@@ -298,35 +311,29 @@ def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
     worst case is a full-rank J (k = n): there steps 2 and 4 add work
     to the plain R-SVD, 11-28 ms on a random J of side n = 385, 1 BLAS
     thread, against its 47-56 ms. Every fit measured has r far below n.
+    Once V and JV exist the factored buffer is dropped, and J is traced
+    again, C-ordered, for `LinearizedModel.J`, g and the offset. With
+    k far below n the peak is about R m + 2 n^2 floats: J, F and B's
+    n x n right singular vectors. The square arrays are gone before the
+    (max(R, m), r) singular vectors are formed, which take two copies'
+    room; where r (R + m) nears n^2 they set the peak instead.
     """
-    from scipy.linalg import qr, svd
-
     theta_map = np.asarray(theta_map, dtype=float)
     if not np.all(np.isfinite(theta_map)):
         raise ValueError("theta_map must be finite")
     T, X = row_block(grid, dataset)
-    g, J = jacobian_batch(model, T, X, theta_map)
+    R, m = T.shape[0], model.n_params
+    wide = R <= m
+    J = np.empty((R, m), order="C" if wide else "F")
+    jacobian_batch(model, T, X, theta_map, out=J)
     if not np.all(np.isfinite(J)):  # LAPACK's SVD fails on NaN
         raise NumericalError("Jacobian at theta_map overflows")
-    wide = J.shape[0] <= J.shape[1]
-    eps_max = max(J.shape) * np.finfo(float).eps
-    (H, tau), F = qr(J.T if wide else J, mode="raw", check_finite=False)
-    (H2, tau2), R2, piv = qr(F, mode="raw", pivoting=True,
-                             check_finite=False)
-    # trailing[k] = ||R2[k:, k:]||_F: R2 is upper triangular
-    trailing = np.sqrt(np.cumsum((R2 * R2).sum(axis=1)[::-1])[::-1])
-    k = int(np.count_nonzero(
-        trailing >= _TRUNCATE * abs(R2[0, 0]) * eps_max))
-    B = np.empty((k, R2.shape[1]))
-    B[:, piv] = R2[:k]
-    U, s, Wt = svd(B, lapack_driver="gesdd", check_finite=False)
-    r = int(np.count_nonzero(s > s[0] * eps_max))
-    # A's r leading left singular vectors, Q Q2 [U_r; 0]
-    UA = _apply_reflectors(H, tau, _apply_reflectors(H2, tau2, U[:, :r]))
-    if wide:  # J = Wt^T S UA^T
-        V, JV = UA, Wt[:r].T * s[:r]
-    else:  # J = UA S Wt
-        V, JV = np.ascontiguousarray(Wt[:r].T), UA * s[:r]
+    UA, s, W = _rank_svd(J.T if wide else J)
+    # J = W S UA^T when wide, UA S W^T when tall
+    V, JV = (UA, W) if wide else (W, UA)
+    JV *= s
+    del J  # the factored buffer goes before J is traced again
+    g, J = jacobian_batch(model, T, X, theta_map)
     return LinearizedModel(
         model=model,
         g=g,
@@ -338,6 +345,59 @@ def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
     )
 
 
+def _rank_svd(A):
+    """The thin SVD of the F-contiguous tall A (M, n), M >= n, at its
+    numerical rank r, by steps 1-4 of `linearize`: (UA (M, r), s (r,),
+    W (n, r)) with A = UA diag(s) W^T. A is overwritten with its QR's
+    reflectors."""
+    from scipy.linalg import svd
+    from scipy.linalg.lapack import dgeqp3, dgeqrf
+
+    eps_max = max(A.shape) * np.finfo(float).eps
+    H, tau = _lapack(dgeqrf, A, overwrite_a=1)
+    n = H.shape[1]
+    # F = triu(H[:n]), built F-contiguous so that geqp3 writes over it
+    H2, piv, tau2 = _lapack(dgeqp3, np.tril(H[:n].T).T, overwrite_a=1)
+    piv -= 1  # LAPACK's pivots count from 1
+    # trailing[k] = ||R2[k:, k:]||_F, R2 = triu(H2)
+    trailing = np.sqrt(np.cumsum(_triu_row_sumsq(H2)[::-1])[::-1])
+    k = int(np.count_nonzero(
+        trailing >= _TRUNCATE * abs(H2[0, 0]) * eps_max))
+    B = np.empty((k, n), order="F")
+    B[:, piv] = np.triu(H2[:k])
+    U, s, Wt = svd(B, overwrite_a=True, lapack_driver="gesdd",
+                   check_finite=False)
+    r = int(np.count_nonzero(s > s[0] * eps_max))
+    W = np.ascontiguousarray(Wt[:r].T)
+    del B, Wt  # gesdd wrote over B; each square array goes once used
+    # A's r leading left singular vectors, Q Q2 [U_r; 0]
+    Q2U = _apply_reflectors(H2, tau2, U[:, :r])
+    del H2, U
+    return _apply_reflectors(H, tau, Q2U), s[:r], W
+
+
+def _triu_row_sumsq(H):
+    """(R * R).sum(axis=1) of the C-ordered R = np.triu(H), H square,
+    bit for bit, with no n x n temporary: each row of R is squared and
+    summed whole, its zeros included, so that numpy's pairwise sum
+    groups it as it groups R's rows, _SUMSQ_BLOCK rows at a time."""
+    out = np.empty(H.shape[0])
+    for i in range(0, H.shape[0], _SUMSQ_BLOCK):
+        Rb = np.triu(H[i:i + _SUMSQ_BLOCK], i)
+        out[i:i + _SUMSQ_BLOCK] = np.multiply(Rb, Rb, order="C").sum(axis=1)
+    return out
+
+
+def _lapack(routine, *args, **kwargs):
+    """routine(*args, **kwargs) with the workspace it asks for, sized as
+    scipy.linalg sizes it, less its trailing (work, info) outputs."""
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    if info < 0:
+        raise ValueError(f"{routine.__name__}: illegal argument {-info}")
+    return out
+
+
 def _apply_reflectors(H, tau, C):
     """Q @ [C; 0] for the (M, M) orthogonal Q whose Householder
     reflectors are LAPACK's compact (H (M, n), tau) from a QR, with C
@@ -346,8 +406,5 @@ def _apply_reflectors(H, tau, C):
 
     out = np.zeros((H.shape[0], C.shape[1]), order="F")
     out[:C.shape[0]] = C
-    lwork = int(dormqr("L", "N", H, tau, out, -1)[1][0])
-    out, _, info = dormqr("L", "N", H, tau, out, lwork, overwrite_c=1)
-    if info:
-        raise ValueError(f"ormqr: illegal argument {-info}")
+    out, = _lapack(dormqr, "L", "N", H, tau, out, overwrite_c=1)
     return np.ascontiguousarray(out)

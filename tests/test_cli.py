@@ -287,6 +287,34 @@ def test_fit_diverging_cavi_exits_3_without_checkpoint(workdir, tmp_path,
     assert not ck.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "predict", "eval"])
+def test_out_of_memory_exits_2_naming_the_size_flags(workdir, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     command):
+    # an inner call stands in for an allocation too large for the
+    # machine, which numpy reports as a MemoryError
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 18.6 GiB for an array")
+
+    out = tmp_path / "out"
+    if command == "fit":
+        monkeypatch.setattr(map_em, "run_em", exhausted)
+        argv = ["fit", "--data", str(workdir / "train.csv"), "--out",
+                str(out), "--hidden", "4", "--grid-k", "16"]
+        flags = ("--grid-k", "--hidden")
+    else:
+        monkeypatch.setattr(predict, "mean_survival_matrix", exhausted)
+        argv = [command, "--checkpoint", str(workdir / "model.json"),
+                "--data", str(workdir / "test.csv"), "--out", str(out)]
+        flags = ("--draws", "--grid-points")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error: out of memory: Unable to allocate 18.6 GiB" in err
+    assert all(flag in err for flag in flags)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("hidden", ["4", "16,16"])
 def test_fit_overflowing_em_gradient_exits_3_without_checkpoint(
         workdir, tmp_path, capsys, hidden):

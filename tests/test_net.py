@@ -1,6 +1,7 @@
 """Feedforward network: forward pass, reverse-mode Jacobian, local
 linearization, and the flat parameter layout."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -188,6 +189,21 @@ def test_jacobian_batch_writes_into_out():
     buf = np.full((11, model.n_params), np.nan)
     g_out, J_out = jacobian_batch(model, T, X, theta, out=buf)
     assert J_out is buf
+    assert np.array_equal(g_out, g) and np.array_equal(buf, J)
+
+
+def test_jacobian_batch_fills_a_column_major_out_bit_for_bit():
+    # linearize traces J column-major when R > m; every hidden layer's
+    # weight block goes through the transposed einsum
+    model = MlpModel((3, 6, 5, 4, 1))
+    rng = np.random.default_rng(10)
+    theta = rng.normal(size=model.n_params)
+    T = rng.uniform(0, 1, size=13)
+    X = rng.normal(size=(13, 2))
+    g, J = jacobian_batch(model, T, X, theta)
+    buf = np.full((13, model.n_params), np.nan, order="F")
+    g_out, J_out = jacobian_batch(model, T, X, theta, out=buf)
+    assert J_out is buf and buf.flags.f_contiguous
     assert np.array_equal(g_out, g) and np.array_equal(buf, J)
 
 
@@ -418,6 +434,31 @@ def test_linearize_rejects_an_overflowing_jacobian(make_ctx):
             np.errstate(over="ignore", invalid="ignore"):
         linearize(c.model, np.full(c.model.n_params, 1e200), c.ctx.grid,
                   c.ds)
+
+
+def test_linearize_peak_memory_is_one_jacobian_and_three_squares(
+        small_fit, make_ctx):
+    # J is factored in its own buffer: one copy of J, the triangular
+    # factor and B's right singular vectors. Wide: the bench's
+    # fit_lowrank fit (R = 518 <= m = 1281, n = R); tall: the gate's
+    # N = 25 fit (R = 518 > m = 385, n = m). A QR on a copy of J, as
+    # scipy's qr takes by default, holds about 2 J + 5 n^2 floats.
+    c = make_ctx(25, 25, layers=(5, 32, 32, 1), n_nodes=64)
+    em = run_em(c.ctx, c.root.child(26))
+    cases = [(c.model, em.theta_map, c.ctx.grid, c.ds, True),
+             (small_fit.model, small_fit.em.theta_map, small_fit.ctx.grid,
+              small_fit.ds, False)]
+    for model, theta, grid, ds, wide in cases:
+        tracemalloc.start()  # traces what is allocated from here on
+        try:
+            lin = linearize(model, theta, grid, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        R, m = lin.J.shape
+        assert (R <= m) == wide
+        n = min(R, m)
+        assert peak <= lin.J.nbytes + 3 * n * n * 8
 
 
 def test_linearize_packed_rows_are_the_live_pairs_in_order(small_fit):
