@@ -86,7 +86,7 @@ class SigmaDense:
 
 @dataclass
 class LowRankFactor:
-    """Sigma~ = (I_m + U diag(C) U^T)^(-1) = 2 B^(-1) for U (m, r) with
+    """Sigma~ = (I_m + U diag(C) U^T)^(-1) = (1/2) B^(-1) for U (m, r) with
     orthonormal columns and eigenweights C >= 0: the factor
     `build_factor` makes, U = V Q. `checkpoint.fit_from_doc` checks the
     orthonormality of a U read from a file; no other U enters. Every
@@ -233,7 +233,7 @@ def update_omega(state: VariationalState, lin: LinearizedModel,
     1/4 limit at c = 0 (censored rows keep the limit value, which only
     ever appears multiplied by delta_i downstream)."""
     c_tilde = ctx.dataset.delta * state.s_tilde[:lin.n_event]
-    return replace(state, c_tilde=c_tilde, e_omega=pg_mean(1.0, c_tilde))
+    return replace(state, c_tilde=c_tilde, e_omega=pg_mean(c_tilde))
 
 
 def update_psi(state: VariationalState, lin: LinearizedModel,
@@ -271,7 +271,7 @@ def build_factor(b, lin: LinearizedModel) -> LowRankFactor:
     JV = Q diag(c) Q^T (c clamped at 0 against rounding), U = V Q and
     C = c, so that U C U^T = J^T diag(b) J on J's row space. b carries
     delta_i E[omega_i] on the event rows and the folded quadrature
-    weight v_ik lambda_ik tau_ik, tau = pg_mean(1, s~), on the live
+    weight v_ik lambda_ik tau_ik, tau = pg_mean(s~), on the live
     pairs (`hazard.row_coefficients`)."""
     c, Q = np.linalg.eigh((lin.JV * b[:, None]).T @ lin.JV)
     return LowRankFactor(U=lin.V @ Q, C=np.maximum(c, 0.0))
@@ -287,12 +287,12 @@ def update_theta(
     the linearization offset, then the cached moments on the whole row
     block: m~ = off + J mu~ and s~ = sqrt(m~^2 + rows of J Sigma~ J^T).
     The row coefficients (a, b) are derived once, with
-    tau = pg_mean(1, s~) at the live pairs, and b also builds the
+    tau = pg_mean(s~) at the live pairs, and b also builds the
     factor. In the factor's basis, with
     w = diag(1/(1+c)) (JV Q)^T (a - b off), mu~ = U w and
     J mu~ = JV Q w (mu~ lies in J's row space), and the rows of
     J Sigma~ J^T are the squared row norms of JV Q diag((1+c)^(-1/2))."""
-    tau = pg_mean(1.0, state.s_tilde[lin.n_event:])
+    tau = pg_mean(state.s_tilde[lin.n_event:])
     a, b = row_coefficients(ctx, state.e_omega, state.lam_q, tau)
     factor = build_factor(b, lin)
     JVQ = lin.JV @ (lin.V.T @ factor.U)  # Q = V^T U

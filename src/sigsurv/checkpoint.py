@@ -46,29 +46,25 @@ _ORTHONORMAL_TOL = 1e-8
 
 
 def encode_array(arr: np.ndarray) -> dict:
+    """A float array as {"__array__", "shape", "dtype": "<f8", "data"};
+    every array of a body is float."""
     arr = np.asarray(arr)
-    if arr.dtype.kind == "f":
-        buf = np.ascontiguousarray(arr, dtype="<f8")
-        dtype = "<f8"
-    elif arr.dtype.kind in "iub":
-        buf = np.ascontiguousarray(arr, dtype="<i8")
-        dtype = "<i8"
-    else:
+    if arr.dtype.kind != "f":
         raise InputError(f"unsupported array dtype {arr.dtype}")
+    buf = np.ascontiguousarray(arr, dtype="<f8")
     return {
         "__array__": True,
         "shape": list(arr.shape),
-        "dtype": dtype,
+        "dtype": "<f8",
         "data": base64.b64encode(buf.tobytes()).decode("ascii"),
     }
 
 
 def decode_array(doc: dict) -> np.ndarray:
-    if doc["dtype"] not in ("<f8", "<i8"):
+    if doc["dtype"] != "<f8":
         raise ValueError(f"unsupported array dtype {doc['dtype']!r}")
     raw = base64.b64decode(doc["data"], validate=True)
-    arr = np.frombuffer(raw, dtype=doc["dtype"]).reshape(doc["shape"])
-    return arr.astype(float) if doc["dtype"] == "<f8" else arr.astype(np.int64)
+    return np.frombuffer(raw, dtype="<f8").reshape(doc["shape"]).astype(float)
 
 
 def _encode(obj):
@@ -93,12 +89,17 @@ def _decode(obj):
     return obj
 
 
-def body_bytes(body: dict) -> bytes:
-    """Canonical serialization of a body document (sorted keys, no
-    whitespace, non-finite floats rejected)."""
+def _dumps(doc: dict) -> str:
+    """Canonical JSON text of a document, arrays encoded (sorted keys,
+    no whitespace, non-finite floats rejected)."""
     return json.dumps(
-        _encode(body), sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+        _encode(doc), sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+
+
+def body_bytes(body: dict) -> bytes:
+    """Canonical serialization of a body document (`_dumps`)."""
+    return _dumps(body).encode("utf-8")
 
 
 def config_hash(cfg: dict) -> str:
@@ -108,18 +109,18 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(body_bytes(cfg)).hexdigest()
 
 
-def save_checkpoint(path, body: dict, meta: dict | None = None) -> None:
-    doc = {
-        "meta": {
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "tool": _TOOL,
-            "format": _FORMAT_VERSION,
-            **(meta or {}),
-        },
-        "body": json.loads(body_bytes(body).decode("utf-8")),
+def save_checkpoint(path, body: dict) -> None:
+    """Write {"meta", "body"} as canonical JSON (`_dumps`). The text is
+    made in full before the file is opened, so a body that cannot be
+    written (a non-finite float) leaves no file behind."""
+    meta = {
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "tool": _TOOL,
+        "format": _FORMAT_VERSION,
     }
+    text = _dumps({"meta": meta, "body": body})
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
 
 
 def _finite_number(text: str, kind=float):
@@ -192,7 +193,8 @@ def fit_to_doc(
         "config_hash": cfg_hash,
         "architecture": {"layer_sizes": list(model.layer_sizes)},
         "prior": {"alpha0": prior.alpha0, "beta0": prior.beta0, "rho": prior.rho},
-        "normalization": {"stats": stats.to_doc(), "t_max": float(t_max)},
+        "normalization": {"stats": {"mean": stats.mean, "std": stats.std},
+                          "t_max": float(t_max)},
         "map": {"theta": np.asarray(theta_map), "phi": float(phi_map)},
         "variational": {
             "alpha_tilde": float(state.alpha_tilde),
@@ -221,7 +223,9 @@ def fit_from_doc(body: dict) -> FittedModel:
     try:
         model = MlpModel(tuple(int(s) for s in body["architecture"]["layer_sizes"]))
         prior = BaselinePrior(**body["prior"])
-        stats = FeatureStats.from_doc(body["normalization"]["stats"])
+        doc = body["normalization"]["stats"]  # arrays, or older files' lists
+        stats = FeatureStats(mean=np.asarray(doc["mean"], dtype=float),
+                             std=np.asarray(doc["std"], dtype=float))
         var = body["variational"]
         sigma = var["sigma"]
         if sigma["kind"] != "factor":

@@ -39,16 +39,6 @@ class FeatureStats:
             )
         return (X - self.mean) / self.std
 
-    def to_doc(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FeatureStats":
-        return cls(
-            mean=np.asarray(doc["mean"], dtype=float),
-            std=np.asarray(doc["std"], dtype=float),
-        )
-
 
 def standardize(X: np.ndarray, stats: FeatureStats | None = None):
     """Zero-mean unit-variance columns; returns (X_std, stats).

@@ -42,8 +42,11 @@ __all__ = [
 ]
 
 # Guards t^(rho-1) at the t = 0 grid node when rho < 1 (power would be
-# infinite); irrelevant at the default rho = 1.
+# infinite); irrelevant at the default rho = 1, where t^0 is exactly 1.
 _T_POWER_FLOOR = 1e-12
+
+# Gamma-series terms drawn per block by `sample_pg_series`.
+_PG_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,6 @@ def baseline_factor(prior: BaselinePrior, T):
     (t, x) and Z = sigmoid(0) = 1/2 whatever its variance: the baseline
     depends on time alone."""
     t = np.asarray(T, dtype=float)
-    if prior.rho == 1.0:
-        return np.full_like(t, 2.0)
     return 2.0 * np.maximum(t, _T_POWER_FLOOR) ** (prior.rho - 1.0)
 
 
@@ -221,26 +222,22 @@ def log_posterior(ctx: HazardContext, phi: float, theta) -> float:
     )
 
 
-def sample_pg_series(
-    rng: RngStream, b: float, c: float, size: int, terms: int = 2000, chunk: int = 128
-):
-    """Polya-Gamma PG(b, c) draws via the truncated gamma series
+def sample_pg_series(rng: RngStream, c: float, size: int, terms: int = 2000):
+    """Polya-Gamma PG(1, c) draws via the truncated gamma series
     (1 / (2 pi^2)) sum_k g_k / ((k - 1/2)^2 + c^2 / (4 pi^2)),
-    g_k ~ Gamma(b, 1) iid over k = 1..terms. Term blocks of `chunk`
-    keep memory flat for large `size`. Truncation biases the mean low
-    by about 1/(2 pi^2 terms) relative terms-tail; ~2.5e-5 at the
-    default 2000."""
-    if b <= 0:
-        raise InputError("b must be positive")
+    g_k ~ Gamma(1, 1) iid over k = 1..terms. Term blocks of
+    _PG_CHUNK keep memory flat for large `size`. Truncation drops the
+    tail k > terms, which biases the mean low by about
+    1 / (2 pi^2 terms): 2.5e-5 at the default 2000."""
     if terms < 1 or size < 0:
         raise InputError("terms must be >= 1 and size >= 0")
     c = float(c)
     ks = np.arange(1, terms + 1, dtype=float)
     denom = (ks - 0.5) ** 2 + c * c / (4.0 * np.pi**2)
     out = np.zeros(size)
-    for start in range(0, terms, chunk):
-        d = denom[start : start + chunk]
-        g = rng.gen.gamma(b, 1.0, size=(size, d.size))
+    for start in range(0, terms, _PG_CHUNK):
+        d = denom[start : start + _PG_CHUNK]
+        g = rng.gen.gamma(1.0, 1.0, size=(size, d.size))
         out += (g / d).sum(axis=1)
     return out / (2.0 * np.pi**2)
 
@@ -281,6 +278,6 @@ def sample_marked_pp_batch(
     n_pts = int(counts.sum())
     u = rng.gen.uniform(0.0, total, size=n_pts)
     times = np.interp(u, cum, tg)
-    omegas = sample_pg_series(rng, 1.0, 0.0, size=n_pts, terms=pg_terms)
+    omegas = sample_pg_series(rng, 0.0, size=n_pts, terms=pg_terms)
     return times, omegas, counts
 

@@ -35,6 +35,10 @@ from .optim import OptimResult, minimize_lbfgs
 __all__ = ["EmState", "EmResult", "em_latent_update", "q_function", "q_grad",
            "em_m_step", "run_em"]
 
+# Each M-step's L-BFGS iteration cap and sup-norm gradient tolerance.
+_M_STEP_MAX_ITER = 100
+_M_STEP_GTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class EmState:
@@ -49,9 +53,9 @@ class EmState:
     theta: np.ndarray
     phi: float
     c_event: np.ndarray | None = None   # (N,) delta_i |g(y_i; theta)|
-    e_omega: np.ndarray | None = None   # (N,) pg_mean(1, c_event)
+    e_omega: np.ndarray | None = None   # (N,) pg_mean(c_event)
     lam_grid: np.ndarray | None = None  # (P,) thinned rates at live pairs
-    tau_grid: np.ndarray | None = None  # (P,) pg_mean(1, |g|) at live pairs
+    tau_grid: np.ndarray | None = None  # (P,) pg_mean(|g|) at live pairs
     a_coef: float | None = None
 
     def require_latents(self):
@@ -99,12 +103,12 @@ def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
 
     g = ctx.trace(theta).g
     c_event = ds.delta * np.abs(g[:ds.n])
-    e_omega = pg_mean(1.0, c_event)
+    e_omega = pg_mean(c_event)
 
     g_grid = g[ds.n:]
     ag = np.abs(g_grid)
     lam_grid = ctx.base_live * phi * sigmoid(ag) * np.exp(-0.5 * (g_grid + ag))
-    tau_grid = pg_mean(1.0, ag)
+    tau_grid = pg_mean(ag)
 
     a_coef = (
         ctx.prior.alpha0 - 1.0 + float(ds.delta.sum())
@@ -160,8 +164,6 @@ def q_grad(ctx: HazardContext, state: EmState, theta, phi: float, coef):
 def em_m_step(
     ctx: HazardContext,
     state: EmState,
-    max_iter: int = 100,
-    gtol: float = 1e-6,
 ) -> tuple[EmState, float, OptimResult]:
     """Maximize Q over (theta, log phi) from the state's current point.
     Returns (state with new parameters, Q at the new point, optimizer
@@ -180,7 +182,8 @@ def em_m_step(
         return -q, lambda: -grad()
 
     z0 = np.concatenate([state.theta, [np.log(state.phi)]])
-    res = minimize_lbfgs(neg_q, z0, memory=10, max_iter=max_iter, gtol=gtol)
+    res = minimize_lbfgs(neg_q, z0, max_iter=_M_STEP_MAX_ITER,
+                         gtol=_M_STEP_GTOL)
     theta_new = res.x[:-1]
     phi_new = float(np.exp(res.x[-1]))
     new_state = replace(state, theta=theta_new, phi=phi_new)
@@ -193,8 +196,6 @@ def run_em(
     init_scale: float = 0.1,
     tol: float = 1e-6,
     max_iter: int = 500,
-    m_step_iters: int = 100,
-    m_step_gtol: float = 1e-6,
 ) -> EmResult:
     """Full EM loop to the MAP estimate.
 
@@ -231,8 +232,7 @@ def run_em(
     it = 0
     for it in range(max_iter):
         state = em_latent_update(ctx, state)
-        state, q_val, res = em_m_step(ctx, state, max_iter=m_step_iters,
-                                      gtol=m_step_gtol)
+        state, q_val, res = em_m_step(ctx, state)
         q_trace.append(q_val)
         objective_trace.append(log_posterior(ctx, state.phi, state.theta))
         n_fev += res.n_fev

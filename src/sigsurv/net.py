@@ -25,7 +25,6 @@ __all__ = [
     "forward_batch",
     "jacobian",
     "jacobian_batch",
-    "forward_and_grad",
     "grad_weighted_sum",
     "Trace",
     "trace",
@@ -215,21 +214,10 @@ def jacobian(model: MlpModel, t, x, theta) -> np.ndarray:
     return jacobian_batch(model, [t], np.asarray(x)[None, :], theta)[1][0]
 
 
-def forward_and_grad(model: MlpModel, T, X, theta, weights):
-    """g(t_j, x_j; theta) for all rows together with the gradient of
-    sum_j w_j g(t_j, x_j; theta) w.r.t. theta, where w = weights(g) is
-    computed from the output of the same forward trace and held fixed
-    under the derivative. Returns (g (n,), grad (m,)): one forward
-    trace and one reverse pass with seed w (`Trace.grad`).
-    """
-    tr = trace(model, _as_batch(model, T, X), theta)
-    return tr.g, tr.grad(weights(tr.g))
-
-
 def grad_weighted_sum(model: MlpModel, T, X, theta, w) -> np.ndarray:
     """Gradient of sum_j w_j * g(t_j, x_j; theta) w.r.t. theta for
     constant weights w: (m,)."""
-    return forward_and_grad(model, T, X, theta, lambda g: w)[1]
+    return trace(model, _as_batch(model, T, X), theta).grad(w)
 
 
 def row_block(grid, dataset):
@@ -261,7 +249,6 @@ class LinearizedModel:
     (N+P, r) its scaled left singular vectors.
     """
 
-    model: MlpModel
     g: np.ndarray  # (N+P,)
     J: np.ndarray  # (N+P, m)
     n_event: int
@@ -335,7 +322,6 @@ def linearize(model: MlpModel, theta_map, grid, dataset) -> LinearizedModel:
     del J  # the factored buffer goes before J is traced again
     g, J = jacobian_batch(model, T, X, theta_map)
     return LinearizedModel(
-        model=model,
         g=g,
         J=J,
         n_event=dataset.n,

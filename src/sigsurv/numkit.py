@@ -81,21 +81,20 @@ def pg_f(omega, z):
     return out
 
 
-def pg_mean(b, c):
-    """Mean of a Polya-Gamma PG(b, c) variable: (b/(2c)) * tanh(c/2).
+def pg_mean(c):
+    """Mean of a Polya-Gamma PG(1, c) variable: tanh(c/2) / (2c), the
+    only shape b = 1 the logistic augmentation uses (Polson, Scott &
+    Windle, 2013).
 
-    Continuous at c = 0 with limit b/4; a Taylor branch
-    b/4 - b*c^2/48 handles |c| < 1e-4 to avoid 0/0 while agreeing with
-    the closed form to ~1e-12 at the switch point. Symmetric in c.
+    Continuous at c = 0 with limit 1/4; a Taylor branch 1/4 - c^2/48
+    handles |c| < 1e-4 to avoid 0/0 while agreeing with the closed form
+    to ~1e-12 at the switch point. Symmetric in c.
     """
-    b = np.asarray(b, dtype=float)
-    if np.any(b <= 0):
-        raise ValueError("pg_mean requires b > 0")
     c = np.asarray(c, dtype=float)
     small = np.abs(c) < _PG_MEAN_TAYLOR_CUTOFF
     c_safe = np.where(small, 1.0, c)
-    exact = (b / (2.0 * c_safe)) * np.tanh(c_safe / 2.0)
-    taylor = b / 4.0 - b * (c * c) / 48.0
+    exact = (1.0 / (2.0 * c_safe)) * np.tanh(c_safe / 2.0)
+    taylor = 0.25 - (c * c) / 48.0
     out = np.where(small, taylor, exact)
     if out.ndim == 0:
         return float(out)
@@ -139,10 +138,6 @@ class QuadratureGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
 
     def live_mask(self) -> np.ndarray:
         """(N, K) boolean mask of the pairs with nonzero weight. Taken

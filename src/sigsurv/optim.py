@@ -2,7 +2,8 @@
 
 Implemented from scratch (two-loop recursion, bracket + zoom line
 search) rather than bound from a library; the maximization step of the
-EM loop runs this on the negated objective. Memory defaults to 10 pairs.
+EM loop runs this on the negated objective. It keeps the newest
+_MEMORY = 10 curvature pairs.
 A directional derivative that is not finite (an overflowing or
 non-finite gradient) raises NumericalError: no step can be chosen on it.
 """
@@ -16,6 +17,14 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 __all__ = ["OptimResult", "minimize_lbfgs"]
+
+# Curvature pairs kept; the strong-Wolfe sufficient-decrease and
+# curvature constants c1 and c2 (Nocedal & Wright, 2006, ch. 3); the
+# trials per line-search phase.
+_MEMORY = 10
+_C1 = 1e-4
+_C2 = 0.9
+_MAX_LS = 30
 
 
 @dataclass
@@ -74,56 +83,52 @@ def _quad_interp(a_lo, f_lo, dg_lo, a_hi, f_hi):
     return a if np.isfinite(a) else None
 
 
-def _zoom(fg, x, d, f0, dg0, a_lo, f_lo, g_lo, dg_lo, a_hi, f_hi, c1, c2, max_iter):
+def _zoom(fg, x, d, f0, dg0, a_lo, f_lo, g_lo, dg_lo, a_hi, f_hi):
     """Strong-Wolfe zoom phase; returns (alpha, f, g) or a fallback
     Armijo point when the interval collapses. A trial's gradient is
     taken only when it passes sufficient decrease and lowers f_lo."""
-    for _ in range(max_iter):
+    for _ in range(_MAX_LS):
         lo, hi = (a_lo, a_hi) if a_lo < a_hi else (a_hi, a_lo)
         width = hi - lo
         a = _quad_interp(a_lo, f_lo, dg_lo, a_hi, f_hi)
         if a is None or not (lo + 0.1 * width <= a <= hi - 0.1 * width):
             a = 0.5 * (a_lo + a_hi)
         f_a, grad_a = fg(x + a * d)
-        if not np.isfinite(f_a) or f_a > f0 + c1 * a * dg0 or f_a >= f_lo:
+        if not np.isfinite(f_a) or f_a > f0 + _C1 * a * dg0 or f_a >= f_lo:
             a_hi, f_hi = a, f_a
         else:
             g_a = grad_a()
             dg_a = _slope(g_a, d)
-            if abs(dg_a) <= -c2 * dg0:
+            if abs(dg_a) <= -_C2 * dg0:
                 return a, f_a, g_a
             if dg_a * (a_hi - a_lo) >= 0:
                 a_hi, f_hi = a_lo, f_lo
             a_lo, f_lo, g_lo, dg_lo = a, f_a, g_a, dg_a
         if abs(a_hi - a_lo) <= 1e-16 * max(1.0, abs(a_lo)):
             break
-    if a_lo > 0 and f_lo <= f0 + c1 * a_lo * dg0:
+    if a_lo > 0 and f_lo <= f0 + _C1 * a_lo * dg0:
         return a_lo, f_lo, g_lo  # Armijo-only fallback
     return None, None, None
 
 
-def _wolfe_search(fg, x, f0, g0, d, a_first, c1, c2, max_iter):
+def _wolfe_search(fg, x, f0, g0, d, a_first):
     """Bracketing phase of the strong-Wolfe search (doubling steps). A
     trial's gradient is taken only when it passes sufficient decrease
     and lowers f below the previous trial's."""
     dg0 = _slope(g0, d)
     a_prev, f_prev, g_prev, dg_prev = 0.0, f0, g0, dg0
     a = a_first
-    for i in range(max_iter):
+    for i in range(_MAX_LS):
         f_a, grad_a = fg(x + a * d)
-        if not np.isfinite(f_a) or f_a > f0 + c1 * a * dg0 or (i > 0 and f_a >= f_prev):
-            return _zoom(
-                fg, x, d, f0, dg0, a_prev, f_prev, g_prev, dg_prev, a, f_a, c1, c2,
-                max_iter,
-            )
+        if (not np.isfinite(f_a) or f_a > f0 + _C1 * a * dg0
+                or (i > 0 and f_a >= f_prev)):
+            return _zoom(fg, x, d, f0, dg0, a_prev, f_prev, g_prev, dg_prev, a, f_a)
         g_a = grad_a()
         dg_a = _slope(g_a, d)
-        if abs(dg_a) <= -c2 * dg0:
+        if abs(dg_a) <= -_C2 * dg0:
             return a, f_a, g_a
         if dg_a >= 0:
-            return _zoom(
-                fg, x, d, f0, dg0, a, f_a, g_a, dg_a, a_prev, f_prev, c1, c2, max_iter
-            )
+            return _zoom(fg, x, d, f0, dg0, a, f_a, g_a, dg_a, a_prev, f_prev)
         a_prev, f_prev, g_prev, dg_prev = a, f_a, g_a, dg_a
         a = 2.0 * a
     return None, None, None
@@ -151,12 +156,8 @@ class _Counted:
 def minimize_lbfgs(
     fun,
     x0,
-    memory: int = 10,
     max_iter: int = 100,
     gtol: float = 1e-8,
-    c1: float = 1e-4,
-    c2: float = 0.9,
-    max_ls: int = 30,
 ) -> OptimResult:
     """Minimize f over R^n given `fun(x) -> (f, grad)`, where grad is a
     zero-argument callable returning the gradient at x.
@@ -170,8 +171,8 @@ def minimize_lbfgs(
     way; `converged` reports which exit fired). Raises NumericalError
     when a directional derivative is not finite.
     """
-    if memory < 1 or max_iter < 1:
-        raise InputError("memory and max_iter must be >= 1")
+    if max_iter < 1:
+        raise InputError("max_iter must be >= 1")
     fg = _Counted(fun)
     x = np.array(x0, dtype=float).ravel().copy()
     f0, grad0 = fg(x)
@@ -195,7 +196,7 @@ def minimize_lbfgs(
             s_list, y_list, rho_list = [], [], []
             d = -g
         a_first = 1.0 if s_list else min(1.0, 1.0 / max(1.0, float(np.abs(g).max())))
-        a, f_new, g_new = _wolfe_search(fg, x, f, g, d, a_first, c1, c2, max_ls)
+        a, f_new, g_new = _wolfe_search(fg, x, f, g, d, a_first)
         if a is None:
             message = "line search failed to make progress"
             break
@@ -207,7 +208,7 @@ def minimize_lbfgs(
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
+            if len(s_list) > _MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)

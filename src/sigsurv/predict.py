@@ -96,10 +96,13 @@ def credible_band(samples: np.ndarray, level: float):
 def _prep_times(times, t_max: float):
     """Validate the prediction grid, convert to normalized units, and
     prepend t = 0 when absent so cumulative integration starts at the
-    origin. Returns (times, tq, prepend_zero, flagged)."""
+    origin. Returns (times, tq, prepend_zero, flagged). The curves need
+    at least two times (`SurvivalCurves`), checked here before any draw
+    is made."""
     times = np.asarray(times, dtype=float).ravel()
-    if times.size < 1 or np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise InputError("times must be nonnegative and strictly increasing")
+    if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] < 0:
+        raise InputError("times must be at least two nonnegative, strictly "
+                         "increasing values")
     t_norm = times / float(t_max)
     flagged = bool(np.any(t_norm > 1.0 + 1e-12))
     if flagged:

@@ -418,22 +418,22 @@ def em_full_grid(forward, grad_sum, y_norm, delta, X, nodes, weights,
     }
 
 
-def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500,
-                 m_step_iters=100, m_step_gtol=1e-6):
+def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500):
     """`map_em.run_em` as it ran before its evaluations shared network
     traces: every network value is a fresh `forward_batch` over the row
     block's (t, x) rows, every M-step evaluation takes its gradient at
-    once through `forward_and_grad` and hands the optimizer a callable
+    once from its own forward trace and hands the optimizer a callable
     returning it, and the latents, (a, b), Q, its gradient and the log
     posterior are written out in full in the library's operation
-    order. Unlike the oracles above it calls the package's network,
-    Polya-Gamma mean and optimizer: what it checks is that sharing
-    traces and deferring gradients changes no bit of the fit. Like
-    run_em it stops when the log posterior's relative change is below
-    tol twice in a row. Returns
+    order. Each M-step runs at most 100 L-BFGS iterations to a
+    gradient tolerance of 1e-6. Unlike the oracles above it calls the
+    package's network, Polya-Gamma mean and optimizer: what it checks
+    is that sharing traces and deferring gradients changes no bit of
+    the fit. Like run_em it stops when the log posterior's relative
+    change is below tol twice in a row. Returns
     (theta, phi, q_trace, objective_trace, records, n_iter)."""
     from sigsurv.hazard import log_prior
-    from sigsurv.net import forward_and_grad, forward_batch
+    from sigsurv.net import forward_batch, trace
     from sigsurv.numkit import pg_mean, sigmoid
     from sigsurv.optim import minimize_lbfgs
 
@@ -458,10 +458,10 @@ def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500,
     it = 0
     for it in range(max_iter):
         g = forward_batch(model, T, X, theta)
-        e_omega = pg_mean(1.0, delta * np.abs(g[:n]))
+        e_omega = pg_mean(delta * np.abs(g[:n]))
         ag = np.abs(g[n:])
         lam = ctx.base_live * phi * sigmoid(ag) * np.exp(-0.5 * (g[n:] + ag))
-        tau = pg_mean(1.0, ag)
+        tau = pg_mean(ag)
         a_coef = (ctx.prior.alpha0 - 1.0 + float(delta.sum())
                   + float((ctx.w_live * lam).sum()))
         vlam = ctx.w_live * lam
@@ -470,8 +470,8 @@ def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500,
 
         def neg_q(z):
             th, ph = z[:-1], float(np.exp(z[-1]))
-            g, d_rows = forward_and_grad(model, T, X, th,
-                                         lambda g: a - b * g)
+            tr = trace(model, np.column_stack([T, X]), th)
+            g, d_rows = tr.g, tr.grad(a - b * tr.g)
             q = (float((a * g - 0.5 * b * g**2).sum())
                  + -0.5 * float(th @ th)
                  + (a_coef * float(np.log(ph)) - ctx.phi_rate * ph))
@@ -480,7 +480,7 @@ def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500,
             return -q, lambda: -grad
 
         res = minimize_lbfgs(neg_q, np.concatenate([theta, [np.log(phi)]]),
-                             memory=10, max_iter=m_step_iters, gtol=m_step_gtol)
+                             max_iter=100, gtol=1e-6)
         theta, phi = res.x[:-1], float(np.exp(res.x[-1]))
         q_trace.append(-res.f)
         objective_trace.append(log_post(phi, theta))

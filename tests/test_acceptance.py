@@ -300,7 +300,7 @@ def test_criterion_8_numerical_kernels():
         draws = pg_series_draws(np.random.default_rng(900 + i), 1.0, c,
                                 100_000, 2000)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
-        gap = abs(draws.mean() - pg_mean(1.0, c))
+        gap = abs(draws.mean() - pg_mean(c))
         # truncated-series draws carry a tiny deterministic deficit on
         # top of monte-carlo noise; budget it alongside the 3 SE
         pg_ok &= gap < 3.0 * se + 3e-5

@@ -89,7 +89,7 @@ def test_update_omega_event_gating():
     s_event = state.s_tilde[:ctx.dataset.n]
     assert np.allclose(new.c_tilde[delta == 1], s_event[delta == 1],
                        rtol=0, atol=0)
-    assert np.allclose(new.e_omega, pg_mean(1.0, new.c_tilde), rtol=0, atol=0)
+    assert np.allclose(new.e_omega, pg_mean(new.c_tilde), rtol=0, atol=0)
 
 
 def test_update_omega_pinned_tilt():
@@ -355,7 +355,7 @@ def _swept_weights(seed):
     ctx, lin, _, state = _small_problem(seed=seed)
     state = update_psi(update_omega(state, lin, ctx), lin, ctx)
     b = row_coefficients(ctx, state.e_omega, state.lam_q,
-                         pg_mean(1.0, state.s_tilde[lin.n_event:]))[1]
+                         pg_mean(state.s_tilde[lin.n_event:]))[1]
     return ctx, lin, state, b
 
 
@@ -367,7 +367,7 @@ def test_build_factor_censoring_partition():
     assert np.all(b[:ds.n][ds.delta == 0] == 0.0)
     keep = b > 0
     Jk = lin.J[keep]
-    want = 0.5 * (np.eye(lin.model.n_params) + (Jk.T * b[keep]) @ Jk)
+    want = 0.5 * (np.eye(ctx.model.n_params) + (Jk.T * b[keep]) @ Jk)
     assert np.allclose(build_factor(b, lin).assemble_B(), want,
                        rtol=0, atol=1e-12)
 
@@ -379,7 +379,7 @@ def test_build_factor_is_the_exact_inverse_in_the_singular_basis():
     swept = update_theta(state, lin, ctx).sigma
     assert np.array_equal(swept.U, factor.U)
     assert np.array_equal(swept.C, factor.C)
-    m, r = lin.model.n_params, lin.V.shape[1]
+    m, r = ctx.model.n_params, lin.V.shape[1]
     assert r <= min(lin.J.shape)
     assert factor.U.shape == (m, r) and factor.C.shape == (r,)
     want = np.linalg.inv(np.eye(m) + (lin.J.T * b) @ lin.J)

@@ -16,21 +16,19 @@ from sigsurv.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from sigsurv.data import FeatureStats
 from sigsurv.errors import InputError
 
 
-def test_array_roundtrip_float_and_int():
+def test_array_roundtrip_is_float_only():
     rng = np.random.default_rng(4)
-    for arr in (rng.normal(size=(3, 5)), np.arange(7),
-                np.array([[True, False]]), np.array(2.5),
-                np.zeros((0, 4))):
-        doc = encode_array(arr)
-        back = decode_array(doc)
-        assert back.shape == arr.shape
-        assert np.array_equal(back, np.asarray(arr, dtype=back.dtype))
-    with pytest.raises(InputError, match="dtype"):
-        encode_array(np.array(["a", "b"]))
+    for arr in (rng.normal(size=(3, 5)), np.array(2.5), np.zeros((0, 4))):
+        back = decode_array(encode_array(arr))
+        assert back.shape == arr.shape and back.dtype == np.float64
+        assert np.array_equal(back, arr)
+    # every array of a body is float
+    for arr in (np.arange(7), np.array([[True, False]]), np.array(["a", "b"])):
+        with pytest.raises(InputError, match="dtype"):
+            encode_array(arr)
 
 
 def test_body_bytes_canonical():
@@ -46,11 +44,10 @@ def test_body_bytes_canonical():
 def test_save_load_checkpoint(tmp_path):
     path = tmp_path / "fit.json"
     body = {"theta": np.linspace(0, 1, 6), "phi": 2.0}
-    save_checkpoint(path, body, meta={"note": "unit"})
+    save_checkpoint(path, body)
     meta, back = load_checkpoint(path)
     assert meta["tool"] == "sigsurv"
     assert meta["format"] == 1
-    assert meta["note"] == "unit"
     assert "created" in meta
     assert np.array_equal(back["theta"], body["theta"])
     assert back["phi"] == 2.0
@@ -59,6 +56,11 @@ def test_save_load_checkpoint(tmp_path):
     bad.write_text(json.dumps({"stuff": 1}))
     with pytest.raises(InputError, match="not a checkpoint"):
         load_checkpoint(bad)
+    # the whole text is made before the file is opened
+    nan = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        save_checkpoint(nan, {"theta": np.zeros(3), "phi": float("nan")})
+    assert not nan.exists()
 
 
 def test_load_checkpoint_rejects_other_format(tmp_path):
@@ -85,6 +87,25 @@ def test_load_checkpoint_rejects_truncated_or_non_json(tmp_path):
         path.write_bytes(raw)
         with pytest.raises(InputError, match="not a checkpoint file"):
             load_checkpoint(path)
+
+
+def test_checkpoint_with_stats_as_json_lists_loads(tmp_path, small_fit):
+    # every checkpoint written before the stats went through
+    # encode_array holds them as JSON lists
+    stats = small_fit.stats
+    body = fit_to_doc(small_fit.model, small_fit.prior, stats,
+                      small_fit.ds.t_max, small_fit.em.theta_map,
+                      small_fit.em.phi_map, small_fit.cavi.state, "h")
+    path = tmp_path / "m.json"
+    save_checkpoint(path, body)
+    doc = json.loads(path.read_text())
+    assert doc["body"]["normalization"]["stats"]["mean"]["__array__"]
+    doc["body"]["normalization"]["stats"] = {"mean": stats.mean.tolist(),
+                                             "std": stats.std.tolist()}
+    path.write_text(json.dumps(doc))
+    fitted = fit_from_doc(load_checkpoint(path)[1])
+    assert np.array_equal(fitted.stats.mean, stats.mean)
+    assert np.array_equal(fitted.stats.std, stats.std)
 
 
 def test_fit_doc_roundtrip_dense(small_fit):
@@ -143,6 +164,13 @@ def test_fit_doc_survives_file_roundtrip(tmp_path, small_fit):
     assert np.array_equal(fitted.theta_map, small_fit.em.theta_map)
     assert fitted.post.alpha_tilde == small_fit.cavi.state.alpha_tilde
     assert body_bytes(back) == body_bytes(body)
+    # the file holds the canonical body and the three meta keys, in
+    # canonical form
+    text = path.read_text()
+    doc = json.loads(text)
+    assert doc["body"] == json.loads(body_bytes(body))
+    assert sorted(doc["meta"]) == ["created", "format", "tool"]
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _small_body():
@@ -205,11 +233,12 @@ def test_fit_from_doc_rejects_malformed(tmp_path):
     ):
         with pytest.raises(InputError, match="malformed"):
             fit_from_doc(_corrupt(_small_body(), keys, value))
-    # arrays that do not decode: a foreign dtype, data that is not
-    # base64, a shape that disagrees with the data
+    # arrays that do not decode: a foreign dtype (an integer one whose
+    # data has the right length too), data that is not base64, a shape
+    # that disagrees with the data
     path = tmp_path / "ck.json"
-    for field, value in (("dtype", "<f4"), ("data", "not base64!"),
-                         ("shape", [5])):
+    for field, value in (("dtype", "<f4"), ("dtype", "<i8"),
+                         ("data", "not base64!"), ("shape", [5])):
         save_checkpoint(path, _small_body())
         doc = json.loads(path.read_text())
         doc["body"]["map"]["theta"][field] = value

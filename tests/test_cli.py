@@ -1,5 +1,6 @@
 """Command-line workflows: synth -> fit -> predict/eval, plus selftest."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from sigsurv import cavi, map_em, net, predict
 from sigsurv.checkpoint import (body_bytes, decode_array, encode_array,
                                 fit_from_doc, load_checkpoint)
-from sigsurv.cli import main
+from sigsurv.cli import CONFIG_DEFAULTS, build_parser, main
 from sigsurv.data import load_csv
 from sigsurv.errors import NumericalError
 from sigsurv.metrics import SurvivalCurves
@@ -156,6 +157,14 @@ def test_config_file_with_byte_order_mark(tmp_path, capsys):
                  str(cfg)]) == 0
     assert main(["synth", "--n", "5", "--out", str(b), "--seed", "9"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_every_config_key_is_a_flag():
+    # a key no flag sets would be a setting only a config file can vary
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in subs.choices.values() for a in p._actions}
+    assert sorted(set(CONFIG_DEFAULTS) - dests) == []
 
 
 def test_unreadable_data_exits_2(workdir, tmp_path, monkeypatch, capsys):
@@ -377,11 +386,8 @@ def test_fit_rejects_zero_iteration_caps(workdir, tmp_path, capsys):
     ck = tmp_path / "capped.json"
     common = ["fit", "--data", str(workdir / "train.csv"), "--out", str(ck),
               "--hidden", "4", "--grid-k", "16"]
-    cfg = tmp_path / "m0.cfg"
-    cfg.write_text("m_step_iters = 0\n")
     for extra, key in ((["--em-max-iter", "0"], "em_max_iter"),
-                       (["--cavi-max-iter", "-1"], "cavi_max_iter"),
-                       (["--config", str(cfg)], "m_step_iters")):
+                       (["--cavi-max-iter", "-1"], "cavi_max_iter")):
         assert main([*common, *extra]) == 2
         assert f"input error: {key} must be >= 1" in capsys.readouterr().err
     assert not ck.exists()
@@ -476,14 +482,23 @@ def _foreign_dtype(body):
     body["map"]["theta"]["dtype"] = "<f4"
 
 
+def _integer_dtype(body):
+    # the same 8-byte items read as integers: the data still fits
+    body["map"]["theta"]["dtype"] = "<i8"
+
+
 def _zero_feature_scale(body):
-    body["normalization"]["stats"]["std"][0] = 0.0
+    stats = body["normalization"]["stats"]
+    std = decode_array(stats["std"])
+    std[0] = 0.0
+    stats["std"] = encode_array(std)
 
 
 def test_predict_rejects_corrupt_checkpoint_body(workdir, tmp_path, capsys):
-    # an array in a foreign dtype used to end in a traceback, and a
-    # zero feature scale in NaN curves with exit 0
-    for edit in (_foreign_dtype, _zero_feature_scale):
+    # an array in a foreign dtype used to end in a traceback, an
+    # integer array to load, and a zero feature scale in NaN curves with
+    # exit 0
+    for edit in (_foreign_dtype, _integer_dtype, _zero_feature_scale):
         doc = json.loads((workdir / "model.json").read_text())
         edit(doc["body"])
         ck = tmp_path / "bad.json"
@@ -752,6 +767,7 @@ def test_selftest_passes(capsys):
     assert "10/10 checks passed" in out
     assert out.count("[ok]") == 10
     assert "[ok] predict-point-mass" in out
+    assert "[ok] factor-solve-vs-dense" in out
 
 
 def test_selftest_detects_sabotage(monkeypatch, capsys):
@@ -918,7 +934,7 @@ def test_fuzz_predict_eval_flags_exit_cleanly(workdir, argv):
 
 # config-file values and SIGSURV_SEED: numbers, wild numbers and text
 _CONFIG_KEYS = ("seed", "grid_k", "alpha0", "beta0", "rho", "em_tol",
-                "em_max_iter", "em_init_scale", "m_step_iters", "cavi_tol",
+                "em_max_iter", "em_init_scale", "cavi_tol",
                 "cavi_max_iter", "draws", "level", "grid_points")
 _SETTING = st.one_of(
     st.integers(-2, 70).map(str), _WILD.map(repr),

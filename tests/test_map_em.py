@@ -118,7 +118,8 @@ def test_latent_c_invariant_under_covariate_permutation():
     W1_perm[:, 1:] = W1[:, 1 + np.asarray(perm)]
     params[0] = (W1_perm, params[0][1])
     ds_perm = Dataset(X=X_perm, y=ds.y, delta=ds.delta, t_max=ds.t_max)
-    ctx_perm = build_context(model, ctx.prior, ds_perm, n_nodes=ctx.grid.n_nodes)
+    ctx_perm = build_context(model, ctx.prior, ds_perm,
+                             n_nodes=ctx.grid.nodes.size)
     theta_perm = np.concatenate([np.r_[W.ravel(), b] for W, b in params])
     state_perm = em_latent_update(ctx_perm, EmState(theta=theta_perm, phi=1.0))
     assert np.allclose(state.c_event, state_perm.c_event, rtol=0, atol=1e-12)
@@ -306,7 +307,7 @@ def test_m_step_reports_q_at_its_start_point():
     theta0 = ctx.model.random_theta(RngStream.from_seed(5), scale=0.2)
     state = em_latent_update(ctx, EmState(theta=theta0, phi=1.3))
     q_start = q_function(ctx, state, theta0, 1.3)
-    _, q_new, res = em_m_step(ctx, state, max_iter=5)
+    _, q_new, res = em_m_step(ctx, state)
     assert abs(-res.f0 - q_start) <= 1e-12 * abs(q_start)
     assert q_new >= -res.f0
 

@@ -14,12 +14,12 @@ from sigsurv.net import (
     LinearizedModel,
     MlpModel,
     forward,
-    forward_and_grad,
     forward_batch,
     grad_weighted_sum,
     jacobian,
     jacobian_batch,
     linearize,
+    trace,
     unflatten,
 )
 from sigsurv.numkit import build_grid
@@ -236,7 +236,7 @@ def test_grad_weighted_sum_matches_contraction():
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_forward_and_grad_matches_forward_then_weighted_sum():
+def test_trace_grad_matches_forward_then_weighted_sum():
     # weights computed from the traced output, as the M-step's
     # w = a - b g, against a separate forward pass and reverse pass
     model = MlpModel((3, 8, 8, 1))
@@ -245,7 +245,8 @@ def test_forward_and_grad_matches_forward_then_weighted_sum():
     T = rng.uniform(0, 1, size=40)
     X = rng.normal(size=(40, 2))
     a, b = rng.normal(size=40), rng.uniform(0, 1, size=40)
-    g, grad = forward_and_grad(model, T, X, theta, lambda g: a - b * g)
+    tr = trace(model, np.column_stack([T, X]), theta)
+    g, grad = tr.g, tr.grad(a - b * tr.g)
     g_want = forward_batch(model, T, X, theta)
     grad_want = grad_weighted_sum(model, T, X, theta, a - b * g_want)
     assert np.allclose(g, g_want, rtol=1e-12, atol=1e-12)
@@ -253,14 +254,14 @@ def test_forward_and_grad_matches_forward_then_weighted_sum():
     assert np.allclose(grad, jacobian_batch(model, T, X, theta)[1].T
                        @ (a - b * g_want), rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):
-        forward_and_grad(model, T, X, theta, lambda g: g[:-1])
+        tr.grad(g[:-1])
 
 
 @pytest.mark.parametrize("network_pass", [
     forward_batch,
     lambda *a: jacobian_batch(*a)[0],
-    lambda *a: forward_and_grad(*a, lambda g: np.ones_like(g))[0],
-], ids=["forward_batch", "jacobian_batch", "forward_and_grad"])
+    lambda model, T, X, theta: trace(model, np.column_stack([T, X]), theta).g,
+], ids=["forward_batch", "jacobian_batch", "trace"])
 def test_nan_parameter_gives_nan_output_on_every_pass(network_pass):
     # a NaN in the first hidden bias reaches g on every pass: the
     # rectifier passes it through instead of zeroing it
@@ -345,7 +346,7 @@ def test_linearize_shapes(small_fit):
     ds, ctx = small_fit.ds, small_fit.ctx
     m = small_fit.model.n_params
     n_live = int(np.count_nonzero(ctx.grid.weights > 0))
-    assert 0 < n_live < ds.n * ctx.grid.n_nodes
+    assert 0 < n_live < ds.n * ctx.grid.nodes.size
     assert isinstance(lin, LinearizedModel)
     assert lin.n_event == ds.n
     assert lin.g.shape == (ds.n + n_live,)
@@ -470,7 +471,7 @@ def test_linearize_packed_rows_are_the_live_pairs_in_order(small_fit):
     weights, nodes = ctx.grid.weights, ctx.grid.nodes
     points = [(ds.y_norm[i], i) for i in range(ds.n)]
     points += [(nodes[k], i) for i in range(ds.n)
-               for k in range(ctx.grid.n_nodes) if weights[i, k] != 0.0]
+               for k in range(ctx.grid.nodes.size) if weights[i, k] != 0.0]
     for r, (t, i) in enumerate(points):
         J = jacobian(model, t, ds.X[i], theta_ref)
         g = forward(model, t, ds.X[i], theta_ref)

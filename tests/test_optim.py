@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sigsurv import optim
 from sigsurv.errors import InputError
 from sigsurv.optim import minimize_lbfgs
 
@@ -75,8 +76,6 @@ def test_input_validation():
         return float((x * x).sum()), lambda: 2.0 * x
 
     with pytest.raises(InputError):
-        minimize_lbfgs(fg, np.zeros(3), memory=0)
-    with pytest.raises(InputError):
         minimize_lbfgs(fg, np.zeros(3), max_iter=0)
 
 
@@ -119,7 +118,7 @@ def test_lazy_and_precomputed_gradients_give_the_same_result():
 def test_no_gradient_at_a_trial_failing_sufficient_decrease(x0):
     # one line search from x0 along d = -f'(x0) on the stiff f = 50 x^2:
     # the first step overshoots, so the search must reject trials
-    c1 = 1e-4
+    c1 = optim._C1  # the sufficient-decrease constant
     calls = []
 
     def fg(x):
@@ -132,7 +131,7 @@ def test_no_gradient_at_a_trial_failing_sufficient_decrease(x0):
             return np.array([100.0 * x[0]])
         return f, grad
 
-    res = minimize_lbfgs(fg, np.array([x0]), max_iter=1, c1=c1)
+    res = minimize_lbfgs(fg, np.array([x0]), max_iter=1)
     (_, f0, took0), trials = calls[0], calls[1:]
     g0 = 100.0 * x0
     assert took0

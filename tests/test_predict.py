@@ -105,20 +105,21 @@ def test_sample_survival_extrapolation_flagged(small_fit, root):
     assert band.flagged_extrapolation
 
 
-def test_sample_survival_input_validation(small_fit, root):
+def test_sample_survival_input_validation(small_fit, root, monkeypatch):
+    # each bad input is rejected before any chunk is traced; a one-point
+    # grid used to fail only after every chunk had run
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(predict, "jacobian_batch", no_chunk)
     args = _fit_args(small_fit)
-    x = small_fit.ds.X[0]
+    X = small_fit.ds.X
+    for times in ([0.5, 0.5], [-0.1, 0.5], [], [0.5]):
+        with pytest.raises(InputError):
+            mean_survival_matrix(X=X, times=times, rng=root.child(1),
+                                 n_draws=30, **args)
     with pytest.raises(InputError):
-        mean_survival_matrix(X=x, times=[0.5, 0.5], rng=root.child(1),
-                             n_draws=30, **args)
-    with pytest.raises(InputError):
-        mean_survival_matrix(X=x, times=[-0.1, 0.5], rng=root.child(1),
-                             n_draws=30, **args)
-    with pytest.raises(InputError):
-        mean_survival_matrix(X=x, times=[], rng=root.child(1),
-                             n_draws=30, **args)
-    with pytest.raises(InputError):
-        mean_survival_matrix(X=x, times=[0.1, 0.5], rng=root.child(1),
+        mean_survival_matrix(X=X, times=[0.1, 0.5], rng=root.child(1),
                              n_draws=1, **args)
 
 
