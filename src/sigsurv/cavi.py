@@ -128,9 +128,11 @@ class LowRankFactor:
         return self.C / (1.0 + self.C)
 
     def _minus_low_rank(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """v - U diag(w) U^T v for a vector or the columns of a matrix."""
+        """v - U diag(w) U^T v for a vector or the columns of a matrix,
+        written into the product's own array: one array of v's size."""
         e = self.U.T @ v
-        return v - self.U @ (w * e if e.ndim == 1 else w[:, None] * e)
+        out = self.U @ (w * e if e.ndim == 1 else w[:, None] * e)
+        return np.subtract(v, out, out=out)
 
     def sigma_matvec(self, v: np.ndarray) -> np.ndarray:
         """Sigma~ v."""

@@ -50,18 +50,18 @@ def sigmoid(z):
     return out
 
 
-def sigmoid_into(z, e, pos):
+def sigmoid_into(z, e):
     """`sigmoid` of the float array z, bit for bit, written over z, which
-    is returned; e (float) and pos (bool), each of z's shape, are
-    scratch. It allocates nothing, so a caller can reuse the three
-    buffers; on small arrays its extra passes make it slower than
-    `sigmoid`."""
+    is returned; e, a float array of z's shape, is scratch. It allocates
+    nothing, so a caller can reuse both buffers; on small arrays its
+    extra passes make it slower than `sigmoid`."""
     np.negative(z, out=e)
     np.minimum(z, e, out=e)
-    np.exp(e, out=e)  # e = exp(min(z, -z))
-    np.greater_equal(z, 0.0, out=pos)
-    np.copyto(z, e)
-    np.copyto(z, 1.0, where=pos)
+    np.exp(e, out=e)  # e = exp(min(z, -z)), in [0, 1] or NaN
+    np.heaviside(z, 1.0, out=z)  # 1 for z >= 0, 0 below, NaN stays
+    # where(z >= 0, 1, e), as e <= 1; with e first, a NaN keeps e's sign
+    # bit, which heaviside drops
+    np.maximum(e, z, out=z)
     e += 1.0
     z /= e  # where(z >= 0, 1, e) / (1 + e)
     return z

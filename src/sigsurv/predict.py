@@ -11,13 +11,19 @@ negative. Bands are equal-tailed pointwise quantiles across draws.
 Subjects are processed in chunks: one chunk's (t, x) rows go through
 one forward trace at theta_MAP, which gives both g and the Jacobian,
 and the linearized hazard of every draw comes from one matrix product
-with the draws' offsets from theta_MAP. A chunk is sized so its
-Jacobian holds about _CHUNK_FLOATS floats; only per-subject summaries
-outlive the chunk. The draws are made once, before any chunk runs, so
-chunks are independent: they run on up to one thread per CPU, the
-caller's and a per-call pool's (numpy's GEMM and ufuncs release the
-interpreter lock), each thread in its own buffers, allocated once per
-call, and each chunk writes only its own rows of the result.
+with the draws' offsets from theta_MAP. The draws are made once, before
+any chunk runs, so chunks are independent: they run on up to one thread
+per CPU, the caller's and a per-call pool's (numpy's GEMM and ufuncs
+release the interpreter lock), and each chunk writes only its own rows
+of the result; only per-subject summaries outlive a chunk.
+
+Each thread owns one `_Workspace`, allocated once per call, and every
+chunk reuses it in place: its Jacobian, the draws' network values, the
+cumulative hazard and the sort for the band all live there, so a chunk
+allocates no array the size of its Jacobian or its draws. A chunk holds as many subjects as
+keep that workspace within _CHUNK_FLOATS floats (one at least), so the
+predictive's memory stays flat in the number of subjects and grows with
+the number of draws only through the draws themselves, (m, S) floats.
 """
 
 from __future__ import annotations
@@ -43,11 +49,13 @@ __all__ = [
     "mean_survival_matrix",
 ]
 
-# Jacobian floats per chunk of subjects (2 MB): a chunk holds
-# max(1, _CHUNK_FLOATS // (Tq * m)) subjects for a Tq-point grid and m
-# network parameters. The draw-sized arrays of a chunk are Tq * S floats
-# per subject for S draws.
-_CHUNK_FLOATS = 1 << 18
+# Workspace floats per worker (3 MiB): a chunk holds
+# max(1, _CHUNK_FLOATS // (Tq * (max(m, S) + S))) subjects for a
+# Tq-point grid, m network parameters and S draws (see `_Workspace`).
+# Fewer subjects a chunk cost time in the per-chunk trace and the
+# narrower GEMM; this budget keeps 3 or more at m = 1281, S = 200 and
+# Tq = 65.
+_CHUNK_FLOATS = 3 << 17
 
 
 @dataclass(frozen=True)
@@ -73,14 +81,18 @@ def credible_band(samples: np.ndarray, level: float):
     statistics by numpy's default `linear` rule: virtual index
     v = (n - 1) q, neighbours floor(v) and floor(v) + 1 (both the last
     when v >= n - 1), and the two-sided lerp of `np.quantile`, so the
-    band is bit-equal to it. A slice that holds a NaN reads NaN."""
+    band is bit-equal to it. A slice that holds a NaN reads NaN.
+
+    The sort is in place: a float array passed in comes back sorted
+    along its last axis, so the band needs no copy of the draws."""
     samples = np.asarray(samples, dtype=float)
     if not 0.0 < level < 1.0:
         raise InputError("level must be strictly between 0 and 1")
     if samples.shape[-1] < 20:
         raise InputError("need at least 20 draws for a quantile band")
     a = 1.0 - level
-    srt = np.moveaxis(np.sort(samples, axis=-1), -1, 0)  # NaN last
+    samples.sort(axis=-1)  # NaN last
+    srt = np.moveaxis(samples, -1, 0)
     n = srt.shape[0]
     nan = np.isnan(srt[-1])
     band = []
@@ -122,33 +134,36 @@ def _draw_posterior(post, theta_map: np.ndarray, rng: RngStream,
     """Draw (phi, theta) jointly from the variational factors. phi is
     drawn before theta so the draw stream layout is stable for a given
     seed. Returns phi (S,) and the theta draws' offsets from theta_map,
-    (m, S)."""
+    (m, S), built in place in the one array the square root returns."""
     alpha, beta = float(post.alpha_tilde), float(post.beta_tilde)
     phi_draws = rng.gen.gamma(alpha, 1.0 / beta, size=n_draws)
     z = rng.gen.standard_normal((theta_map.size, n_draws))
-    theta_draws = post.mu_tilde[:, None] + post.sigma.sqrt_matvec(z)  # (m, S)
-    return phi_draws, theta_draws - theta_map[:, None]
+    shift = post.sigma.sqrt_matvec(z)
+    shift += post.mu_tilde[:, None]                    # theta draws
+    shift -= theta_map[:, None]
+    return phi_draws, shift
 
 
 class _Workspace:
-    """One worker's buffers for chunks of up to `subjects` subjects on a
-    Tq-point grid with S draws, allocated once per call: the chunk's
-    Jacobian, two (rows, S) draw buffers, the sign mask of the
-    linearized network value and the (subjects, Tq, S) survival curves."""
+    """One worker's memory for chunks of up to `subjects` subjects on a
+    Tq-point grid with S draws, rows = subjects * Tq: a flat buffer of
+    rows * max(m, S) floats and the (rows, S) linearized network values
+    z, allocated once per call and reused in place by every chunk. The
+    flat buffer holds the chunk's (rows, m) Jacobian until the product
+    z = g + J shift has read it, then the sigmoid's scratch, and then
+    the (rows, S) cumulative hazard, which becomes the survival curves
+    that the band sorts."""
 
     def __init__(self, subjects: int, tq_size: int, m: int, n_draws: int):
         rows = subjects * tq_size
-        self.J = np.empty((rows, m))
+        self.flat = np.empty(rows * max(m, n_draws))
         self.z = np.empty((rows, n_draws))
-        self.e = np.empty((rows, n_draws))
-        self.pos = np.empty((rows, n_draws), dtype=bool)
-        self.cum = np.empty((subjects, tq_size, n_draws))
 
 
 def _survival_draws(ws: _Workspace, model, theta_map, tq, prepend_zero,
                     X, rate, shift) -> np.ndarray:
     """Survival curves (B, T, S) for the B rows of X under the S draws,
-    a view of `ws.cum`: the linearized hazard on all B * Tq (t, x) rows
+    a view of `ws.flat`: the linearized hazard on all B * Tq (t, x) rows
     from one forward trace (g and its Jacobian) and one matrix product
     with the theta offsets `shift`, scaled by `rate` (Tq, S), phi_s
     times the baseline at t_k; a cumulative trapezoid along time,
@@ -156,28 +171,30 @@ def _survival_draws(ws: _Workspace, model, theta_map, tq, prepend_zero,
     operation order of the allocating expressions, so the curves are
     bit-equal to them."""
     B, Tq = X.shape[0], tq.size
+    m, S = shift.shape
     n = B * Tq
     T_rows = np.tile(tq, B)
     X_rows = np.repeat(X, Tq, axis=0)
-    J, z, e, pos = ws.J[:n], ws.z[:n], ws.e[:n], ws.pos[:n]
+    J = ws.flat[:n * m].reshape(n, m)
     g_map, _ = jacobian_batch(model, T_rows, X_rows, theta_map, out=J)
 
+    z = ws.z[:n]
     np.matmul(J, shift, out=z)
     z += g_map[:, None]                                # g_lin = g + J shift
-    sigmoid_into(z, e, pos)
-    lam = z.reshape(B, Tq, -1)
+    e = ws.flat[:n * S].reshape(n, S)                  # J is spent
+    sigmoid_into(z, e)
+    lam = z.reshape(B, Tq, S)
     lam *= rate                                        # lam = (phi base) sig
-    cum = ws.cum[:B]
+    cum = e.reshape(B, Tq, S)
+    step = cum[:, 1:, :]
+    np.add(lam[:, 1:, :], lam[:, :-1, :], out=step)
+    step *= 0.5
+    step *= np.diff(tq)[:, None]
+    np.cumsum(step, axis=1, out=step)
     cum[:, 0, :] = 0.0
-    if Tq > 1:
-        step = e.reshape(B, Tq, -1)[:, 1:, :]
-        np.add(lam[:, 1:, :], lam[:, :-1, :], out=step)
-        step *= 0.5
-        step *= np.diff(tq)[:, None]
-        np.cumsum(step, axis=1, out=cum[:, 1:, :])
     np.negative(cum, out=cum)
     np.exp(cum, out=cum)
-    return cum[:, 1:, :] if prepend_zero else cum
+    return step if prepend_zero else cum
 
 
 def _worker_count(workers, n_chunks: int) -> int:
@@ -216,18 +233,22 @@ def mean_survival_matrix(
     The chunks of subjects run on min(CPUs, chunks) threads, at most
     `workers` when given: this one and a pool of the rest, or this one
     alone when the count is 1. The results are bit-identical for any
-    count, and an exception in a chunk re-raises here."""
+    count, and an exception in a chunk re-raises here. A bad `level`,
+    `n_draws`, `workers` or grid is rejected before any draw is made."""
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
     if workers is not None and workers < 1:
         raise InputError("workers must be >= 1")
+    if level is not None and not 0.0 < level < 1.0:
+        raise InputError("level must be strictly between 0 and 1")
     theta_map = np.asarray(theta_map, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     times, tq, prepend_zero, flagged = _prep_times(times, t_max)
     phi_draws, shift = _draw_posterior(post, theta_map, rng, n_draws)
     rate = phi_draws[None, :] * baseline_factor(prior, tq)[:, None]  # (Tq, S)
     n = X.shape[0]
-    per_chunk = max(1, _CHUNK_FLOATS // (tq.size * theta_map.size))
+    per_chunk = max(1, _CHUNK_FLOATS
+                    // (tq.size * (max(theta_map.size, n_draws) + n_draws)))
     out = np.empty((1 if level is None else 4, n, times.size))
 
     def score(starts, ws) -> None:
@@ -235,7 +256,7 @@ def mean_survival_matrix(
             rows = slice(start, start + per_chunk)
             surv = _survival_draws(ws, model, theta_map, tq, prepend_zero,
                                    X[rows], rate, shift)
-            out[0, rows] = surv.mean(axis=-1)
+            out[0, rows] = surv.mean(axis=-1)  # before the band sorts surv
             if level is None:
                 continue
             if n_draws >= 20:

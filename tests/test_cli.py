@@ -563,11 +563,13 @@ _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _many_chunks(monkeypatch, workdir):
-    """Three subjects per chunk on a 12-point grid of the workdir model,
-    and three CPUs, so predict runs its 20 subjects' chunks on a pool."""
+def _many_chunks(monkeypatch, workdir, n_draws):
+    """Three subjects per chunk on a 12-point grid of the workdir model
+    with `n_draws` draws, and three CPUs, so predict runs its 20
+    subjects' chunks on a pool."""
     fit = fit_from_doc(load_checkpoint(workdir / "model.json")[1])
-    monkeypatch.setattr(predict, "_CHUNK_FLOATS", 3 * 12 * fit.model.n_params)
+    per_subject = 12 * (max(fit.model.n_params, n_draws) + n_draws)
+    monkeypatch.setattr(predict, "_CHUNK_FLOATS", 3 * per_subject)
     monkeypatch.setattr(predict.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2}, raising=False)
     for var in _BLAS_VARS:  # predict sets them; put them back after
@@ -618,7 +620,7 @@ def test_other_commands_size_blas_by_threads(tmp_path, monkeypatch, capsys):
 
 def test_predict_threads_1_writes_the_default_bytes(workdir, tmp_path,
                                                      monkeypatch, capsys):
-    _many_chunks(monkeypatch, workdir)
+    _many_chunks(monkeypatch, workdir, 30)
     common = ["predict", "--checkpoint", str(workdir / "model.json"),
               "--data", str(workdir / "test.csv"), "--draws", "30",
               "--grid-points", "12", "--seed", "2"]
@@ -630,7 +632,7 @@ def test_predict_threads_1_writes_the_default_bytes(workdir, tmp_path,
 
 def test_predict_worker_failure_exits_3(workdir, tmp_path, monkeypatch,
                                         capsys):
-    _many_chunks(monkeypatch, workdir)
+    _many_chunks(monkeypatch, workdir, 20)
     real, calls, lock = predict.jacobian_batch, [], threading.Lock()
 
     def failing_on_second_chunk(*args, **kwargs):

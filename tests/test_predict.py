@@ -1,6 +1,7 @@
 """Posterior predictive survival curves and credible bands."""
 
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,6 +122,10 @@ def test_sample_survival_input_validation(small_fit, root, monkeypatch):
     with pytest.raises(InputError):
         mean_survival_matrix(X=X, times=[0.1, 0.5], rng=root.child(1),
                              n_draws=1, **args)
+    for level in (1.5, 1.0, 0.0, -0.2):
+        with pytest.raises(InputError, match="level"):
+            mean_survival_matrix(X=X, times=[0.1, 0.5], rng=root.child(1),
+                                 n_draws=30, level=level, workers=2, **args)
 
 
 def test_sample_survival_mean_stabilizes_with_draws(small_fit):
@@ -232,9 +237,11 @@ def test_mean_survival_matrix_single_row(small_fit, root):
 
 # ------------------------------------------- batched core vs per subject
 
-# (5, 32, 32, 1) has m = 1281 parameters, so a chunk of a 65- or
-# 66-point grid holds 3 subjects and 7 subjects split 3 + 3 + 1.
+# (5, 32, 32, 1) has m = 1281 parameters, so with S <= 60 draws a chunk
+# of an 81- or 82-point grid holds 3 subjects (Tq * (m + S) floats each
+# of predict._CHUNK_FLOATS), and 7 subjects split 3 + 3 + 1.
 _WIDE = (5, 32, 32, 1)
+_WIDE_POINTS = 81
 
 
 def _wide_problem(seed):
@@ -259,7 +266,8 @@ def _wide_problem(seed):
 def _assert_matches_oracle(times, n_draws, level=0.9, t_max=2.5):
     model, theta_map, post, X = _wide_problem(31)
     tq_size = times.size + (times[0] > 0)
-    assert predict._CHUNK_FLOATS // (tq_size * model.n_params) == 3
+    per_subject = tq_size * (max(model.n_params, n_draws) + n_draws)
+    assert predict._CHUNK_FLOATS // per_subject == 3
     assert tq_size * n_draws * model.n_params > _SMALL_GEMM
 
     curves, band = mean_survival_matrix(
@@ -283,18 +291,25 @@ def _assert_matches_oracle(times, n_draws, level=0.9, t_max=2.5):
 
 
 def test_mean_survival_matrix_matches_per_subject_oracle_across_chunks():
-    _assert_matches_oracle(np.linspace(0.0, 2.5, 65), n_draws=60)
+    _assert_matches_oracle(np.linspace(0.0, 2.5, _WIDE_POINTS), n_draws=60)
 
 
 def test_mean_survival_matrix_matches_per_subject_oracle_few_draws():
     # below 20 draws the band is the draws' (min, max)
-    _assert_matches_oracle(np.linspace(0.0, 2.5, 65), n_draws=19)
+    _assert_matches_oracle(np.linspace(0.0, 2.5, _WIDE_POINTS), n_draws=19)
 
 
 def test_mean_survival_matrix_matches_per_subject_oracle_without_zero():
     # integration starts at t = 0 even when the grid does not hold it
-    _assert_matches_oracle(np.linspace(0.1, 2.5, 65), n_draws=40,
+    _assert_matches_oracle(np.linspace(0.1, 2.5, _WIDE_POINTS), n_draws=40,
                            level=0.8)
+
+
+def test_mean_survival_matrix_matches_per_subject_oracle_more_draws_than_m():
+    # S > m: the workspace's flat buffer is sized by the draws, and the
+    # sigmoid and cumulative hazard fill more of it than J did; a chunk
+    # of a 41-point grid at S = 1300 holds 3 subjects
+    _assert_matches_oracle(np.linspace(0.0, 2.5, 41), n_draws=1300)
 
 
 # ------------------------------------------------------------ worker pool
@@ -321,7 +336,7 @@ def _wide_call(times, n_draws, **kw):
 @pytest.mark.parametrize("n_draws", [19, 60])
 def test_level_none_gives_the_means_alone(monkeypatch, n_draws):
     model, theta_map, post, X = _wide_problem(31)
-    times = np.linspace(0.0, 2.5, 65)
+    times = np.linspace(0.0, 2.5, _WIDE_POINTS)
     want = _wide_call(times, n_draws)
 
     def no_band(*args, **kwargs):
@@ -365,7 +380,7 @@ def test_mean_survival_matrix_is_invariant_to_worker_count(
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(predict, "ThreadPoolExecutor", counting_pool)
-    times = np.linspace(t0, 2.5, 65)
+    times = np.linspace(t0, 2.5, _WIDE_POINTS)
     want = _wide_call(times, n_draws, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
@@ -413,6 +428,30 @@ def test_worker_exception_reraises_with_its_type(monkeypatch):
     for workers in (1, 2, 3):
         with pytest.raises(NumericalError, match="chunk 2 failed"):
             mean_survival_matrix(post, model, BaselinePrior(), theta_map,
-                                 2.5, X, np.linspace(0.0, 2.5, 65),
+                                 2.5, X, np.linspace(0.0, 2.5, _WIDE_POINTS),
                                  RngStream.from_seed(4), n_draws=20,
                                  workers=workers)
+
+
+@pytest.mark.parametrize("n_draws", [60, 4 * 1281])
+def test_predictive_peak_is_the_workspaces_and_the_draws(monkeypatch,
+                                                         n_draws):
+    # two workers' workspaces within their budget, the result, and the
+    # draws: the normal variates and the theta offsets, (m, S) each. No
+    # chunk-sized array beyond the workspace: at S = 4 m the draws'
+    # temporaries and the per-chunk arrays of an allocating chunk loop
+    # exceed the bound.
+    _three_cpus(monkeypatch)
+    model, theta_map, post, X = _wide_problem(31)
+    times = np.linspace(0.0, 2.5, 65)
+    m = model.n_params
+    tracemalloc.start()  # traces what is allocated from here on
+    try:
+        mean_survival_matrix(post, model, BaselinePrior(), theta_map, 2.5,
+                             X, times, RngStream.from_seed(4),
+                             n_draws=n_draws, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = 4 * X.shape[0] * times.size * 8
+    assert peak < 2 * predict._CHUNK_FLOATS * 8 + out_bytes + 2 * m * n_draws * 8
