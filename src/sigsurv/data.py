@@ -5,6 +5,7 @@ standardization, and the synthetic benchmark generator.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +128,7 @@ def _parse_cell(text: str, where: str) -> float:
         value = float(token)
     except ValueError:
         raise InputError(f"non-numeric cell {text!r} at {where}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InputError(f"non-finite cell {text!r} at {where}")
     return value
 

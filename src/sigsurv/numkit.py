@@ -58,9 +58,11 @@ def sigmoid_into(z, e):
     np.negative(z, out=e)
     np.minimum(z, e, out=e)
     np.exp(e, out=e)  # e = exp(min(z, -z)), in [0, 1] or NaN
-    np.heaviside(z, 1.0, out=z)  # 1 for z >= 0, 0 below, NaN stays
-    # where(z >= 0, 1, e), as e <= 1; with e first, a NaN keeps e's sign
-    # bit, which heaviside drops
+    np.sign(z, out=z)  # 1 above 0, -1 below, a zero or NaN stays
+    # where(z >= 0, 1, e): e lies in [0, 1], so max(e, 1) = 1 and
+    # max(e, -1) = e, and at z = +-0 e = exp(-0) = 1 = max(1, +-0).
+    # np.sign, not np.heaviside, which is a scalar loop several times
+    # slower. With e first, a NaN keeps e's NaN.
     np.maximum(e, z, out=z)
     e += 1.0
     z /= e  # where(z >= 0, 1, e) / (1 + e)

@@ -17,6 +17,12 @@ per CPU, the caller's and a per-call pool's (numpy's GEMM and ufuncs
 release the interpreter lock), and each chunk writes only its own rows
 of the result; only per-subject summaries outlive a chunk.
 
+A chunk's trace rows are subject-major, each subject's times together,
+as g at a row depends on the row's place in the batch. Its cumulative
+hazard is time-major, a running difference over contiguous (subjects,
+draws) slabs, and the mean and band write each subject's row from it
+(see `_survival_draws`).
+
 Each thread owns one `_Workspace`, allocated once per call, and every
 chunk reuses it in place: its Jacobian, the draws' network values, the
 cumulative hazard and the sort for the band all live there, so a chunk
@@ -149,10 +155,10 @@ class _Workspace:
     Tq-point grid with S draws, rows = subjects * Tq: a flat buffer of
     rows * max(m, S) floats and the (rows, S) linearized network values
     z, allocated once per call and reused in place by every chunk. The
-    flat buffer holds the chunk's (rows, m) Jacobian until the product
-    z = g + J shift has read it, then the sigmoid's scratch, and then
-    the (rows, S) cumulative hazard, which becomes the survival curves
-    that the band sorts."""
+    flat buffer holds the chunk's (rows, m) Jacobian, rows subject-major,
+    until the product z = g + J shift has read it, then the sigmoid's
+    scratch, and then the cumulative hazard, time-major (Tq, subjects,
+    S), which becomes the survival curves that the band sorts."""
 
     def __init__(self, subjects: int, tq_size: int, m: int, n_draws: int):
         rows = subjects * tq_size
@@ -162,14 +168,24 @@ class _Workspace:
 
 def _survival_draws(ws: _Workspace, model, theta_map, tq, prepend_zero,
                     X, rate, shift) -> np.ndarray:
-    """Survival curves (B, T, S) for the B rows of X under the S draws,
-    a view of `ws.flat`: the linearized hazard on all B * Tq (t, x) rows
-    from one forward trace (g and its Jacobian) and one matrix product
-    with the theta offsets `shift`, scaled by `rate` (Tq, S), phi_s
-    times the baseline at t_k; a cumulative trapezoid along time,
-    exponentiate-negate. Every step writes into the workspace in the
-    operation order of the allocating expressions, so the curves are
-    bit-equal to them."""
+    """Survival curves (T, B, S), time-major, for the B rows of X under
+    the S draws, a view of `ws.flat`: the linearized hazard on all
+    B * Tq (t, x) rows from one forward trace (g and its Jacobian) and
+    one matrix product with the theta offsets `shift`, scaled by `rate`
+    (Tq, S), phi_s times the baseline at t_k; a cumulative trapezoid
+    along time, exponentiate-negate.
+
+    The trace's rows stay subject-major, t fastest: the network's last
+    layer is a BLAS matrix-vector product whose tail rows sum in another
+    order, so a row that moves in the batch can move g in its last bits.
+    The trapezoid steps are written time-major, through a transposed
+    read of the hazard, so the cumulative sum is a running difference
+    over contiguous (B, S) slabs, c_k = c_(k-1) - step_k from c_0 = 0: it
+    equals the negated cumulative sum exactly, -(a + b) = (-a) - b
+    under round-to-nearest, bar the sign of an exact zero, which exp
+    maps to 1 either way. Every other step writes into the workspace in
+    the operation order of the allocating expressions, so the curves
+    are bit-equal to them."""
     B, Tq = X.shape[0], tq.size
     m, S = shift.shape
     n = B * Tq
@@ -185,14 +201,15 @@ def _survival_draws(ws: _Workspace, model, theta_map, tq, prepend_zero,
     sigmoid_into(z, e)
     lam = z.reshape(B, Tq, S)
     lam *= rate                                        # lam = (phi base) sig
-    cum = e.reshape(B, Tq, S)
-    step = cum[:, 1:, :]
-    np.add(lam[:, 1:, :], lam[:, :-1, :], out=step)
+    lam = lam.transpose(1, 0, 2)                       # (Tq, B, S) view
+    cum = e.reshape(Tq, B, S)
+    step = cum[1:]
+    np.add(lam[1:], lam[:-1], out=step)
     step *= 0.5
-    step *= np.diff(tq)[:, None]
-    np.cumsum(step, axis=1, out=step)
-    cum[:, 0, :] = 0.0
-    np.negative(cum, out=cum)
+    step *= np.diff(tq)[:, None, None]
+    cum[0] = 0.0
+    for k in range(1, Tq):                             # minus the cumsum
+        np.subtract(cum[k - 1], cum[k], out=cum[k])
     np.exp(cum, out=cum)
     return step if prepend_zero else cum
 
@@ -256,15 +273,16 @@ def mean_survival_matrix(
             rows = slice(start, start + per_chunk)
             surv = _survival_draws(ws, model, theta_map, tq, prepend_zero,
                                    X[rows], rate, shift)
-            out[0, rows] = surv.mean(axis=-1)  # before the band sorts surv
+            dst = out[:, rows].transpose(0, 2, 1)  # (T, B) views of out
+            dst[0] = surv.mean(axis=-1)  # before the band sorts surv
             if level is None:
                 continue
             if n_draws >= 20:
-                out[1:, rows] = credible_band(surv, level)
+                dst[1:] = credible_band(surv, level)
             else:
-                out[1, rows] = np.quantile(surv, 0.5, axis=-1)
-                out[2, rows] = surv.min(axis=-1)
-                out[3, rows] = surv.max(axis=-1)
+                dst[1] = np.quantile(surv, 0.5, axis=-1)
+                dst[2] = surv.min(axis=-1)
+                dst[3] = surv.max(axis=-1)
 
     starts = range(0, n, per_chunk)
     k = _worker_count(workers, len(starts))

@@ -83,8 +83,13 @@ def test_sigmoid_into_is_sigmoid_bit_for_bit():
     rng = np.random.default_rng(6)
     edges = np.array([0.0, -0.0, 800.0, -800.0, 1e6, -1e6, 745.2, -745.2,
                       5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan])
+    # the edges scattered through a long mixed-sign array, so the ufuncs'
+    # vectorized bodies meet them and not only their scalar tails
+    mixed = rng.normal(scale=10.0, size=4096)
+    mixed[rng.choice(mixed.size, size=8 * edges.size, replace=False)] = (
+        np.tile(edges, 8))
     for z in (edges, rng.normal(scale=10.0, size=(40, 7)),
-              np.linspace(-50.0, 50.0, 1001)):
+              np.linspace(-50.0, 50.0, 1001), mixed):
         buf = z.copy()
         with np.errstate(over="raise"):
             got = sigmoid_into(buf, np.empty_like(z))

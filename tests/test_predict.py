@@ -312,6 +312,33 @@ def test_mean_survival_matrix_matches_per_subject_oracle_more_draws_than_m():
     _assert_matches_oracle(np.linspace(0.0, 2.5, 41), n_draws=1300)
 
 
+def test_chunk_trace_rows_are_subject_major(monkeypatch):
+    # the network's last layer is a gemv whose tail rows sum in another
+    # order, so g at a (t, x) row depends on the row's place in the
+    # batch: the trace keeps every subject's times together, t fastest,
+    # and time-major rows can move g in its last bits
+    model, theta_map, post, X = _wide_problem(31)
+    times = np.linspace(0.1, 2.5, _WIDE_POINTS)
+    tq = predict._prep_times(times, 2.5)[1]
+    real = predict.jacobian_batch
+    calls = []
+
+    def spy(model_, T, X_rows, theta, out=None):
+        calls.append((T.copy(), X_rows.copy()))
+        return real(model_, T, X_rows, theta, out=out)
+
+    monkeypatch.setattr(predict, "jacobian_batch", spy)
+    mean_survival_matrix(post, model, BaselinePrior(), theta_map, 2.5, X,
+                         times, RngStream.from_seed(4), n_draws=20,
+                         workers=1)
+    assert [T.size for T, _ in calls] == [3 * tq.size, 3 * tq.size, tq.size]
+    for (T, X_rows), start in zip(calls, (0, 3, 6)):
+        B = T.size // tq.size
+        assert np.array_equal(T, np.tile(tq, B))
+        assert np.array_equal(X_rows,
+                              np.repeat(X[start:start + B], tq.size, axis=0))
+
+
 # ------------------------------------------------------------ worker pool
 
 # _wide_problem's 7 subjects split into chunks of 3 + 3 + 1, so up to 3
