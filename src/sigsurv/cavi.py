@@ -5,7 +5,11 @@ The variational family factorizes as Gamma(alpha~, beta~) over phi,
 N(mu~, Sigma~) over theta, per-observation Polya-Gamma factors over the
 event marks, and a marked-Poisson factor over the thinned points. One
 sweep cyclically applies the four closed-form updates in the fixed
-order omega -> psi -> phi -> theta; beta~ is a data-only constant.
+order omega -> psi -> phi -> theta; beta~ is a data-only constant. The
+omega and psi updates and the theta update's row coefficients are the
+augmentation's latent moments (`hazard.pg_tilts`,
+`hazard.thinned_rates`, `hazard.row_coefficients`) under q: the ones
+EM's E-step takes at a point mass.
 
 The theta update solves mu~ = Sigma~ A, Sigma~ = (I + J^T diag(b) J)^(-1)
 over the row block (the N event rows, then the P live (subject, node)
@@ -25,15 +29,14 @@ form from them, Sigma~ = I - U diag(c/(1+c)) U^T.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hazard import HazardContext, row_coefficients
+from .hazard import HazardContext, pg_tilts, row_coefficients, thinned_rates
 from .net import LinearizedModel
-from .numkit import digamma, pg_mean, sigmoid
+from .numkit import digamma
 
 __all__ = [
     "LowRankFactor",
@@ -48,8 +51,6 @@ __all__ = [
     "cavi_sweep",
     "run_cavi",
 ]
-
-_EXP_CLAMP = 700.0
 
 
 def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
@@ -229,31 +230,22 @@ def init_state(
     )
 
 
-def update_omega(state: VariationalState, lin: LinearizedModel,
+def update_omega(state: VariationalState,
                  ctx: HazardContext) -> VariationalState:
-    """c~_i = delta_i s~_i(y_i); E[omega_i] = tanh(c/2)/(2c) with the
-    1/4 limit at c = 0 (censored rows keep the limit value, which only
-    ever appears multiplied by delta_i downstream)."""
-    c_tilde = ctx.dataset.delta * state.s_tilde[:lin.n_event]
-    return replace(state, c_tilde=c_tilde, e_omega=pg_mean(c_tilde))
+    """c~_i = delta_i s~_i(y_i) and E[omega_i] = pg_mean(c~_i)
+    (`hazard.pg_tilts`)."""
+    c_tilde, e_omega = pg_tilts(ctx, state.s_tilde)
+    return replace(state, c_tilde=c_tilde, e_omega=e_omega)
 
 
-def update_psi(state: VariationalState, lin: LinearizedModel,
+def update_psi(state: VariationalState,
                ctx: HazardContext) -> VariationalState:
-    """Thinned-process rates at the live grid pairs:
-    lambda_i(t) = (t^(rho-1)/Z) sigma(s~) exp(-(m~+s~)/2 + E[log phi]),
-    using the moments and E[log phi] cached by the previous sweep."""
-    m_grid, s_grid = state.m_tilde[lin.n_event:], state.s_tilde[lin.n_event:]
-    expo = -0.5 * (m_grid + s_grid) + state.e_log_phi
-    if np.any(expo > _EXP_CLAMP):
-        warnings.warn(
-            "rate exponent clamped at 700; variational state may be diverging",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        expo = np.minimum(expo, _EXP_CLAMP)
-    lam_q = ctx.base_live * sigmoid(s_grid) * np.exp(expo)
-    return replace(state, lam_q=lam_q)
+    """Thinned-process rates at the live grid pairs,
+    lambda = 2 t^(rho-1) sigma(s~) exp(-(m~+s~)/2 + E[log phi])
+    (`hazard.thinned_rates`), from the moments and E[log phi] cached by
+    the previous sweep."""
+    return replace(state, lam_q=thinned_rates(
+        ctx, state.m_tilde, state.s_tilde, log_phi=state.e_log_phi))
 
 
 def update_phi(state: VariationalState, ctx: HazardContext) -> VariationalState:
@@ -288,14 +280,13 @@ def update_theta(
     A = J^T (a - b off) over the row block and off = g_map - J theta_map
     the linearization offset, then the cached moments on the whole row
     block: m~ = off + J mu~ and s~ = sqrt(m~^2 + rows of J Sigma~ J^T).
-    The row coefficients (a, b) are derived once, with
-    tau = pg_mean(s~) at the live pairs, and b also builds the
-    factor. In the factor's basis, with
-    w = diag(1/(1+c)) (JV Q)^T (a - b off), mu~ = U w and
-    J mu~ = JV Q w (mu~ lies in J's row space), and the rows of
-    J Sigma~ J^T are the squared row norms of JV Q diag((1+c)^(-1/2))."""
-    tau = pg_mean(state.s_tilde[lin.n_event:])
-    a, b = row_coefficients(ctx, state.e_omega, state.lam_q, tau)
+    The row coefficients (a, b) are derived once
+    (`hazard.row_coefficients`), and b also builds the factor. In the
+    factor's basis, with w = diag(1/(1+c)) (JV Q)^T (a - b off),
+    mu~ = U w and J mu~ = JV Q w (mu~ lies in J's row space), and the
+    rows of J Sigma~ J^T are the squared row norms of
+    JV Q diag((1+c)^(-1/2))."""
+    a, b = row_coefficients(ctx, state.e_omega, state.lam_q, state.s_tilde)
     factor = build_factor(b, lin)
     JVQ = lin.JV @ (lin.V.T @ factor.U)  # Q = V^T U
     shrink = 1.0 / (1.0 + factor.C)
@@ -313,8 +304,8 @@ def cavi_sweep(
 ) -> VariationalState:
     """One full coordinate sweep in the fixed order omega, psi, phi,
     theta."""
-    state = update_omega(state, lin, ctx)
-    state = update_psi(state, lin, ctx)
+    state = update_omega(state, ctx)
+    state = update_psi(state, ctx)
     state = update_phi(state, ctx)
     state = update_theta(state, lin, ctx)
     return state

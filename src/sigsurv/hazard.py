@@ -5,9 +5,11 @@ where g is the network and Z is the prior-predictive mean of sigmoid(g)
 under theta ~ N(0, I), linearized at theta = 0, which is exactly 1/2
 for this network class (`baseline_factor`). This module holds the
 baseline prior and factor, the right-censored log likelihood, and the
-two augmentation samplers (Polya-Gamma gamma-series draws; the marked
-Poisson process whose exponential functional reproduces the censoring
-term).
+augmentation's latent moments (the Polya-Gamma tilts and the marked
+Poisson process's thinned rates, which EM's E-step takes at a point
+mass and CAVI at the variational factors), and the two augmentation
+samplers (Polya-Gamma gamma-series draws; the marked Poisson process
+whose exponential functional reproduces the censoring term).
 
 All times here are in normalized units (observed times divided by the
 training horizon), matching the network's time input.
@@ -15,6 +17,7 @@ training horizon), matching the network's time input.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +29,16 @@ from .errors import InputError, NumericalError
 # here.
 from .net import (MlpModel, Trace, forward_batch, jacobian_batch,  # noqa: F401
                   row_block, trace)
-from .numkit import QuadratureGrid, RngStream, build_grid, log_gamma, sigmoid
+from .numkit import (QuadratureGrid, RngStream, build_grid, log_gamma, pg_mean,
+                     sigmoid)
 
 __all__ = [
     "BaselinePrior",
     "HazardContext",
     "baseline_factor",
     "build_context",
+    "pg_tilts",
+    "thinned_rates",
     "row_coefficients",
     "log_likelihood",
     "log_prior",
@@ -47,6 +53,10 @@ _T_POWER_FLOOR = 1e-12
 
 # Gamma-series terms drawn per block by `sample_pg_series`.
 _PG_CHUNK = 128
+
+# `thinned_rates` clamps its exponent here: e^700 ~ 1e304, near the
+# largest float.
+_EXP_CLAMP = 700.0
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,6 @@ def build_context(
     prior: BaselinePrior,
     dataset: Dataset,
     n_nodes: int = 64,
-    grid: QuadratureGrid | None = None,
 ) -> HazardContext:
     if model.input_dim != dataset.p + 1:
         raise InputError(
@@ -141,8 +150,7 @@ def build_context(
         raise InputError(
             f"observation times of rows {bad.tolist()} underflow to 0 "
             f"when divided by the training horizon {dataset.t_max:g}")
-    if grid is None:
-        grid = build_grid(dataset.y_norm, n_nodes)
+    grid = build_grid(dataset.y_norm, n_nodes)
     t_rows, x_rows = row_block(grid, dataset)
     inputs = np.column_stack([t_rows, x_rows])
     inputs.flags.writeable = False
@@ -162,15 +170,50 @@ def build_context(
     )
 
 
-def row_coefficients(ctx: HazardContext, e_omega, lam, tau):
+def pg_tilts(ctx: HazardContext, s):
+    """The event marks' Polya-Gamma tilts c = delta s and their means
+    E[omega] = pg_mean(c), both (N,), from s (N+P,), the square root of
+    g's second moment over the row block: |g| at a point mass, s~ under
+    the variational factors. A censored row keeps the c = 0 limit 1/4,
+    which only ever appears multiplied by delta downstream."""
+    c = ctx.dataset.delta * s[:ctx.dataset.n]
+    return c, pg_mean(c)
+
+
+def thinned_rates(ctx: HazardContext, m, s, phi=1.0, log_phi=0.0):
+    """The marked-Poisson process's thinned rates at the P live pairs,
+    lambda = 2 t^(rho-1) phi sigma(s) exp(-(m + s)/2 + log_phi), from g's
+    mean m and the square root s of its second moment over the row block
+    (N+P,). At a point mass (m = g, s = |g|, phi) this is the stable form
+    of phi 2 t^(rho-1) sigma(-g); under the variational factors it takes
+    (m~, s~) and log_phi = E[log phi]. The defaults leave the other form
+    exact: phi multiplies the baseline first and log_phi adds inside the
+    exponent. An exponent above 700 is clamped there with a
+    RuntimeWarning; at a point mass it is at most 0."""
+    n = ctx.dataset.n
+    m, s = m[n:], s[n:]
+    expo = -0.5 * (m + s) + log_phi
+    if np.any(expo > _EXP_CLAMP):
+        warnings.warn(
+            "rate exponent clamped at 700; variational state may be diverging",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        expo = np.minimum(expo, _EXP_CLAMP)
+    return ctx.base_live * phi * sigmoid(s) * np.exp(expo)
+
+
+def row_coefficients(ctx: HazardContext, e_omega, lam, s):
     """Per-row coefficients (a, b) of the quadratic form
     sum_r a_r g_r - b_r g_r^2 / 2 that the Polya-Gamma and marked-Poisson
     augmentations make of the likelihood on the row block:
     a = [delta/2, -w lam/2] and b = [delta E[omega], w lam tau], from
-    the event PG means e_omega (N,) and the live pairs' thinned rates
-    lam and PG means tau (P,)."""
+    the event PG means e_omega (N,), the live pairs' thinned rates lam
+    (P,) and their marks' PG means tau = pg_mean(s) at the live rows of
+    s (N+P,)."""
     delta = ctx.dataset.delta
     vlam = ctx.w_live * lam
+    tau = pg_mean(s[ctx.dataset.n:])
     return (np.concatenate([0.5 * delta, -0.5 * vlam]),
             np.concatenate([delta * e_omega, vlam * tau]))
 

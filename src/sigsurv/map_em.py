@@ -1,9 +1,10 @@
 """MAP estimation by expectation-maximization in the augmented model.
 
-The E-step refreshes the latent Polya-Gamma moments at event times and
-the thinned-process rates/moments at quadrature nodes from the current
-(theta, phi); the M-step maximizes the resulting Q-function over
-(theta, log phi) with the in-house L-BFGS. Network evaluations here are
+The E-step takes the augmentation's latent moments at a point mass,
+the current (theta, phi) (`hazard.pg_tilts`, `hazard.thinned_rates`),
+and returns Q's quadratic form in them; the M-step maximizes Q over
+(theta, log phi) with the in-house L-BFGS. The loop carries nothing
+else between iterations. Network evaluations here are
 exact (no linearization) — the linearized machinery starts only in the
 variational stage that consumes this module's MAP estimate. The loop
 stops on the log posterior, the quantity full EM iterations can never
@@ -19,54 +20,26 @@ fails sufficient decrease pays for the forward pass alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hazard import HazardContext, log_posterior, row_coefficients
+from .hazard import (HazardContext, log_posterior, pg_tilts, row_coefficients,
+                     thinned_rates)
 # forward_batch and grad_weighted_sum are not called here any more; they
 # stay importable from this namespace because bench/layers.py wraps them
 # here.
 from .net import forward_batch, grad_weighted_sum  # noqa: F401
-from .numkit import RngStream, pg_mean, sigmoid
+from .numkit import RngStream
 from .optim import OptimResult, minimize_lbfgs
 
-__all__ = ["EmState", "EmResult", "em_latent_update", "q_function", "q_grad",
+__all__ = ["EmResult", "em_latent_update", "q_function", "q_grad",
            "em_m_step", "run_em"]
 
 # Each M-step's L-BFGS iteration cap and sup-norm gradient tolerance.
 _M_STEP_MAX_ITER = 100
 _M_STEP_GTOL = 1e-6
-
-
-@dataclass(frozen=True)
-class EmState:
-    """Current parameters plus the latent moments computed from them.
-
-    Latent fields are None until the first em_latent_update. The grid
-    fields hold the P live quadrature pairs in the context's packed
-    order. a_coef is the coefficient of log phi in Q: alpha0 - 1
-    + sum_i delta_i + sum_p w_p lam_grid_p.
-    """
-
-    theta: np.ndarray
-    phi: float
-    c_event: np.ndarray | None = None   # (N,) delta_i |g(y_i; theta)|
-    e_omega: np.ndarray | None = None   # (N,) pg_mean(c_event)
-    lam_grid: np.ndarray | None = None  # (P,) thinned rates at live pairs
-    tau_grid: np.ndarray | None = None  # (P,) pg_mean(|g|) at live pairs
-    a_coef: float | None = None
-
-    def require_latents(self):
-        if self.lam_grid is None:
-            raise InputError("latent updates have not been run on this state")
-
-    def row_coefficients(self, ctx: HazardContext):
-        """(a, b) of the row block's quadratic form in g under these
-        latents (`hazard.row_coefficients`)."""
-        self.require_latents()
-        return row_coefficients(ctx, self.e_omega, self.lam_grid, self.tau_grid)
 
 
 @dataclass
@@ -91,71 +64,54 @@ class EmResult:
     n_grad: int
 
 
-def em_latent_update(ctx: HazardContext, state: EmState) -> EmState:
-    """E-step. c = delta |g(y_i)| drives the event PG means; the
-    thinned-process rate at node t_k is
-    (t^(rho-1)/Z) * phi * sigmoid(|g|) * exp(-(g + |g|)/2)
-    (the stable form of lambda0 * sigmoid(-g)), with PG means at |g|."""
-    ds = ctx.dataset
-    theta, phi = state.theta, state.phi
+def em_latent_update(ctx: HazardContext, theta, phi: float):
+    """E-step: Q's quadratic form (a, b, a_coef) under the latents at
+    (theta, phi). The latent moments are the augmentation's at a point
+    mass, m = g and s = |g| (`hazard.pg_tilts`, `hazard.thinned_rates`);
+    (a, b) are the row block's coefficients (`hazard.row_coefficients`)
+    and a_coef, the coefficient of log phi in Q, is
+    alpha0 - 1 + sum_i delta_i + sum_p w_p lam_p."""
     if not np.all(np.isfinite(theta)) or not np.isfinite(phi) or phi <= 0:
-        raise InputError("state parameters must be finite with phi > 0")
-
+        raise InputError("parameters must be finite with phi > 0")
     g = ctx.trace(theta).g
-    c_event = ds.delta * np.abs(g[:ds.n])
-    e_omega = pg_mean(c_event)
-
-    g_grid = g[ds.n:]
-    ag = np.abs(g_grid)
-    lam_grid = ctx.base_live * phi * sigmoid(ag) * np.exp(-0.5 * (g_grid + ag))
-    tau_grid = pg_mean(ag)
-
+    s = np.abs(g)
+    _, e_omega = pg_tilts(ctx, s)
+    lam = thinned_rates(ctx, g, s, phi)
     a_coef = (
-        ctx.prior.alpha0 - 1.0 + float(ds.delta.sum())
-        + float((ctx.w_live * lam_grid).sum())
+        ctx.prior.alpha0 - 1.0 + float(ctx.dataset.delta.sum())
+        + float((ctx.w_live * lam).sum())
     )
-    return replace(
-        state, c_event=c_event, e_omega=e_omega,
-        lam_grid=lam_grid, tau_grid=tau_grid, a_coef=a_coef,
-    )
+    return (*row_coefficients(ctx, e_omega, lam, s), a_coef)
 
 
-def _q_value(ctx: HazardContext, state: EmState, theta, phi: float,
-             g, a, b) -> float:
+def q_function(ctx: HazardContext, form, theta, phi: float) -> float:
+    """Q(theta, phi) under the quadratic form (a, b, a_coef) of an
+    E-step, up to the additive constant the entropy terms contribute
+    (dropped, so values compare within a run only)."""
+    return q_grad(ctx, form, theta, phi)[0]
+
+
+def q_grad(ctx: HazardContext, form, theta, phi: float):
+    """Q at (theta, phi) under the E-step's form (a, b, a_coef), and a
+    zero-argument callable for the gradient of Q w.r.t. (theta, log phi),
+    length m + 1. Both come from the context's trace at theta; the
+    gradient's reverse walk runs only when the callable is called."""
+    if phi <= 0:
+        raise InputError("phi must be positive")
+    a, b, a_coef = form
+    g = ctx.trace(theta).g
     rows = float((a * g - 0.5 * b * g**2).sum())
     prior_theta = -0.5 * float(theta @ theta)
-    phi_term = state.a_coef * float(np.log(phi)) - ctx.phi_rate * phi
-
-    total = rows + prior_theta + phi_term
-    if not np.isfinite(total):
+    phi_term = a_coef * float(np.log(phi)) - ctx.phi_rate * phi
+    q = rows + prior_theta + phi_term
+    if not np.isfinite(q):
         parts = {"rows": rows, "theta-prior": prior_theta, "phi": phi_term}
         bad = [k for k, v in parts.items() if not np.isfinite(v)]
         raise NumericalError(f"Q-function non-finite in term(s): {bad}")
-    return total
-
-
-def q_function(ctx: HazardContext, state: EmState, theta, phi: float) -> float:
-    """Q(theta, phi | state latents), up to the additive constant the
-    entropy terms contribute (dropped, so values compare within a run
-    only)."""
-    return q_grad(ctx, state, theta, phi, state.row_coefficients(ctx))[0]
-
-
-def q_grad(ctx: HazardContext, state: EmState, theta, phi: float, coef):
-    """Q at (theta, phi) and a zero-argument callable for the gradient
-    of Q w.r.t. (theta, log phi), length m + 1. coef = (a, b) are the
-    state's row coefficients (`EmState.row_coefficients`), which an
-    M-step builds once for all its evaluations. Both come from the
-    context's trace at theta; the gradient's reverse walk runs only
-    when the callable is called."""
-    if phi <= 0:
-        raise InputError("phi must be positive")
-    a, b = coef
-    q = _q_value(ctx, state, theta, phi, ctx.trace(theta).g, a, b)
 
     def grad():
         tr = ctx.trace(theta)
-        d_logphi = state.a_coef - ctx.phi_rate * phi
+        d_logphi = a_coef - ctx.phi_rate * phi
         return np.concatenate([tr.grad(a - b * tr.g) - theta, [d_logphi]])
 
     return q, grad
@@ -163,31 +119,28 @@ def q_grad(ctx: HazardContext, state: EmState, theta, phi: float, coef):
 
 def em_m_step(
     ctx: HazardContext,
-    state: EmState,
-) -> tuple[EmState, float, OptimResult]:
-    """Maximize Q over (theta, log phi) from the state's current point.
-    Returns (state with new parameters, Q at the new point, optimizer
-    diagnostics, whose -f0 is Q at the start point). Latent fields are
-    kept (they describe the sweep that produced this Q)."""
-    state.require_latents()
-    if state.a_coef is None or state.a_coef <= 0:
+    form,
+    theta,
+    phi: float,
+) -> tuple[np.ndarray, float, float, OptimResult]:
+    """Maximize Q under the E-step's form (a, b, a_coef) over
+    (theta, log phi) from (theta, phi). Returns (theta, phi) at the new
+    point, Q there, and the optimizer diagnostics, whose -f0 is Q at
+    the start point."""
+    _, _, a_coef = form
+    if a_coef <= 0:
         raise NumericalError(
             "log-phi coefficient in Q is nonpositive; Q is unbounded as phi -> 0"
         )
 
-    coef = state.row_coefficients(ctx)
-
     def neg_q(z):
-        q, grad = q_grad(ctx, state, z[:-1], float(np.exp(z[-1])), coef)
+        q, grad = q_grad(ctx, form, z[:-1], float(np.exp(z[-1])))
         return -q, lambda: -grad()
 
-    z0 = np.concatenate([state.theta, [np.log(state.phi)]])
+    z0 = np.concatenate([theta, [np.log(phi)]])
     res = minimize_lbfgs(neg_q, z0, max_iter=_M_STEP_MAX_ITER,
                          gtol=_M_STEP_GTOL)
-    theta_new = res.x[:-1]
-    phi_new = float(np.exp(res.x[-1]))
-    new_state = replace(state, theta=theta_new, phi=phi_new)
-    return new_state, -res.f, res
+    return res.x[:-1], float(np.exp(res.x[-1])), -res.f, res
 
 
 def run_em(
@@ -214,13 +167,12 @@ def run_em(
         raise InputError("init_scale must be >= 0")
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
-    theta0 = (
+    theta = (
         ctx.model.random_theta(rng, scale=init_scale)
         if init_scale > 0
         else ctx.model.zero_theta()
     )
-    phi0 = ctx.prior.alpha0 / ctx.prior.beta0
-    state = EmState(theta=theta0, phi=phi0)
+    phi = ctx.prior.alpha0 / ctx.prior.beta0
 
     q_trace: list[float] = []
     objective_trace: list[float] = []
@@ -231,10 +183,10 @@ def run_em(
     message = "iteration cap reached"
     it = 0
     for it in range(max_iter):
-        state = em_latent_update(ctx, state)
-        state, q_val, res = em_m_step(ctx, state)
+        form = em_latent_update(ctx, theta, phi)
+        theta, phi, q_val, res = em_m_step(ctx, form, theta, phi)
         q_trace.append(q_val)
-        objective_trace.append(log_posterior(ctx, state.phi, state.theta))
+        objective_trace.append(log_posterior(ctx, phi, theta))
         n_fev += res.n_fev
         n_grad += res.n_grad
         records.append(
@@ -243,8 +195,8 @@ def run_em(
                 "q": q_val,
                 "q_before_m_step": -res.f0,
                 "objective": objective_trace[-1],
-                "phi": state.phi,
-                "theta_norm": float(np.linalg.norm(state.theta)),
+                "phi": phi,
+                "theta_norm": float(np.linalg.norm(theta)),
                 "evaluations": res.n_fev,
                 "gradients": res.n_grad,
             }
@@ -258,8 +210,8 @@ def run_em(
                 message = "relative log-posterior change below tolerance twice"
                 break
     return EmResult(
-        theta_map=state.theta,
-        phi_map=state.phi,
+        theta_map=theta,
+        phi_map=phi,
         q_trace=np.asarray(q_trace),
         objective_trace=np.asarray(objective_trace),
         records=records,

@@ -40,21 +40,20 @@ def sigmoid(z):
     up to the float64 exponent range saturates gracefully to 0 or 1
     instead of overflowing: 1/(1 + e) for z >= 0, e/(1 + e) below.
     -|z| is taken as min(z, -z), which passes a NaN through with its
-    sign.
+    sign. Computed by `sigmoid_into` on a fresh float copy of z; a 0-d
+    input gives a float.
     """
-    z = np.asarray(z, dtype=float)
-    e = np.exp(np.minimum(z, -z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    z = np.array(z, dtype=float)
+    out = sigmoid_into(z, np.empty_like(z))
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def sigmoid_into(z, e):
-    """`sigmoid` of the float array z, bit for bit, written over z, which
-    is returned; e, a float array of z's shape, is scratch. It allocates
-    nothing, so a caller can reuse both buffers; on small arrays its
-    extra passes make it slower than `sigmoid`."""
+    """`sigmoid` of the float array z written over z, which is returned;
+    e, a float array of z's shape, is scratch. It allocates nothing, so
+    a caller can reuse both buffers."""
     np.negative(z, out=e)
     np.minimum(z, e, out=e)
     np.exp(e, out=e)  # e = exp(min(z, -z)), in [0, 1] or NaN

@@ -81,34 +81,41 @@ class SurvivalBands:
 def credible_band(samples: np.ndarray, level: float):
     """Pointwise median and equal-tailed quantile band over the draws
     on the last axis. `level` must lie strictly inside (0, 1); at least
-    20 draws required. Returns (median, lo, hi).
-
-    The draws are sorted once and each quantile is read off the order
-    statistics by numpy's default `linear` rule: virtual index
-    v = (n - 1) q, neighbours floor(v) and floor(v) + 1 (both the last
-    when v >= n - 1), and the two-sided lerp of `np.quantile`, so the
-    band is bit-equal to it. A slice that holds a NaN reads NaN.
-
-    The sort is in place: a float array passed in comes back sorted
-    along its last axis, so the band needs no copy of the draws."""
+    20 draws required. Returns (median, lo, hi), read off the draws'
+    order statistics by `_sorted_quantiles`, bit-equal to `np.quantile`.
+    A float array passed in comes back sorted along its last axis."""
     samples = np.asarray(samples, dtype=float)
     if not 0.0 < level < 1.0:
         raise InputError("level must be strictly between 0 and 1")
     if samples.shape[-1] < 20:
         raise InputError("need at least 20 draws for a quantile band")
     a = 1.0 - level
+    return _sorted_quantiles(samples, (0.5, a / 2.0, 1.0 - a / 2.0))
+
+
+def _sorted_quantiles(samples: np.ndarray, qs):
+    """The quantiles qs of the float array samples along its last axis,
+    one array each. The draws are sorted once, in place, so no copy of
+    them is made, and each quantile is read off the order statistics by
+    numpy's default `linear` rule: virtual index v = (n - 1) q,
+    neighbours floor(v) and floor(v) + 1 (both the last when
+    v >= n - 1), and the two-sided lerp of `np.quantile`, so each is
+    bit-equal to it. At q = 0 and 1 the lerp returns the first and last
+    order statistic exactly for finite draws (bar a -0.0, read as +0.0),
+    so on curves in [0, 1] they are the min and max. A slice that holds
+    a NaN reads NaN."""
     samples.sort(axis=-1)  # NaN last
     srt = np.moveaxis(samples, -1, 0)
     n = srt.shape[0]
     nan = np.isnan(srt[-1])
-    band = []
-    for v in (n - 1) * np.array([0.5, a / 2.0, 1.0 - a / 2.0]):
+    out = []
+    for v in (n - 1) * np.asarray(qs):
         i, j = (int(v), int(v) + 1) if v < n - 1 else (-1, -1)
         t = v - i
         d = srt[j] - srt[i]
         val = srt[j] - d * (1 - t) if t >= 0.5 else srt[i] + d * t
-        band.append(np.where(nan, srt[-1], val))
-    return tuple(band)
+        out.append(np.where(nan, srt[-1], val))
+    return tuple(out)
 
 
 def _prep_times(times, t_max: float):
@@ -279,10 +286,8 @@ def mean_survival_matrix(
                 continue
             if n_draws >= 20:
                 dst[1:] = credible_band(surv, level)
-            else:
-                dst[1] = np.quantile(surv, 0.5, axis=-1)
-                dst[2] = surv.min(axis=-1)
-                dst[3] = surv.max(axis=-1)
+            else:  # the median, min and max
+                dst[1:] = _sorted_quantiles(surv, (0.5, 0.0, 1.0))
 
     starts = range(0, n, per_chunk)
     k = _worker_count(workers, len(starts))

@@ -82,7 +82,7 @@ def test_init_moments_dominate_means():
 
 def test_update_omega_event_gating():
     ctx, lin, _, state = _small_problem(seed=1)
-    new = update_omega(state, lin, ctx)
+    new = update_omega(state, ctx)
     delta = ctx.dataset.delta
     assert np.all(new.c_tilde[delta == 0] == 0.0)
     assert np.all(new.e_omega[delta == 0] == 0.25)
@@ -98,7 +98,7 @@ def test_update_omega_pinned_tilt():
     s_tilde = state.s_tilde.copy()
     s_tilde[:ctx.dataset.n] = 2.0
     hacked = replace(state, s_tilde=s_tilde)
-    new = update_omega(hacked, lin, ctx)
+    new = update_omega(hacked, ctx)
     i = int(np.nonzero(ctx.dataset.delta)[0][0])
     assert abs(new.e_omega[i] - math.tanh(1.0) / 4.0) < 1e-15
 
@@ -114,15 +114,15 @@ def test_update_psi_unit_rate_at_neutral_state():
         s_tilde=np.zeros_like(state.s_tilde),
         e_log_phi=0.0,
     )
-    new = update_psi(neutral, lin, ctx)
+    new = update_psi(neutral, ctx)
     assert np.allclose(new.lam_q, 1.0, rtol=0, atol=1e-14)
 
 
 def test_update_psi_scales_with_phi_moment():
     ctx, lin, _, state = _small_problem(seed=2)
-    a = update_psi(state, lin, ctx)
+    a = update_psi(state, ctx)
     b = update_psi(replace(state, e_log_phi=state.e_log_phi + math.log(2.0)),
-                   lin, ctx)
+                   ctx)
     assert np.allclose(b.lam_q, 2.0 * a.lam_q, rtol=1e-13, atol=0)
 
 
@@ -137,7 +137,7 @@ def test_update_psi_matches_scalar_oracle():
     new = update_psi(replace(state, m_tilde=np.concatenate([np.zeros(N), m]),
                              s_tilde=np.concatenate([np.zeros(N), s]),
                              e_log_phi=elp),
-                     lin, ctx)
+                     ctx)
     count = 0
     for p, (i, k) in enumerate(zip(*np.nonzero(ctx.grid.weights > 0))):
         base = baseline_factor(ctx.prior, [ctx.grid.nodes[k]])[0]
@@ -152,7 +152,7 @@ def test_update_psi_warns_and_clamps_on_runaway():
     ctx, lin, _, state = _small_problem(seed=2)
     runaway = replace(state, e_log_phi=900.0)
     with pytest.warns(RuntimeWarning):
-        new = update_psi(runaway, lin, ctx)
+        new = update_psi(runaway, ctx)
     assert np.all(np.isfinite(new.lam_q))
 
 
@@ -353,9 +353,8 @@ def test_sigma_dense_operations():
 def _swept_weights(seed):
     """A problem one omega/psi step in, with its row weights b."""
     ctx, lin, _, state = _small_problem(seed=seed)
-    state = update_psi(update_omega(state, lin, ctx), lin, ctx)
-    b = row_coefficients(ctx, state.e_omega, state.lam_q,
-                         pg_mean(state.s_tilde[lin.n_event:]))[1]
+    state = update_psi(update_omega(state, ctx), ctx)
+    b = row_coefficients(ctx, state.e_omega, state.lam_q, state.s_tilde)[1]
     return ctx, lin, state, b
 
 

@@ -3,16 +3,20 @@ M-step, and the full iteration."""
 
 import dataclasses
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sigsurv.cavi import (LowRankFactor, VariationalState, update_omega,
+                          update_psi)
 from sigsurv.data import Dataset
 from sigsurv.errors import InputError, NumericalError
 from sigsurv.hazard import (BaselinePrior, baseline_factor, build_context,
-                            log_posterior)
+                            log_posterior, pg_tilts, row_coefficients,
+                            thinned_rates)
 from sigsurv.map_em import (
-    EmState,
     em_latent_update,
     em_m_step,
     q_function,
@@ -23,7 +27,7 @@ from sigsurv import net
 from sigsurv.data import gen_synthetic, standardize
 from sigsurv.net import (MlpModel, forward_batch, grad_weighted_sum,
                          unflatten)
-from sigsurv.numkit import RngStream, sigmoid
+from sigsurv.numkit import RngStream, pg_mean, sigmoid
 
 from _oracles import em_full_grid, q_straightline, run_em_eager
 
@@ -43,14 +47,25 @@ def _toy_ctx(n_nodes=12, seed=0, layers=(3, 4, 1), n=6, t_max=1.0,
     return ctx
 
 
+def _latents(ctx, theta, phi):
+    """The E-step's latent moments at (theta, phi): the augmentation's
+    at the point mass m = g, s = |g| (see
+    test_e_step_is_the_cavi_update_at_a_point_mass), as a namespace of
+    c_event, e_omega (N,) and lam_grid, tau_grid (P,)."""
+    g = ctx.trace(theta).g
+    s = np.abs(g)
+    c_event, e_omega = pg_tilts(ctx, s)
+    return SimpleNamespace(c_event=c_event, e_omega=e_omega,
+                           lam_grid=thinned_rates(ctx, g, s, phi),
+                           tau_grid=pg_mean(s[ctx.dataset.n:]))
+
+
 # -------------------------------------------------------- latent update
 
 
 def test_latents_at_silent_network():
     ctx = _toy_ctx()
-    state = em_latent_update(
-        ctx, EmState(theta=np.zeros(ctx.model.n_params), phi=1.3)
-    )
+    state = _latents(ctx, np.zeros(ctx.model.n_params), 1.3)
     # |g| = 0 everywhere: tilts vanish, moments sit at the PG(1,0) mean
     P = int(np.count_nonzero(ctx.grid.live_mask()))
     assert state.lam_grid.shape == state.tau_grid.shape == (P,)
@@ -63,7 +78,7 @@ def test_latents_at_silent_network():
 def test_latent_c_is_event_gated_magnitude():
     ctx = _toy_ctx(seed=3)
     theta = np.random.default_rng(5).normal(size=ctx.model.n_params) * 0.5
-    state = em_latent_update(ctx, EmState(theta=theta, phi=0.9))
+    state = _latents(ctx, theta, 0.9)
     g_event = forward_batch(ctx.model, ctx.dataset.y_norm, ctx.dataset.X, theta)
     want = ctx.dataset.delta * np.abs(g_event)
     assert np.allclose(state.c_event, want, rtol=0, atol=1e-14)
@@ -75,7 +90,7 @@ def test_latent_rate_equals_sign_flipped_hazard():
     ctx = _toy_ctx(seed=7)
     theta = np.random.default_rng(11).normal(size=ctx.model.n_params)
     phi = 1.7
-    state = em_latent_update(ctx, EmState(theta=theta, phi=phi))
+    state = _latents(ctx, theta, phi)
     subject, node = np.nonzero(ctx.grid.live_mask())
     T = ctx.grid.nodes[node]
     Xr = ctx.dataset.X[subject]
@@ -87,28 +102,65 @@ def test_latent_rate_equals_sign_flipped_hazard():
 def test_latent_a_coef_formula():
     ctx = _toy_ctx(seed=9)
     theta = np.random.default_rng(2).normal(size=ctx.model.n_params) * 0.3
-    state = em_latent_update(ctx, EmState(theta=theta, phi=1.1))
+    _, _, a_coef = em_latent_update(ctx, theta, 1.1)
     # the rates sit at the live pairs: zero elsewhere on the (N, K) grid
     live = ctx.grid.live_mask()
     lam_nk = np.zeros(live.shape)
-    lam_nk[live] = state.lam_grid
+    lam_nk[live] = _latents(ctx, theta, 1.1).lam_grid
     want = (1.0 - 1.0 + ctx.dataset.delta.sum()
             + float((ctx.grid.weights * lam_nk).sum()))
-    assert abs(state.a_coef - want) < 1e-10
+    assert abs(a_coef - want) < 1e-10
 
 
-def test_latent_requires_run_before_use():
-    ctx = _toy_ctx()
-    bare = EmState(theta=np.zeros(ctx.model.n_params), phi=1.0)
-    with pytest.raises(Exception):
-        bare.require_latents()
+def test_e_step_is_the_cavi_update_at_a_point_mass():
+    # off the collapsed set: g varies across the row block, both signs
+    ctx = _toy_ctx(seed=21, n=8, n_nodes=14)
+    theta = np.random.default_rng(21).normal(size=ctx.model.n_params) * 1.5
+    phi = 1.7
+    g = ctx.trace(theta).g
+    assert g.min() < -3.0 and g.max() > 3.0
+    n, s = ctx.dataset.n, np.abs(g)
+
+    # EM's form is the hazard's moments at (g, |g|, phi), bit for bit
+    a, b, a_coef = em_latent_update(ctx, theta, phi)
+    c, e_omega = pg_tilts(ctx, s)
+    lam = thinned_rates(ctx, g, s, phi)
+    a_want, b_want = row_coefficients(ctx, e_omega, lam, s)
+    assert a.tobytes() == a_want.tobytes()
+    assert b.tobytes() == b_want.tobytes()
+    assert a_coef == (1.0 - 1.0 + float(ctx.dataset.delta.sum())
+                      + float((ctx.w_live * lam).sum()))
+
+    # CAVI's omega and psi updates at q = that point mass give the same
+    # tilts bit for bit; the rate scales by e^E[log phi] in the exponent
+    # instead of by phi in front, a few ulps apart
+    m = ctx.model.n_params
+    q = VariationalState(
+        alpha_tilde=1.0, beta_tilde=ctx.phi_rate, mu_tilde=theta,
+        sigma=LowRankFactor(U=np.zeros((m, 0)), C=np.zeros(0)),
+        c_tilde=np.zeros(n), e_omega=np.zeros(n),
+        lam_q=np.zeros_like(ctx.w_live), e_log_phi=math.log(phi),
+        m_tilde=g, s_tilde=s)
+    q = update_psi(update_omega(q, ctx), ctx)
+    assert q.c_tilde.tobytes() == c.tobytes()
+    assert q.e_omega.tobytes() == e_omega.tobytes()
+    np.testing.assert_array_max_ulp(q.lam_q, lam, maxulp=4)
+
+    # at a point mass the rate exponent is -(g + |g|)/2 <= 0: EM never
+    # clamps, even where g is far below 0 and phi is huge
+    far = np.zeros(m)
+    far[-1] = -800.0                      # the output bias
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, a_far = em_latent_update(ctx, far, 1e300)
+    assert np.isfinite(a_far)
 
 
 def test_latent_c_invariant_under_covariate_permutation():
     ctx = _toy_ctx(seed=13, layers=(4, 5, 1), n=8)
     model, ds = ctx.model, ctx.dataset
     theta = np.random.default_rng(21).normal(size=model.n_params)
-    state = em_latent_update(ctx, EmState(theta=theta, phi=1.0))
+    state = _latents(ctx, theta, 1.0)
 
     perm = [2, 0, 1]                       # covariate columns only
     X_perm = ds.X[:, perm]
@@ -121,7 +173,7 @@ def test_latent_c_invariant_under_covariate_permutation():
     ctx_perm = build_context(model, ctx.prior, ds_perm,
                              n_nodes=ctx.grid.nodes.size)
     theta_perm = np.concatenate([np.r_[W.ravel(), b] for W, b in params])
-    state_perm = em_latent_update(ctx_perm, EmState(theta=theta_perm, phi=1.0))
+    state_perm = _latents(ctx_perm, theta_perm, 1.0)
     assert np.allclose(state.c_event, state_perm.c_event, rtol=0, atol=1e-12)
 
 
@@ -139,7 +191,8 @@ def test_packed_em_matches_full_grid_oracle(rho):
     rng = np.random.default_rng(19)
     state_theta = rng.normal(size=model.n_params) * 0.8
     theta = rng.normal(size=model.n_params) * 0.8
-    state = em_latent_update(ctx, EmState(theta=state_theta, phi=1.4))
+    state = _latents(ctx, state_theta, 1.4)
+    form = em_latent_update(ctx, state_theta, 1.4)
     want = em_full_grid(
         lambda T, X, th: forward_batch(model, T, X, th),
         lambda T, X, th, w: grad_weighted_sum(model, T, X, th, w),
@@ -150,10 +203,17 @@ def test_packed_em_matches_full_grid_oracle(rho):
     assert np.allclose(state.tau_grid, want["tau_grid"][live], **close)
     assert np.allclose(state.c_event, want["c_event"], **close)
     assert np.allclose(state.e_omega, want["e_omega"], **close)
-    assert np.isclose(state.a_coef, want["a_coef"], **close)
+    vlam = (grid.weights * want["lam_grid"])[live]
+    a, b, a_coef = form
+    assert np.allclose(a, np.concatenate([0.5 * ds.delta, -0.5 * vlam]),
+                       **close)
+    assert np.allclose(b, np.concatenate([ds.delta * want["e_omega"],
+                                          vlam * want["tau_grid"][live]]),
+                       **close)
+    assert np.isclose(a_coef, want["a_coef"], **close)
     assert np.isclose(ctx.phi_rate, want["phi_rate"], **close)
-    assert np.isclose(q_function(ctx, state, theta, 0.8), want["q"], **close)
-    q, grad = q_grad(ctx, state, theta, 0.8, state.row_coefficients(ctx))
+    assert np.isclose(q_function(ctx, form, theta, 0.8), want["q"], **close)
+    q, grad = q_grad(ctx, form, theta, 0.8)
     assert np.isclose(q, want["q"], **close)
     assert np.allclose(grad(), want["grad"], **close)
 
@@ -165,22 +225,15 @@ def test_q_theta_part_is_prior_when_latents_silent():
     # with no events and the integral latents zeroed the theta terms
     # reduce to the Gaussian prior: Q(t1) - Q(t2) = -(|t1|^2 - |t2|^2)/2
     ctx = _toy_ctx(seed=1)
-    base = em_latent_update(
-        ctx, EmState(theta=np.zeros(ctx.model.n_params), phi=1.0)
-    )
-    silent = dataclasses.replace(
-        base,
-        c_event=np.zeros(ctx.dataset.n),
-        e_omega=np.full(ctx.dataset.n, 0.25),
-        lam_grid=np.zeros_like(base.lam_grid),
-        tau_grid=np.full_like(base.tau_grid, 0.25),
-        a_coef=2.0,
-    )
     ctx_noev = dataclasses.replace(
         ctx, dataset=dataclasses.replace(
             ctx.dataset, delta=np.zeros(ctx.dataset.n, dtype=int)
         )
     )
+    n, P = ctx.dataset.n, ctx.w_live.size
+    # E[omega] and tau at the PG(1, 0) mean 1/4 (s = 0), rates zeroed
+    silent = (*row_coefficients(ctx_noev, np.full(n, 0.25), np.zeros(P),
+                                np.zeros(n + P)), 2.0)
     rng = np.random.default_rng(17)
     phi = 0.7
     for _ in range(5):
@@ -196,11 +249,11 @@ def test_q_phi_profile_maximum_is_ratio():
     # Q in phi is a_coef log phi - phi_rate phi: unique max at the ratio
     ctx = _toy_ctx(seed=4)
     theta = np.random.default_rng(3).normal(size=ctx.model.n_params) * 0.2
-    state = em_latent_update(ctx, EmState(theta=theta, phi=1.0))
-    phi_star = state.a_coef / ctx.phi_rate
-    q_star = q_function(ctx, state, theta, phi_star)
+    form = em_latent_update(ctx, theta, 1.0)
+    phi_star = form[2] / ctx.phi_rate
+    q_star = q_function(ctx, form, theta, phi_star)
     for phi in (0.3, 0.9, 2.0, 7.0):
-        assert q_function(ctx, state, theta, phi) <= q_star + 1e-12
+        assert q_function(ctx, form, theta, phi) <= q_star + 1e-12
 
 
 def test_q_matches_straight_line_oracle():
@@ -208,9 +261,9 @@ def test_q_matches_straight_line_oracle():
     ctx = _toy_ctx(n_nodes=8, seed=6, layers=layers, n=4)
     rng = np.random.default_rng(8)
     state_theta = rng.normal(size=ctx.model.n_params) * 0.4
-    state = em_latent_update(ctx, EmState(theta=state_theta, phi=1.6))
+    form = em_latent_update(ctx, state_theta, 1.6)
     theta = rng.normal(size=ctx.model.n_params) * 0.4
-    got = q_function(ctx, state, theta, 0.8)
+    got = q_function(ctx, form, theta, 0.8)
     want = q_straightline(
         ctx.dataset.y_norm, ctx.dataset.delta, ctx.dataset.X,
         ctx.grid.nodes, ctx.grid.weights, layers,
@@ -223,19 +276,18 @@ def test_q_matches_straight_line_oracle():
 def test_q_grad_matches_finite_differences():
     ctx = _toy_ctx(n_nodes=10, seed=2, layers=(3, 4, 1), n=5)
     rng = np.random.default_rng(12)
-    state = em_latent_update(
-        ctx, EmState(theta=rng.normal(size=ctx.model.n_params) * 0.3, phi=1.2)
-    )
+    form = em_latent_update(
+        ctx, rng.normal(size=ctx.model.n_params) * 0.3, 1.2)
     theta = rng.normal(size=ctx.model.n_params) * 0.3
-    q, grad = q_grad(ctx, state, theta, 1.2, state.row_coefficients(ctx))
-    assert q == q_function(ctx, state, theta, 1.2)
+    q, grad = q_grad(ctx, form, theta, 1.2)
+    assert q == q_function(ctx, form, theta, 1.2)
     g = grad()
     h = 1e-6
     for j in range(0, ctx.model.n_params, 3):
         e = np.zeros(ctx.model.n_params)
         e[j] = h
-        fd = (q_function(ctx, state, theta + e, 1.2)
-              - q_function(ctx, state, theta - e, 1.2)) / (2 * h)
+        fd = (q_function(ctx, form, theta + e, 1.2)
+              - q_function(ctx, form, theta - e, 1.2)) / (2 * h)
         assert abs(g[j] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
@@ -246,39 +298,33 @@ def test_m_step_phi_hits_closed_form():
     ctx = _toy_ctx(seed=10)
     rng = RngStream.from_seed(123)
     theta0 = ctx.model.random_theta(rng, scale=0.2)
-    state = em_latent_update(ctx, EmState(theta=theta0, phi=1.0))
-    new_state, q_val, res = em_m_step(ctx, state)
-    want = state.a_coef / ctx.phi_rate
-    assert abs(new_state.phi - want) <= 1e-6 * want
-    assert new_state.phi > 0
-    assert q_val >= q_function(ctx, state, theta0, 1.0) - 1e-10
+    form = em_latent_update(ctx, theta0, 1.0)
+    _, phi, q_val, res = em_m_step(ctx, form, theta0, 1.0)
+    want = form[2] / ctx.phi_rate
+    assert abs(phi - want) <= 1e-6 * want
+    assert phi > 0
+    assert q_val >= q_function(ctx, form, theta0, 1.0) - 1e-10
 
 
 def test_m_step_second_call_is_fixed_point():
     ctx = _toy_ctx(seed=14)
     rng = RngStream.from_seed(9)
-    state = em_latent_update(
-        ctx, EmState(theta=ctx.model.random_theta(rng, scale=0.2), phi=1.0)
-    )
-    s1, q1, _ = em_m_step(ctx, state)
+    theta0 = ctx.model.random_theta(rng, scale=0.2)
+    form = em_latent_update(ctx, theta0, 1.0)
+    theta1, phi1, q1, _ = em_m_step(ctx, form, theta0, 1.0)
     # keep the same latents, restart the optimizer from the optimum
-    s1_latents = dataclasses.replace(
-        state, theta=s1.theta, phi=s1.phi
-    )
-    s2, q2, res2 = em_m_step(ctx, s1_latents)
+    theta2, phi2, q2, res2 = em_m_step(ctx, form, theta1, phi1)
     assert abs(q2 - q1) < 1e-10
-    assert float(np.max(np.abs(s2.theta - s1.theta))) < 1e-4
-    assert abs(s2.phi - s1.phi) < 1e-8
+    assert float(np.max(np.abs(theta2 - theta1))) < 1e-4
+    assert abs(phi2 - phi1) < 1e-8
 
 
 def test_m_step_rejects_nonpositive_log_coefficient():
     ctx = _toy_ctx(seed=15)
-    state = em_latent_update(
-        ctx, EmState(theta=np.zeros(ctx.model.n_params), phi=1.0)
-    )
-    bad = dataclasses.replace(state, a_coef=-0.1)
+    theta = np.zeros(ctx.model.n_params)
+    a, b, _ = em_latent_update(ctx, theta, 1.0)
     with pytest.raises(NumericalError):
-        em_m_step(ctx, bad)
+        em_m_step(ctx, (a, b, -0.1), theta, 1.0)
 
 
 # ------------------------------------------------------------- full EM
@@ -305,9 +351,9 @@ def test_m_step_reports_q_at_its_start_point():
     # phi passes through exp(log phi): equal to Q there up to rounding
     ctx = _toy_ctx(seed=10)
     theta0 = ctx.model.random_theta(RngStream.from_seed(5), scale=0.2)
-    state = em_latent_update(ctx, EmState(theta=theta0, phi=1.3))
-    q_start = q_function(ctx, state, theta0, 1.3)
-    _, q_new, res = em_m_step(ctx, state)
+    form = em_latent_update(ctx, theta0, 1.3)
+    q_start = q_function(ctx, form, theta0, 1.3)
+    _, _, q_new, res = em_m_step(ctx, form, theta0, 1.3)
     assert abs(-res.f0 - q_start) <= 1e-12 * abs(q_start)
     assert q_new >= -res.f0
 
@@ -315,16 +361,15 @@ def test_m_step_reports_q_at_its_start_point():
 def test_run_em_gradient_small_at_map(small_fit):
     # finite-difference gradient of Q at the returned point
     ctx, em = small_fit.ctx, small_fit.em
-    state = em_latent_update(ctx, EmState(theta=em.theta_map, phi=em.phi_map))
-    state, q_val, _ = em_m_step(ctx, state)
+    form = em_latent_update(ctx, em.theta_map, em.phi_map)
+    theta, phi, q_val, _ = em_m_step(ctx, form, em.theta_map, em.phi_map)
     h = 1e-5
-    theta = state.theta
     fd = np.zeros(theta.size)
     for j in range(theta.size):
         e = np.zeros(theta.size)
         e[j] = h
-        fd[j] = (q_function(ctx, state, theta + e, state.phi)
-                 - q_function(ctx, state, theta - e, state.phi)) / (2 * h)
+        fd[j] = (q_function(ctx, form, theta + e, phi)
+                 - q_function(ctx, form, theta - e, phi)) / (2 * h)
     assert np.linalg.norm(fd) < 1e-4
 
 
