@@ -16,6 +16,7 @@ commands --threads caps the BLAS pools.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -304,6 +305,139 @@ def _prediction_times(fit, cfg, t_hi=None):
     return np.linspace(0.0, hi, int(cfg["grid_points"]))
 
 
+@functools.cache
+def _g17_tables():
+    """For X = -4..-1: 5^(16 - X) and 10^(16 - X) (both exact in their
+    dtypes) and 10^(X + 4); then the ASCII text of 0000..9999 as
+    little-endian 4-byte words, followed by the same with trailing
+    zeros as NUL bytes."""
+    import numpy as np
+
+    x = np.arange(-4, 0)
+    d = np.arange(10, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1)
+    quads = quads.reshape(10000, 4) + ord("0")
+    kept = np.logical_or.accumulate(quads[:, ::-1] != ord("0"), axis=1)
+    quads = np.concatenate([quads, quads * kept[:, ::-1]])
+    return (np.array([5 ** (16 - k) for k in range(-4, 0)], np.uint64),
+            10.0 ** (16 - x), 10 ** (x + 4), quads.view("<u4").ravel())
+
+
+def _digits17(w, f, expo, x):
+    """round-half-even(w * 10^(16 - x)), exactly. With w = f * 2^(expo
+    - 1075) that is f * 5^(16 - x) / 2^s, s = x + 1059 - expo in
+    [33, 49]: a float estimate of the quotient is off by at most a few
+    hundred, so the remainder f * 5^(16 - x) - d * 2^s is small, and
+    uint64 arithmetic that wraps at 2^64 gets it exactly."""
+    import numpy as np
+
+    pow5, pow10, _, _ = _g17_tables()
+    d = (w * pow10[x + 4]).astype(np.int64)
+    s = x + 1059 - expo
+    r = (f * pow5[x + 4] - (d.view(np.uint64) << s.view(np.uint64)))
+    r = r.view(np.int64)
+    d += r >> s
+    r &= (1 << s) - 1
+    half = 1 << (s - 1)
+    d += (r > half) | ((r == half) & ((d & 1) == 1))
+    return d
+
+
+def _g17(values):
+    """`('%.17g' % v).encode()` for each float64 v, as an (n, 24) uint8
+    array: row i's non-NUL bytes, in order, are value i's text.
+
+    For 1e-4 <= v < 1 the text is "0.", -X-1 zeros and the 17
+    significant digits D with trailing zeros dropped, where X =
+    floor(log10 v) after rounding to 17 digits (-4..-1) and D =
+    round-half-even(v * 10^(16 - X)), computed exactly from the IEEE
+    bits. +0.0 and 1.0 are "0" and "1"; any other value is formatted
+    by Python."""
+    import numpy as np
+
+    _, _, scale, quads = _g17_tables()
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    out = np.zeros((v.size, 6), "<u4")
+    in_range = (v >= 1e-4) & (v < 1.0)
+    fast = np.flatnonzero(in_range)
+    w = v[fast]
+    bits = w.view(np.int64)
+    expo = bits >> 52  # w > 0, so no sign bit
+    f = ((bits & ((1 << 52) - 1)) | (1 << 52)).view(np.uint64)
+    x = np.clip(np.floor(np.log10(w)), -4, -1).astype(np.int64)
+    d = _digits17(w, f, expo, x)
+    off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
+    if off.size:  # log10 misjudged X next to a power of ten
+        x[off] += np.where(d[off] < 10 ** 16, -1, 1)
+        d[off] = _digits17(w[off], f[off], expo[off], x[off])
+    # the 20 decimals d * 10^(X + 4), as the 12 of hi and 8 of lo
+    hi, lo = d // 10 ** 8, d % 10 ** 8 * scale[x + 4]
+    hi = hi * scale[x + 4] + lo // 10 ** 8
+    lo %= 10 ** 8
+    groups = (hi // 10 ** 8, hi // 10 ** 4 % 10 ** 4, hi % 10 ** 4,
+              lo // 10 ** 4, lo % 10 ** 4)
+    words = np.empty((w.size, 6), "<u4")
+    words[:, 0] = np.frombuffer(b"0.\0\0", "<u4")[0]  # NULs are dropped
+    nonzero_after = np.zeros(w.size, bool)
+    for col in range(5, 0, -1):
+        g = groups[col - 1]
+        words[:, col] = quads.take(np.where(nonzero_after, g, g + 10000))
+        nonzero_after |= g != 0
+    out[fast] = words
+    text = out.view(np.uint8)
+    rest = np.flatnonzero(~in_range)
+    if rest.size:
+        u = v[rest]
+        text[rest[u.view(np.int64) == 0], 0] = ord("0")
+        text[rest[u == 1.0], 0] = ord("1")
+        other = rest[(u.view(np.int64) != 0) & (u != 1.0)]
+        text[other] = np.array(["%.17g" % t for t in v[other].tolist()],
+                               "S24").view(np.uint8).reshape(-1, 24)
+    return text
+
+
+# The predict CSV is written in blocks of at most this many bytes of
+# padded row text, so the writer's memory does not grow with the cohort.
+_CSV_BLOCK_BYTES = 1 << 17
+
+
+def _write_curves_csv(path, times, columns) -> None:
+    """The bytes csv.writer would write for the rows [subject, time,
+    *(column[subject, time] for column in columns)], floats as '%.17g'
+    (no cell needs quoting). A block of rows is laid out in one uint8
+    buffer, fixed-width fields padded with NUL bytes that are dropped
+    on the way out."""
+    import numpy as np
+
+    n, nt = columns[0].shape
+    flat = [np.ravel(c) for c in columns]  # views of C-ordered arrays
+    tcells = np.array(["%.17g," % t for t in times.tolist()], "S")
+    tcells = tcells.view(np.uint8).reshape(nt, -1)
+    wi, wt = len(b"%d," % (n - 1)), tcells.shape[1]
+    width = wi + wt + 25 * len(flat) + 1
+    block = np.zeros((min(max(1, _CSV_BLOCK_BYTES // width), n * nt),
+                      width), np.uint8)
+    block[:, wi + wt + 24::25] = ord(",")
+    block[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"subject,time,mean,median,lo,hi\r\n")
+        for start in range(0, n * nt, block.shape[0]):
+            rows = np.arange(start, min(start + block.shape[0], n * nt))
+            buf = block[:rows.size]
+            first = start // nt
+            subjects = np.array([b"%d," % i for i in
+                                 range(first, rows[-1] // nt + 1)], f"S{wi}")
+            buf[:, :wi] = subjects.view(np.uint8).reshape(-1, wi)[
+                rows // nt - first]
+            buf[:, wi:wi + wt] = tcells[rows % nt]
+            cells = _g17(np.stack([c[start:start + rows.size] for c in flat],
+                                  axis=1)).reshape(rows.size, len(flat), 24)
+            for k in range(len(flat)):
+                buf[:, wi + wt + 25 * k:wi + wt + 25 * k + 24] = cells[:, k]
+            text = buf.ravel()
+            fh.write(text[text != 0])
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     from .data import load_csv
     from .numkit import RngStream
@@ -319,19 +453,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         ds.X, times, rng, n_draws=cfg["draws"], level=cfg["level"],
         workers=args.threads,
     )
-    # the bytes csv.writer would write for these rows (no cell needs
-    # quoting): one format for a subject's rows, the times formatted once
-    rows = "".join("%%d,%.17g,%%.17g,%%.17g,%%.17g,%%.17g\r\n" % t
-                   for t in times.tolist())
-    cells = [0] * (5 * times.size)
-    columns = (curves.values, band.median, band.lo, band.hi)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("subject,time,mean,median,lo,hi\r\n")
-        for i in range(curves.n):
-            cells[0::5] = [i] * times.size
-            for k, col in enumerate(columns, 1):
-                cells[k::5] = col[i].tolist()
-            fh.write(rows % tuple(cells))
+    _write_curves_csv(args.out, times,
+                      (curves.values, band.median, band.lo, band.hi))
     print(f"wrote {curves.n * times.size} rows to {args.out}")
     return EXIT_OK
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,8 @@ __all__ = [
 ]
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+# How many dropped rows the warning names by file line.
+_DROPS_NAMED = 5
 
 
 @dataclass(frozen=True)
@@ -120,16 +123,19 @@ class Dataset:
         return self.y / self.t_max
 
 
-def _parse_cell(text: str, where: str) -> float:
+def _parse_cell(text: str, path, row: int, col: str) -> float:
+    """The cell's number, NaN for a missing token; an error names the
+    cell as path:row:col."""
     token = text.strip()
     if token.lower() in _MISSING_TOKENS:
         return np.nan
     try:
         value = float(token)
     except ValueError:
-        raise InputError(f"non-numeric cell {text!r} at {where}") from None
+        raise InputError(
+            f"non-numeric cell {text!r} at {path}:{row}:{col}") from None
     if not math.isfinite(value):
-        raise InputError(f"non-finite cell {text!r} at {where}")
+        raise InputError(f"non-finite cell {text!r} at {path}:{row}:{col}")
     return value
 
 
@@ -140,9 +146,11 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
     schema: {"time_col": str, "event_col": str,
              "feature_cols": list[str] | "rest"}.
     Column names must be unique. Rows with missing values (empty/NA
-    cells) are dropped. Covariates are standardized: with `stats=None`
-    the statistics are computed from this file (training); otherwise
-    the supplied training stats are applied. Returns (dataset, stats).
+    cells) are dropped with one RuntimeWarning that counts them and
+    names the first few by file line. Covariates are standardized:
+    with `stats=None` the statistics are computed from this file
+    (training); otherwise the supplied training stats are applied.
+    Returns (dataset, stats).
     """
     time_col = schema["time_col"]
     event_col = schema["event_col"]
@@ -155,7 +163,11 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+        rows, lines = [], []  # the records and their last file lines
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
 
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
@@ -165,24 +177,28 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
     missing = [c for c in [time_col, event_col, *feature_cols] if c not in header]
     if missing:
         raise InputError(f"{path}: missing columns {missing}")
-    col_idx = {c: i for i, c in enumerate(header)}
+    cols = [(header.index(c), c) for c in (time_col, event_col, *feature_cols)]
 
     parsed = []
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise InputError(f"{path}: row {r + 2} has {len(row)} cells, "
                              f"expected {len(header)}")
-        vals = [
-            _parse_cell(row[col_idx[c]], f"{path}:{r + 2}:{c}")
-            for c in [time_col, event_col, *feature_cols]
-        ]
-        parsed.append(vals)
+        parsed.append([_parse_cell(row[i], path, r + 2, c) for i, c in cols])
 
-    arr = np.asarray(parsed, dtype=float).reshape(-1, 2 + len(feature_cols))
+    arr = np.asarray(parsed, dtype=float).reshape(-1, len(cols))
     keep = ~np.isnan(arr).any(axis=1)
-    arr = arr[keep]
-    if arr.shape[0] == 0:
+    if not keep.any():
         raise InputError(f"{path}: no complete rows after dropping missing values")
+    if not keep.all():
+        lost = np.flatnonzero(~keep)
+        named = ", ".join(str(lines[r]) for r in lost[:_DROPS_NAMED])
+        more = ", ..." if lost.size > _DROPS_NAMED else ""
+        warnings.warn(
+            f"{path}: dropped {lost.size} row(s) with a missing cell (file "
+            f"lines {named}{more}); subjects are numbered among the "
+            f"complete rows", RuntimeWarning, stacklevel=2)
+    arr = arr[keep]
 
     y = arr[:, 0]
     delta = arr[:, 1]

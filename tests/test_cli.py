@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sigsurv import cavi, map_em, net, predict
+from sigsurv import cavi, cli, map_em, net, predict
 from sigsurv.checkpoint import (body_bytes, decode_array, encode_array,
                                 fit_from_doc, load_checkpoint)
 from sigsurv.cli import CONFIG_DEFAULTS, build_parser, main
@@ -441,21 +441,47 @@ def test_predict_csv_output(workdir, tmp_path, capsys):
         assert np.all((mean >= 0.0) & (mean <= 1.0))
 
 
-def test_predict_csv_is_csv_writer_bytes(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("horizons, draws, block_bytes", [
+    (1, 30, None),
+    (40, 30, None),  # cells below 1e-4 take the '%.17g' fallback
+    (1, 5, None),  # the band is the draws' min and max
+    (1, 30, 1000),  # blocks of a few rows, the last one short
+], ids=["horizon", "40-horizons", "5-draws", "short-blocks"])
+def test_predict_csv_is_csv_writer_bytes(workdir, tmp_path, capsys,
+                                         monkeypatch, horizons, draws,
+                                         block_bytes):
     # the rows are the library's means and bands, written as csv.writer
     # writes them
-    out = tmp_path / "pred.csv"
-    rc = main(["predict", "--checkpoint", str(workdir / "model.json"),
-               "--data", str(workdir / "test.csv"), "--out", str(out),
-               "--draws", "30", "--grid-points", "7", "--seed", "2"])
-    assert rc == 0
-    capsys.readouterr()
+    if block_bytes is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_BYTES", block_bytes)
     fit = fit_from_doc(load_checkpoint(workdir / "model.json")[1])
+    times = np.linspace(0.0, horizons * fit.t_max, 7)
+    out = tmp_path / "pred.csv"
+    argv = ["predict", "--checkpoint", str(workdir / "model.json"),
+            "--data", str(workdir / "test.csv"), "--out", str(out),
+            "--draws", str(draws), "--grid-points", "7", "--seed", "2"]
+    if horizons > 1:
+        argv += ["--t-hi", repr(float(times[-1]))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert any("beyond the training horizon" in str(w.message)
+               for w in caught) == (horizons > 1)
+    capsys.readouterr()
     ds, _ = load_csv(workdir / "test.csv", SCHEMA, stats=fit.stats)
-    times = np.linspace(0.0, fit.t_max, 7)
-    curves, band = mean_survival_matrix(
-        fit.post, fit.model, fit.prior, fit.theta_map, fit.t_max, ds.X,
-        times, RngStream.from_seed(2), n_draws=30, level=0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curves, band = mean_survival_matrix(
+            fit.post, fit.model, fit.prior, fit.theta_map, fit.t_max, ds.X,
+            times, RngStream.from_seed(2), n_draws=draws, level=0.9)
+    if horizons > 1:
+        assert (curves.values < 1e-4).any()
+    if block_bytes is not None:  # several blocks, the last one short
+        width = (len(b"%d," % (ds.n - 1)) + 101
+                 + max(len("%.17g," % t) for t in times.tolist()))
+        per_block = block_bytes // width
+        assert 1 < per_block < ds.n * times.size
+        assert ds.n * times.size % per_block != 0
     want = io.StringIO(newline="")
     writer = csv.writer(want)
     writer.writerow(["subject", "time", "mean", "median", "lo", "hi"])
@@ -465,6 +491,36 @@ def test_predict_csv_is_csv_writer_bytes(workdir, tmp_path, capsys):
                 t, curves.values[i, j], band.median[i, j], band.lo[i, j],
                 band.hi[i, j])])
     assert out.read_bytes() == want.getvalue().encode("ascii")
+
+
+def _g17_oracle_values():
+    """Chunks of float64s for the formatter oracle: every odd
+    a * 2^-j in [1e-4, 1) for j = 14..22 (the exact ties of 17-digit
+    rounding among them), the neighbours of each power of ten 1e-4..1,
+    special values, and 10^6 seeded uniforms."""
+    for j in range(14, 23):
+        for start in range(1, 2 ** j, 1 << 21):
+            x = np.arange(start, min(start + (1 << 21), 2 ** j), 2) / 2.0 ** j
+            yield x[x >= 1e-4]
+    tens = 10.0 ** np.arange(-4, 1)
+    yield np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, 2.0),
+                          [0.0, -0.0, 1.0, 1e-5, 5e-324, 1.5, np.inf,
+                           -np.inf, np.nan]])
+    gen = np.random.default_rng(20260814)
+    for _ in range(4):
+        yield gen.uniform(0.0, 1.0, 250_000)
+
+
+def test_g17_is_python_percent_format_byte_for_byte():
+    for values in _g17_oracle_values():
+        text = np.zeros((values.size, 25), np.uint8)
+        text[:, :24] = cli._g17(values)
+        text[:, 24] = ord("\n")
+        got = text[text != 0].tobytes().decode("ascii").splitlines()
+        want = ["%.17g" % v for v in values.tolist()]
+        if got != want:
+            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            raise AssertionError(f"{values[i]!r}: {got[i]} != {want[i]}")
 
 
 def test_predict_eval_reject_truncated_checkpoint(workdir, tmp_path, capsys):

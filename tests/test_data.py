@@ -1,6 +1,7 @@
 """CSV ingestion, standardization, synthetic benchmark, fold splits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ def test_load_csv_roundtrip(tmp_path):
                   "2.5,1,0.1,4.0\n"
                   "1.0,0,-1.2,2.0\n"
                   "4.0,1,0.7,0.0\n")
-    ds, stats = load_csv(path, SCHEMA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complete file drops nothing
+        ds, stats = load_csv(path, SCHEMA)
     assert np.array_equal(ds.y, [2.5, 1.0, 4.0])
     assert np.array_equal(ds.delta, [1, 0, 1])
     raw = np.array([[0.1, 4.0], [-1.2, 2.0], [0.7, 0.0]])
@@ -59,9 +62,15 @@ def test_load_csv_drops_incomplete_rows(tmp_path):
                   "3.0,1,NA\n"
                   "4.0,1,0.7\n"
                   "5.0,0,1.1\n")
-    ds, _ = load_csv(path, SCHEMA)
+    with pytest.warns(RuntimeWarning) as caught:
+        ds, _ = load_csv(path, SCHEMA)
     assert ds.n == 3
     assert np.array_equal(ds.y, [2.5, 4.0, 5.0])
+    # one warning, naming the count and the file lines
+    assert len(caught) == 1
+    text = str(caught[0].message)
+    assert "dropped 2 row(s)" in text and "file lines 3, 4)" in text
+    assert "clamped" not in text
 
 
 def test_load_csv_explicit_feature_subset(tmp_path):

@@ -26,7 +26,8 @@ on the 100-subject test set at 2, 5, 19, 20 and 200 draws, on a grid
 from 0 and one from 0.1 t_max, with two workers. A last block runs the
 CLI's ``synth``, ``fit``, ``predict`` and ``eval`` on the cohort
 benchmark's inputs and hashes the checkpoint (creation time removed),
-the curves CSV and the metrics JSON.
+the curves CSV, the metrics JSON and a second curves CSV on a grid to
+40 times the training horizon, where most cells are below 1e-4.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import io  # noqa: E402
 import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import warnings  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -104,30 +106,40 @@ def fit_lines(n, key, hidden, scale):
                    + digest(curves.values, band.median, band.lo, band.hi))
 
 
-def cli_lines():
+def run_cli(*argv) -> None:
     from sigsurv import cli
 
+    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the extrapolation warning
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"sigsurv {argv[0]} exited {code}")
+
+
+def cli_lines():
+    from sigsurv.checkpoint import fit_from_doc, load_checkpoint
+
     with tempfile.TemporaryDirectory() as work:
-        train, test, model, curves, metrics = (
+        train, test, model, curves, far, metrics = (
             os.path.join(work, f) for f in ("train.csv", "test.csv",
                                             "model.json", "curves.csv",
-                                            "metrics.json"))
+                                            "far.csv", "metrics.json"))
         common = ("--checkpoint", model, "--data", test, "--seed",
                   str(PREDICT_KEY), "--draws", "200", "--grid-points", "65")
-        for argv in (("synth", "--n", "25", "--out", train, "--seed", "25"),
-                     ("synth", "--n", "1000", "--out", test, "--seed",
-                      str(TEST_KEY)),
-                     ("fit", "--data", train, "--out", model, "--seed",
-                      str(ROOT_SEED)),
-                     ("predict", *common, "--out", curves),
-                     ("eval", *common, "--out", metrics)):
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(list(argv))
-            if code != 0:
-                raise SystemExit(f"sigsurv {argv[0]} exited {code}")
+        run_cli("synth", "--n", "25", "--out", train, "--seed", "25")
+        run_cli("synth", "--n", "1000", "--out", test, "--seed",
+                str(TEST_KEY))
+        run_cli("fit", "--data", train, "--out", model, "--seed",
+                str(ROOT_SEED))
+        run_cli("predict", *common, "--out", curves)
+        run_cli("eval", *common, "--out", metrics)
+        # 40 horizons out, most cells fall below 1e-4
+        t_hi = 40 * fit_from_doc(load_checkpoint(model)[1]).t_max
+        run_cli("predict", *common, "--t-hi", repr(t_hi), "--out", far)
         with open(model, "rb") as fh:
             body = re.sub(rb'"created": *"[^"]*"', b"", fh.read())
-        for what, path in (("predict", curves), ("eval", metrics)):
+        for what, path in (("predict", curves), ("eval", metrics),
+                           ("predict 40 horizons", far)):
             with open(path, "rb") as fh:
                 yield f"  cli {what:<7s} " + digest(fh.read())
         yield "  cli fit     " + digest(body)
