@@ -53,36 +53,20 @@ __all__ = [
 ]
 
 
-def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor; a matrix that is not positive definite is
-    a NumericalError."""
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            f"{what}: matrix not positive definite "
-            "(quadrature weights may be corrupted)"
-        ) from None
-
-
 class SigmaDense:
-    """Dense covariance of a posterior stated directly (e.g. a point
-    mass): row-wise quadratic forms J Sigma J^T and a Cholesky square
-    root for sampling. CAVI never produces one."""
+    """A dense covariance's row-wise quadratic forms J Sigma J^T. No
+    pipeline code makes one: CAVI builds a `LowRankFactor`, which also
+    states a point mass. It stays because the benchmark harness
+    (bench/layers.py) wraps its `quad_rows`; ROADMAP item 2 deletes it
+    once that wrap goes."""
 
     def __init__(self, mat: np.ndarray):
         mat = np.asarray(mat, dtype=float)
         self.mat = 0.5 * (mat + mat.T)
-        self._chol: np.ndarray | None = None
 
     def quad_rows(self, J: np.ndarray) -> np.ndarray:
         J2 = np.atleast_2d(J)
         return np.maximum(np.einsum("nm,nm->n", J2 @ self.mat, J2), 0.0)
-
-    def sqrt_matvec(self, z: np.ndarray) -> np.ndarray:
-        if self._chol is None:
-            self._chol = _cholesky(self.mat, "covariance square root")
-        return self._chol @ z
 
 
 @dataclass
@@ -138,10 +122,6 @@ class LowRankFactor:
     def sigma_matvec(self, v: np.ndarray) -> np.ndarray:
         """Sigma~ v."""
         return self._minus_low_rank(self._shrink(), v)
-
-    def solve_B(self, rhs: np.ndarray) -> np.ndarray:
-        """B^(-1) rhs = 2 Sigma~ rhs."""
-        return 2.0 * self.sigma_matvec(rhs)
 
     def quad_rows(self, J: np.ndarray) -> np.ndarray:
         """Row-wise J_n Sigma~ J_n^T for J (n, m)."""

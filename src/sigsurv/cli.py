@@ -512,7 +512,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .cavi import LowRankFactor, SigmaDense
+    from .cavi import LowRankFactor
     from .checkpoint import PosteriorParams
     from .data import gen_synthetic, standardize, Dataset
     from .hazard import (BaselinePrior, baseline_factor, build_context,
@@ -558,7 +558,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         worst = max(worst, float(np.max(np.abs(J - fd) - tol)))
     record("jacobian-fd", worst <= 0.0, f"worst excess={worst:.2e} tol=0")
 
-    # 3. The factor's closed-form solve vs a dense solve
+    # 3. The factor's closed-form solve, B^(-1) = 2 Sigma~, vs a dense solve
     r3 = rng.child(3)
     m, r = 80, 20
     U = np.linalg.qr(r3.gen.standard_normal((m, r)))[0]
@@ -566,7 +566,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     fac = LowRankFactor(U=U, C=C)
     rhs = r3.gen.standard_normal(m)
     dense = np.linalg.solve(fac.assemble_B(), rhs)
-    err = np.linalg.norm(fac.solve_B(rhs) - dense) / np.linalg.norm(dense)
+    err = (np.linalg.norm(2.0 * fac.sigma_matvec(rhs) - dense)
+           / np.linalg.norm(dense))
     record("factor-solve-vs-dense", err < 1e-8, f"rel err={err:.2e} tol=1e-8")
 
     # 4. Marked-process exponential functional vs censoring term
@@ -623,14 +624,16 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     # 7. Batched posterior predictive: a point-mass posterior at phi0
     # over a silent network (theta = 0, so sigmoid(g) = 1/2 = Z) gives
-    # the hazard phi0 and every subject's curve exp(-phi0 t)
+    # the hazard phi0 and every subject's curve exp(-phi0 t); the factor
+    # U = I, C = 1e20 is Sigma~ = 1e-20 I, with root (1 - s) I ~ 1e-10 I
     r7 = rng.child(7)
     model7 = MlpModel((4, 8, 1))
     m7 = model7.n_params
     phi0 = 1.7
     point_mass = PosteriorParams(alpha_tilde=phi0 * 1e10, beta_tilde=1e10,
                                  mu_tilde=np.zeros(m7),
-                                 sigma=SigmaDense(1e-20 * np.eye(m7)))
+                                 sigma=LowRankFactor(U=np.eye(m7),
+                                                     C=np.full(m7, 1e20)))
     t7 = np.linspace(0.0, 1.0, 21)
     curves7, band7 = mean_survival_matrix(
         point_mass, model7, prior, np.zeros(m7), 1.0,

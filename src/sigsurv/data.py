@@ -123,9 +123,9 @@ class Dataset:
         return self.y / self.t_max
 
 
-def _parse_cell(text: str, path, row: int, col: str) -> float:
+def _parse_cell(text: str, path, line: int, col: str) -> float:
     """The cell's number, NaN for a missing token; an error names the
-    cell as path:row:col."""
+    cell as path:line:col."""
     token = text.strip()
     if token.lower() in _MISSING_TOKENS:
         return np.nan
@@ -133,9 +133,9 @@ def _parse_cell(text: str, path, row: int, col: str) -> float:
         value = float(token)
     except ValueError:
         raise InputError(
-            f"non-numeric cell {text!r} at {path}:{row}:{col}") from None
+            f"non-numeric cell {text!r} at {path}:{line}:{col}") from None
     if not math.isfinite(value):
-        raise InputError(f"non-finite cell {text!r} at {path}:{row}:{col}")
+        raise InputError(f"non-finite cell {text!r} at {path}:{line}:{col}")
     return value
 
 
@@ -145,11 +145,12 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
 
     schema: {"time_col": str, "event_col": str,
              "feature_cols": list[str] | "rest"}.
-    Column names must be unique. Rows with missing values (empty/NA
-    cells) are dropped with one RuntimeWarning that counts them and
-    names the first few by file line. Covariates are standardized:
-    with `stats=None` the statistics are computed from this file
-    (training); otherwise the supplied training stats are applied.
+    Column names must be unique, and errors name a record by its last
+    file line. Rows with missing values (empty/NA cells) are dropped
+    with one RuntimeWarning that counts them and names the first few by
+    file line. Covariates are standardized: with `stats=None` the
+    statistics are computed from this file (training); otherwise the
+    supplied training stats are applied.
     Returns (dataset, stats).
     """
     time_col = schema["time_col"]
@@ -163,28 +164,29 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        rows, lines = [], []  # the records and their last file lines
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise InputError(f"{path}: repeated column names {repeated}")
+        if feature_cols == "rest":
+            feature_cols = [c for c in header if c not in (time_col, event_col)]
+        missing = [c for c in [time_col, event_col, *feature_cols]
+                   if c not in header]
+        if missing:
+            raise InputError(f"{path}: missing columns {missing}")
+        cols = [(header.index(c), c)
+                for c in (time_col, event_col, *feature_cols)]
+
+        parsed, lines = [], []  # the records' cells and last file lines
         for row in reader:
-            if any(cell.strip() for cell in row):
-                rows.append(row)
-                lines.append(reader.line_num)
-
-    repeated = sorted({c for c in header if header.count(c) > 1})
-    if repeated:
-        raise InputError(f"{path}: repeated column names {repeated}")
-    if feature_cols == "rest":
-        feature_cols = [c for c in header if c not in (time_col, event_col)]
-    missing = [c for c in [time_col, event_col, *feature_cols] if c not in header]
-    if missing:
-        raise InputError(f"{path}: missing columns {missing}")
-    cols = [(header.index(c), c) for c in (time_col, event_col, *feature_cols)]
-
-    parsed = []
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise InputError(f"{path}: row {r + 2} has {len(row)} cells, "
-                             f"expected {len(header)}")
-        parsed.append([_parse_cell(row[i], path, r + 2, c) for i, c in cols])
+            if not any(cell.strip() for cell in row):
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise InputError(f"{path}: line {line} has {len(row)} "
+                                 f"cells, expected {len(header)}")
+            parsed.append([_parse_cell(row[i], path, line, c)
+                           for i, c in cols])
+            lines.append(line)
 
     arr = np.asarray(parsed, dtype=float).reshape(-1, len(cols))
     keep = ~np.isnan(arr).any(axis=1)

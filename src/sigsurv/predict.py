@@ -68,29 +68,31 @@ _CHUNK_FLOATS = 3 << 17
 class SurvivalBands:
     """Pointwise posterior median and equal-tailed (lo, hi) band at
     `level` for n subjects on a shared grid, each (n, T); below 20
-    draws (lo, hi) is the draws' (min, max). `flagged_extrapolation`
-    marks grids that extend beyond the training horizon."""
+    draws (lo, hi) is the draws' (min, max)."""
 
     median: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     level: float
-    flagged_extrapolation: bool
 
 
 def credible_band(samples: np.ndarray, level: float):
     """Pointwise median and equal-tailed quantile band over the draws
-    on the last axis. `level` must lie strictly inside (0, 1); at least
-    20 draws required. Returns (median, lo, hi), read off the draws'
-    order statistics by `_sorted_quantiles`, bit-equal to `np.quantile`.
-    A float array passed in comes back sorted along its last axis."""
+    on the last axis. `level` must lie strictly inside (0, 1), and there
+    must be at least one draw. Returns (median, lo, hi), read off the
+    draws' order statistics by `_sorted_quantiles`, bit-equal to
+    `np.quantile`; below 20 draws, too few to place the tails, (lo, hi)
+    is the draws' (min, max). A float array passed in comes back sorted
+    along its last axis."""
     samples = np.asarray(samples, dtype=float)
     if not 0.0 < level < 1.0:
         raise InputError("level must be strictly between 0 and 1")
-    if samples.shape[-1] < 20:
-        raise InputError("need at least 20 draws for a quantile band")
+    n = samples.shape[-1]
+    if n == 0:
+        raise InputError("need at least one draw for a band")
     a = 1.0 - level
-    return _sorted_quantiles(samples, (0.5, a / 2.0, 1.0 - a / 2.0))
+    qs = (0.5, a / 2.0, 1.0 - a / 2.0) if n >= 20 else (0.5, 0.0, 1.0)
+    return _sorted_quantiles(samples, qs)
 
 
 def _sorted_quantiles(samples: np.ndarray, qs):
@@ -121,16 +123,15 @@ def _sorted_quantiles(samples: np.ndarray, qs):
 def _prep_times(times, t_max: float):
     """Validate the prediction grid, convert to normalized units, and
     prepend t = 0 when absent so cumulative integration starts at the
-    origin. Returns (times, tq, prepend_zero, flagged). The curves need
-    at least two times (`SurvivalCurves`), checked here before any draw
-    is made."""
+    origin, warning when the grid extends beyond the training horizon.
+    Returns (times, tq, prepend_zero). The curves need at least two
+    times (`SurvivalCurves`), checked here before any draw is made."""
     times = np.asarray(times, dtype=float).ravel()
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise InputError("times must be at least two nonnegative, strictly "
                          "increasing values")
     t_norm = times / float(t_max)
-    flagged = bool(np.any(t_norm > 1.0 + 1e-12))
-    if flagged:
+    if np.any(t_norm > 1.0 + 1e-12):
         warnings.warn(
             "prediction grid extends beyond the training horizon; "
             "curves there are extrapolations",
@@ -139,7 +140,7 @@ def _prep_times(times, t_max: float):
         )
     prepend_zero = t_norm[0] > 0.0
     tq = np.concatenate([[0.0], t_norm]) if prepend_zero else t_norm
-    return times, tq, prepend_zero, flagged
+    return times, tq, prepend_zero
 
 
 def _draw_posterior(post, theta_map: np.ndarray, rng: RngStream,
@@ -255,10 +256,10 @@ def mean_survival_matrix(
     (curves, None) and computes no band.
 
     The chunks of subjects run on min(CPUs, chunks) threads, at most
-    `workers` when given: this one and a pool of the rest, or this one
-    alone when the count is 1. The results are bit-identical for any
-    count, and an exception in a chunk re-raises here. A bad `level`,
-    `n_draws`, `workers` or grid is rejected before any draw is made."""
+    `workers` when given: this one and a pool's, which start none when
+    the count is 1. The results are bit-identical for any count, and an
+    exception in a chunk re-raises here. A bad `level`, `n_draws`,
+    `workers` or grid is rejected before any draw is made."""
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
     if workers is not None and workers < 1:
@@ -267,7 +268,7 @@ def mean_survival_matrix(
         raise InputError("level must be strictly between 0 and 1")
     theta_map = np.asarray(theta_map, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    times, tq, prepend_zero, flagged = _prep_times(times, t_max)
+    times, tq, prepend_zero = _prep_times(times, t_max)
     phi_draws, shift = _draw_posterior(post, theta_map, rng, n_draws)
     rate = phi_draws[None, :] * baseline_factor(prior, tq)[:, None]  # (Tq, S)
     n = X.shape[0]
@@ -282,12 +283,8 @@ def mean_survival_matrix(
                                    X[rows], rate, shift)
             dst = out[:, rows].transpose(0, 2, 1)  # (T, B) views of out
             dst[0] = surv.mean(axis=-1)  # before the band sorts surv
-            if level is None:
-                continue
-            if n_draws >= 20:
+            if level is not None:
                 dst[1:] = credible_band(surv, level)
-            else:  # the median, min and max
-                dst[1:] = _sorted_quantiles(surv, (0.5, 0.0, 1.0))
 
     starts = range(0, n, per_chunk)
     k = _worker_count(workers, len(starts))
@@ -296,17 +293,16 @@ def mean_survival_matrix(
     # for the same reason this thread scores the first share itself
     spaces = [_Workspace(min(per_chunk, n), tq.size, theta_map.size, n_draws)
               for _ in range(k)]
-    if k == 1:
-        score(starts, spaces[0])
-    else:
-        with ThreadPoolExecutor(max_workers=k - 1) as pool:
-            jobs = [pool.submit(score, starts[i::k], spaces[i])
-                    for i in range(1, k)]
-            score(starts[0::k], spaces[0])
-            for job in jobs:
-                job.result()
+    # the pool starts at most one thread per job, so none when k = 1
+    # (max_workers must be positive: k, not k - 1)
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        jobs = [pool.submit(score, starts[i::k], spaces[i])
+                for i in range(1, k)]
+        score(starts[0::k], spaces[0])
+        for job in jobs:
+            job.result()
     curves = SurvivalCurves(times=times, values=out[0])
     if level is None:
         return curves, None
     return curves, SurvivalBands(median=out[1], lo=out[2], hi=out[3],
-                                 level=level, flagged_extrapolation=flagged)
+                                 level=level)

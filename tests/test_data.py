@@ -134,6 +134,17 @@ def test_load_csv_rejects_infinite_cells(tmp_path):
         load_csv(path, SCHEMA)
 
 
+def test_load_csv_errors_name_file_lines(tmp_path):
+    # blank lines are skipped, yet each error names the record's file line
+    path = _write(tmp_path, "bad.csv", "time,event,a\n\n\n1.0,1,abc\n")
+    with pytest.raises(InputError, match="non-numeric cell 'abc' at .*:4:a"):
+        load_csv(path, SCHEMA)
+    path = _write(tmp_path, "short.csv",
+                  "time,event,a\n2.0,1,0.5\n\n\n1.0,1\n")
+    with pytest.raises(InputError, match="line 5 has 2 cells, expected 3"):
+        load_csv(path, SCHEMA)
+
+
 def test_training_stats_reject_other_feature_count(tmp_path):
     train = _write(tmp_path, "tr.csv",
                    "time,event,a,b\n1.0,1,0.0,1.0\n2.0,0,2.0,3.0\n")

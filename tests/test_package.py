@@ -1,6 +1,7 @@
-"""The package's export lists."""
+"""The package's export lists and declared dependencies."""
 
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -21,3 +22,15 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"sigsurv.{name}.__all__ names {missing}"
+
+
+def test_declared_numpy_floor_has_trapezoid():
+    # metrics.ipcw_ibs and selftest check 4 call np.trapezoid, which
+    # NumPy added in 2.0
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    floors = [d.split(">=")[1] for d in deps if d.startswith("numpy>=")]
+    assert len(floors) == 1, deps
+    assert tuple(int(p) for p in floors[0].split(".")[:2]) >= (2, 0)

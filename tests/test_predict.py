@@ -1,6 +1,7 @@
 """Posterior predictive survival curves and credible bands."""
 
 import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sigsurv import predict
-from sigsurv.cavi import LowRankFactor, SigmaDense
+from sigsurv.cavi import LowRankFactor
 from sigsurv.errors import InputError, NumericalError
 from sigsurv.hazard import BaselinePrior
 from sigsurv.net import MlpModel, jacobian_batch
@@ -19,12 +20,13 @@ from _oracles import predictive_per_subject
 
 
 def _degenerate_posterior(phi0: float, m: int):
-    # Gamma factor concentrated at phi0, Gaussian factor collapsed at 0
+    # Gamma factor concentrated at phi0, Gaussian factor collapsed at 0:
+    # Sigma~ = 1e-20 I, whose root is about 1e-10 I
     return SimpleNamespace(
         alpha_tilde=phi0 * 1e10,
         beta_tilde=1e10,
         mu_tilde=np.zeros(m),
-        sigma=SigmaDense(1e-20 * np.eye(m)),
+        sigma=LowRankFactor(U=np.eye(m), C=np.full(m, 1e20)),
     )
 
 
@@ -76,7 +78,6 @@ def test_sample_survival_shape_and_monotonicity(small_fit, root):
     assert np.all(band.lo <= band.median + 1e-12)
     assert np.all(band.median <= band.hi + 1e-12)
     assert band.level == 0.9
-    assert not band.flagged_extrapolation
 
 
 def test_sample_survival_grid_offset_consistency(small_fit, root):
@@ -100,10 +101,9 @@ def test_sample_survival_grid_offset_consistency(small_fit, root):
 def test_sample_survival_extrapolation_flagged(small_fit, root):
     times = [0.0, small_fit.ds.t_max * 1.5]
     with pytest.warns(RuntimeWarning, match="extrapolation"):
-        _, band = mean_survival_matrix(X=small_fit.ds.X[0], times=times,
-                                       rng=root.child(1), n_draws=30,
-                                       **_fit_args(small_fit))
-    assert band.flagged_extrapolation
+        mean_survival_matrix(X=small_fit.ds.X[0], times=times,
+                             rng=root.child(1), n_draws=30,
+                             **_fit_args(small_fit))
 
 
 def test_sample_survival_input_validation(small_fit, root, monkeypatch):
@@ -154,7 +154,14 @@ def test_credible_band_degenerate_and_validation():
     with pytest.raises(InputError):
         credible_band(samples, 0.0)
     with pytest.raises(InputError):
-        credible_band(samples[:, :19], 0.9)
+        credible_band(samples[:, :0], 0.9)
+    # below 20 draws the band is the draws' (min, max)
+    draws = np.random.default_rng(19).uniform(size=(9, 19))
+    want = np.quantile(draws, [0.5, 0.0, 1.0], axis=-1)
+    got = credible_band(draws, 0.9)
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_credible_band_coverage():
@@ -209,7 +216,7 @@ def test_mean_survival_matrix_common_draws(small_fit, root):
     assert np.array_equal(curves.times, np.asarray(times))
     for arr in (band.median, band.lo, band.hi):
         assert arr.shape == (3, 25)
-    assert band.level == 0.9 and not band.flagged_extrapolation
+    assert band.level == 0.9
     # identical covariates under shared draws give bit-identical curves
     assert np.array_equal(curves.values[0], curves.values[2])
     for arr in (band.median, band.lo, band.hi):
@@ -416,7 +423,8 @@ def test_mean_survival_matrix_is_invariant_to_worker_count(
         got.append(_wide_call(times, n_draws))
     finally:
         sys.setswitchinterval(interval)
-    assert pools == [1, 2, 2]  # the calling thread is one of the workers
+    # the calling thread is one of the workers, so a pool of k runs k - 1
+    assert pools == [1, 2, 3, 3]
     for arr in got:
         assert np.array_equal(arr, want)
 
@@ -424,10 +432,10 @@ def test_mean_survival_matrix_is_invariant_to_worker_count(
 def test_one_subject_starts_no_pool(monkeypatch, small_fit, root):
     _three_cpus(monkeypatch)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-chunk call started a pool")
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-chunk call started a thread")
 
-    monkeypatch.setattr(predict, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     curves, _ = mean_survival_matrix(
         X=small_fit.ds.X[0], times=np.linspace(0.0, small_fit.ds.t_max, 9),
         rng=root.child(7), n_draws=40, **_fit_args(small_fit))

@@ -22,8 +22,9 @@ set from child 995):
 Each prints the EM result (theta_MAP, phi_MAP, log-posterior and Q
 traces), the CAVI state (alpha~, mu~, U, C, c~, E[omega], lambda, m~,
 s~ and the relative-change trace), and the survival curves and bands
-on the 100-subject test set at 2, 5, 19, 20 and 200 draws, on a grid
-from 0 and one from 0.1 t_max, with two workers. A last block runs the
+on the 100-subject test set at 2, 5, 19, 20 and 200 draws with two
+workers and at 19 and 20 draws with one, on a grid from 0 and one from
+0.1 t_max. A last block runs the
 CLI's ``synth``, ``fit``, ``predict`` and ``eval`` on the cohort
 benchmark's inputs and hashes the checkpoint (creation time removed),
 the curves CSV, the metrics JSON and a second curves CSV on a grid to
@@ -54,7 +55,9 @@ TEST_KEY = 995
 PREDICT_KEY = 4242
 FITS = ((25, 25, (32, 32), 0.1), (25, 25, (16, 16), 0.1),
         (50, 50, (16, 16), 1.0), (50, 50, (32, 32), 1.0))
-DRAWS = (2, 5, 19, 20, 200)
+# (draws, workers) of each predictive run: below and at 20 draws, on
+# one worker and on two
+RUNS = ((2, 2), (5, 2), (19, 2), (20, 2), (200, 2), (19, 1), (20, 1))
 
 
 def digest(*parts) -> str:
@@ -97,12 +100,12 @@ def fit_lines(n, key, hidden, scale):
     X_te = stats.apply(te.X)
     for start in (0.0, 0.1 * ds.t_max):
         times = np.linspace(start, ds.t_max, 33)
-        for draws in DRAWS:
+        for draws, workers in RUNS:
             curves, band = mean_survival_matrix(
                 s, model, prior, em.theta_map, ds.t_max, X_te, times,
                 RngStream.from_seed(ROOT_SEED).child(PREDICT_KEY),
-                n_draws=draws, workers=2)
-            yield (f"  curves from {start:.3g} S={draws:<3d} "
+                n_draws=draws, workers=workers)
+            yield (f"  curves from {start:.3g} S={draws:<3d} k={workers} "
                    + digest(curves.values, band.median, band.lo, band.hi))
 
 
