@@ -32,7 +32,9 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_NONCONV = 4
 
-# Model/algorithm knobs a config file may set; paths are flag-only.
+# The settings: each is a config-file key and, typed like its default,
+# a flag of every command that reads it (`_add_settings`). Paths are
+# flag-only.
 CONFIG_DEFAULTS: dict = {
     "seed": 0,
     "grid_k": 64,
@@ -51,6 +53,13 @@ CONFIG_DEFAULTS: dict = {
     "time_col": "time",
     "event_col": "event",
     "features": "rest",
+}
+
+_HELP = {
+    "seed": "RNG seed (default: $SIGSURV_SEED or 0)",
+    "em_tol": "EM stops when the log posterior's relative change is below "
+              "this twice in a row (default 1e-6)",
+    "features": "comma-separated feature columns, or 'rest'",
 }
 
 _PATH_KEYS = ("data", "out", "checkpoint", "trace", "config")
@@ -195,32 +204,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_training_data(args, cfg):
-    from .data import Dataset, gen_synthetic, load_csv, standardize
-    from .numkit import RngStream
-
-    if args.data and args.synth_n:
-        raise InputError("give either --data or --synth-n, not both")
-    if args.data:
-        return load_csv(args.data, _schema(cfg))
-    if args.synth_n:
-        raw = gen_synthetic(args.synth_n, RngStream.from_seed(cfg["seed"]).child(0))
-        X_std, stats = standardize(raw.X)
-        return Dataset(X=X_std, y=raw.y, delta=raw.delta), stats
-    raise InputError("fit needs --data CSV or --synth-n")
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
 
     from .cavi import run_cavi
     from .checkpoint import fit_to_doc, save_checkpoint
+    from .data import load_csv
     from .hazard import BaselinePrior, build_context
     from .map_em import run_em
     from .net import MlpModel, linearize
     from .numkit import RngStream
 
-    ds, stats = _load_training_data(args, cfg)
+    ds, stats = load_csv(args.data, _schema(cfg))
     prior = BaselinePrior(alpha0=cfg["alpha0"], beta0=cfg["beta0"], rho=cfg["rho"])
     model = MlpModel((ds.p + 1, *_hidden_sizes(cfg), 1))
     ctx = build_context(model, prior, ds, n_nodes=cfg["grid_k"])
@@ -652,22 +647,23 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _add_settings(p: argparse.ArgumentParser, *keys: str) -> None:
+    """The flag --<key with dashes> for each setting, typed as its
+    default is (the rule `_coerce` applies to config-file text); a flag
+    left out leaves the setting to the config file or the default."""
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                       type=type(CONFIG_DEFAULTS[key]), help=_HELP.get(key))
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: $SIGSURV_SEED or 0)")
+    _add_settings(p, "seed")
     p.add_argument("--threads", type=int, default=None,
                    help="predict/eval: cap the prediction workers (default: "
                         "one per CPU, each with one-thread BLAS); other "
                         "commands: cap the BLAS/OpenMP thread pools")
     p.add_argument("--config", default=None,
                    help="key = value config file; flags override it")
-
-
-def _add_schema_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--time-col", dest="time_col", default=None)
-    p.add_argument("--event-col", dest="event_col", default=None)
-    p.add_argument("--features", default=None,
-                   help="comma-separated feature columns, or 'rest'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -677,6 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "network hazard",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    schema = ("time_col", "event_col", "features")
 
     p = sub.add_parser("synth", help="write a synthetic benchmark CSV")
     _add_common(p)
@@ -686,49 +683,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit MAP (EM) then the variational posterior")
     _add_common(p)
-    _add_schema_flags(p)
-    p.add_argument("--data", default=None, help="training CSV")
-    p.add_argument("--synth-n", dest="synth_n", type=int, default=None,
-                   help="generate a synthetic training set instead of --data")
+    _add_settings(p, *schema)
+    p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--trace", default=None, help="optional JSON trace path")
-    p.add_argument("--grid-k", dest="grid_k", type=int, default=None)
-    p.add_argument("--hidden", default=None)
-    p.add_argument("--alpha0", type=float, default=None)
-    p.add_argument("--beta0", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--em-tol", dest="em_tol", type=float, default=None,
-                   help="EM stops when the log posterior's relative change "
-                        "is below this twice in a row (default 1e-6)")
-    p.add_argument("--em-max-iter", dest="em_max_iter", type=int, default=None)
-    p.add_argument("--em-init-scale", dest="em_init_scale", type=float,
-                   default=None)
-    p.add_argument("--cavi-tol", dest="cavi_tol", type=float, default=None)
-    p.add_argument("--cavi-max-iter", dest="cavi_max_iter", type=int,
-                   default=None)
+    _add_settings(p, "grid_k", "hidden", "alpha0", "beta0", "rho", "em_tol",
+                  "em_max_iter", "em_init_scale", "cavi_tol", "cavi_max_iter")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="posterior survival curves to CSV")
     _add_common(p)
-    _add_schema_flags(p)
+    _add_settings(p, *schema)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--level", type=float, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
+    _add_settings(p, "draws", "level", "grid_points")
     p.add_argument("--t-hi", dest="t_hi", type=float, default=None,
                    help="grid upper end (default: training horizon)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="C-index and integrated Brier score")
     _add_common(p)
-    _add_schema_flags(p)
+    _add_settings(p, *schema)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None, help="metrics JSON path")
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
+    _add_settings(p, "draws", "grid_points")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("selftest", help="run the numerical oracle checks")

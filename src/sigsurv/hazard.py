@@ -243,7 +243,7 @@ def log_likelihood(ctx: HazardContext, phi: float, theta) -> float:
     return float(event_terms.sum() - cum)
 
 
-def log_prior(model: MlpModel, prior: BaselinePrior, phi: float, theta) -> float:
+def log_prior(prior: BaselinePrior, phi: float, theta) -> float:
     """log Gamma(phi; alpha0, beta0) + log N(theta; 0, I)."""
     if phi <= 0:
         raise InputError("phi must be positive")
@@ -260,9 +260,7 @@ def log_prior(model: MlpModel, prior: BaselinePrior, phi: float, theta) -> float
 
 
 def log_posterior(ctx: HazardContext, phi: float, theta) -> float:
-    return log_likelihood(ctx, phi, theta) + log_prior(
-        ctx.model, ctx.prior, phi, theta
-    )
+    return log_likelihood(ctx, phi, theta) + log_prior(ctx.prior, phi, theta)
 
 
 def sample_pg_series(rng: RngStream, c: float, size: int, terms: int = 2000):

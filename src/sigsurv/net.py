@@ -99,8 +99,6 @@ def unflatten(model: MlpModel, theta):
 def _as_batch(model: MlpModel, T, X):
     T = np.asarray(T, dtype=float).ravel()
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = np.broadcast_to(X, (T.shape[0], X.shape[0]))
     if X.shape[0] != T.shape[0]:
         raise ValueError("T and X row counts differ")
     Z = np.column_stack([T, X])

@@ -195,10 +195,13 @@ class RngStream:
     Same seed => bit-identical sample sequence on the same build.
     Streams are single-owner; derive independent children with
     ``child(key)`` instead of sharing one stream across components.
+    ``key`` is the stream's spawn key: () for a root stream, and the
+    parent's key extended by ``key`` for a child.
     """
 
     seed: int
     gen: np.random.Generator
+    key: tuple = ()
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngStream":
@@ -206,7 +209,10 @@ class RngStream:
         return cls(seed=seed, gen=np.random.Generator(np.random.PCG64(seed)))
 
     def child(self, key: int) -> "RngStream":
-        """Independent stream derived deterministically from (seed, key)."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(key),))
-        return RngStream(seed=self.seed, gen=np.random.Generator(np.random.PCG64(ss)))
+        """Independent stream derived deterministically from (seed, this
+        stream's key, key)."""
+        spawn_key = self.key + (int(key),)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=spawn_key)
+        return RngStream(seed=self.seed, key=spawn_key,
+                         gen=np.random.Generator(np.random.PCG64(ss)))
 

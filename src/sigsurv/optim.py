@@ -10,6 +10,7 @@ non-finite gradient) raises NumericalError: no step can be chosen on it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,19 +44,20 @@ class OptimResult:
     message: str
 
 
-def _two_loop(g, s_list, y_list, rho_list):
-    """H @ g via the standard two-loop recursion, with the gamma
-    = s'y / y'y initial scaling from the newest pair."""
+def _two_loop(g, pairs):
+    """H @ g via the standard two-loop recursion over the curvature
+    pairs (s, y, 1 / s'y), oldest first, with the gamma = s'y / y'y
+    initial scaling from the newest pair."""
     q = g.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(pairs):
         a = rho * (s @ q)
         alphas.append(a)
         q -= a * y
-    if s_list:
-        gamma = (s_list[-1] @ y_list[-1]) / (y_list[-1] @ y_list[-1])
-        q *= gamma
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * (y @ q)
         q += (a - b) * s
     return q
@@ -180,9 +182,7 @@ def minimize_lbfgs(
     g = grad0().copy()
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise InputError("objective not finite at the starting point")
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
+    pairs: deque = deque(maxlen=_MEMORY)
     message = "iteration cap reached"
     converged = False
 
@@ -191,11 +191,11 @@ def minimize_lbfgs(
         if np.max(np.abs(g)) <= gtol:
             converged, message = True, "gradient tolerance reached"
             break
-        d = -_two_loop(g, s_list, y_list, rho_list)
+        d = -_two_loop(g, pairs)
         if not np.all(np.isfinite(d)) or _slope(g, d) >= 0.0:
-            s_list, y_list, rho_list = [], [], []
+            pairs.clear()
             d = -g
-        a_first = 1.0 if s_list else min(1.0, 1.0 / max(1.0, float(np.abs(g).max())))
+        a_first = 1.0 if pairs else min(1.0, 1.0 / max(1.0, float(np.abs(g).max())))
         a, f_new, g_new = _wolfe_search(fg, x, f, g, d, a_first)
         if a is None:
             message = "line search failed to make progress"
@@ -205,16 +205,8 @@ def minimize_lbfgs(
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > _MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            pairs.append((s, y, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
-    else:
-        it = max_iter - 1
     if not converged and np.max(np.abs(g)) <= gtol:
         converged, message = True, "gradient tolerance reached"
     return OptimResult(

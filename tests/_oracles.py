@@ -451,7 +451,7 @@ def run_em_eager(ctx, rng, init_scale=0.1, tol=1e-6, max_iter=500):
             log_lam = np.log(lam_event)
         event_terms = np.where(delta == 1, log_lam, 0.0)
         return float(event_terms.sum() - cum) + log_prior(
-            model, ctx.prior, phi, theta)
+            ctx.prior, phi, theta)
 
     q_trace, objective_trace, records = [], [], []
     hits = 0

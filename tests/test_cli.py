@@ -99,11 +99,12 @@ def test_fit_summary_and_refit_determinism(workdir, tmp_path, capsys):
     assert body_bytes(body_a) == body_bytes(body_b)
 
 
-def test_fit_synth_n_and_trace(tmp_path):
+def test_fit_trace(workdir, tmp_path):
     ck = tmp_path / "m.json"
     trace = tmp_path / "trace.json"
-    rc = main(["fit", "--synth-n", "25", "--out", str(ck), "--hidden", "4",
-               "--grid-k", "16", "--seed", "2", "--trace", str(trace)])
+    rc = main(["fit", "--data", str(workdir / "train.csv"), "--out", str(ck),
+               "--hidden", "4", "--grid-k", "16", "--seed", "2",
+               "--trace", str(trace)])
     assert rc == 0
     doc = json.loads(trace.read_text())
     assert "em" in doc and "cavi_rel_change" in doc
@@ -264,7 +265,7 @@ def test_fit_rejects_infinite_covariate(workdir, tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_fit_input_errors(tmp_path, capsys):
+def test_fit_input_errors(workdir, tmp_path, capsys):
     missing = main(["fit", "--data", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "x.json")])
     assert missing == 2
@@ -273,9 +274,13 @@ def test_fit_input_errors(tmp_path, capsys):
     rc = main(["fit", "--data", str(corrupt), "--out", str(tmp_path / "x.json")])
     assert rc == 2
     assert "input error" in capsys.readouterr().err
-    rc = main(["fit", "--synth-n", "20", "--out", str(tmp_path / "x.json"),
-               "--hidden", "0"])
+    rc = main(["fit", "--data", str(workdir / "train.csv"),
+               "--out", str(tmp_path / "x.json"), "--hidden", "0"])
     assert rc == 2
+    # --data is the one way in: argparse exits 2 without it
+    code, err = _exit_code(["fit", "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "the following arguments are required: --data" in err
 
 
 def test_fit_diverging_cavi_exits_3_without_checkpoint(workdir, tmp_path,
@@ -735,8 +740,8 @@ def test_predict_rejects_non_finite_horizon(workdir, tmp_path, capsys):
 def test_rejects_negative_seed(workdir, tmp_path, capsys):
     common = ["--checkpoint", str(workdir / "model.json"),
               "--data", str(workdir / "test.csv"), "--seed", "-1"]
-    assert main(["fit", "--synth-n", "10", "--out", str(tmp_path / "m.json"),
-                 "--seed", "-1"]) == 2
+    assert main(["fit", "--data", str(workdir / "train.csv"),
+                 "--out", str(tmp_path / "m.json"), "--seed", "-1"]) == 2
     assert main(["predict", *common, "--out", str(tmp_path / "p.csv")]) == 2
     assert main(["eval", *common]) == 2
     err = capsys.readouterr().err
@@ -950,7 +955,7 @@ def _flags(draw, table):
 
 
 _FIT_FLAGS = (
-    _int_flag("--synth-n", 2, 30), _SEED, _int_flag("--grid-k", 2, 64),
+    _SEED, _int_flag("--grid-k", 2, 64),
     ("--alpha0", _POSITIVE, _WILD), ("--beta0", _POSITIVE, _WILD),
     ("--rho", _POSITIVE, _WILD),
     ("--em-tol", _POSITIVE, _WILD), ("--cavi-tol", _POSITIVE, _WILD),
@@ -969,11 +974,11 @@ _SCORE_FLAGS = (
 @_FUZZ
 @given(argv=_flags(_FIT_FLAGS))
 def test_fuzz_fit_flags_exit_cleanly(workdir, argv):
-    if not any(a.startswith("--synth-n=") for a in argv):
-        argv.append("--synth-n=20")
-    code, err = _exit_code(["fit", "--hidden", "4", "--out",
+    code, err = _exit_code(["fit", "--data", str(workdir / "train.csv"),
+                            "--hidden", "4", "--out",
                             str(workdir / "fuzz.json"), *argv])
     assert code in (0, 2, 3, 4), err
+    assert "usage:" not in err  # each case reaches the fit, not argparse
     assert "Traceback" not in err
 
 
@@ -1021,11 +1026,13 @@ def test_fuzz_config_file_and_env_seed_exit_cleanly(workdir, config, env_seed):
     path = workdir / "fuzz.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
     with _env_seed(env_seed):
-        code, err = _exit_code(["fit", "--synth-n=12", "--hidden=4",
+        code, err = _exit_code(["fit", "--data", str(workdir / "train.csv"),
+                                "--hidden=4",
                                 "--em-max-iter=2", "--cavi-max-iter=2",
                                 "--config", str(path),
                                 "--out", str(workdir / "fuzz.json")])
     assert code in (0, 2, 3, 4), err
+    assert "usage:" not in err
     assert "Traceback" not in err
 
 

@@ -180,9 +180,9 @@ def test_log_prior_closed_form():
     want = (2.0 * math.log(3.0) - math.lgamma(2.0)
             + (2.0 - 1.0) * math.log(phi) - 3.0 * phi
             - 0.5 * float(theta @ theta) - 0.5 * m * math.log(2 * math.pi))
-    assert abs(log_prior(model, prior, phi, theta) - want) < 1e-12
+    assert abs(log_prior(prior, phi, theta) - want) < 1e-12
     with pytest.raises(InputError):
-        log_prior(model, prior, 0.0, theta)
+        log_prior(prior, 0.0, theta)
 
 
 def test_log_posterior_is_sum():
@@ -192,7 +192,7 @@ def test_log_posterior_is_sum():
     ctx = build_context(model, prior, ds, n_nodes=32)
     theta = np.random.default_rng(4).normal(size=model.n_params) * 0.3
     lp = log_posterior(ctx, 1.2, theta)
-    want = log_likelihood(ctx, 1.2, theta) + log_prior(model, prior, 1.2, theta)
+    want = log_likelihood(ctx, 1.2, theta) + log_prior(prior, 1.2, theta)
     assert abs(lp - want) < 1e-12
 
 

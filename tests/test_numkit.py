@@ -313,6 +313,24 @@ def test_rngstream_child_deterministic_and_disjoint():
     assert not np.array_equal(a, c)
 
 
+def test_rngstream_grandchildren_are_distinct_streams():
+    # a child's children derive from its own key, not from the root's
+    root = RngStream.from_seed(7)
+    draws = [s.gen.normal(size=3) for s in
+             (root.child(5), root.child(3).child(5), root.child(9).child(5),
+              root.child(3).child(6))]
+    for i, a in enumerate(draws):
+        for b in draws[i + 1:]:
+            assert not np.array_equal(a, b)
+    # root streams and first-level children keep their bits
+    ss = np.random.SeedSequence(entropy=7, spawn_key=(5,))
+    want = np.random.Generator(np.random.PCG64(ss)).normal(size=3)
+    assert np.array_equal(draws[0], want)
+    assert np.array_equal(RngStream.from_seed(7).gen.normal(size=3),
+                          np.random.Generator(np.random.PCG64(7)).normal(size=3))
+    assert root.child(3).child(5).key == (3, 5)
+
+
 def test_rngstream_child_does_not_disturb_parent():
     root = RngStream.from_seed(3)
     first = root.gen.normal()

@@ -28,7 +28,11 @@ workers and at 19 and 20 draws with one, on a grid from 0 and one from
 CLI's ``synth``, ``fit``, ``predict`` and ``eval`` on the cohort
 benchmark's inputs and hashes the checkpoint (creation time removed),
 the curves CSV, the metrics JSON and a second curves CSV on a grid to
-40 times the training horizon, where most cells are below 1e-4.
+40 times the training horizon, where most cells are below 1e-4. It
+then fits the same training set at ``FIT_SETTINGS``, once given as
+flags and once through a ``--config`` file and ``$SIGSURV_SEED``: the
+two checkpoint lines must be equal. Last comes the stdout of
+``sigsurv selftest``.
 """
 
 from __future__ import annotations
@@ -58,6 +62,14 @@ FITS = ((25, 25, (32, 32), 0.1), (25, 25, (16, 16), 0.1),
 # (draws, workers) of each predictive run: below and at 20 draws, on
 # one worker and on two
 RUNS = ((2, 2), (5, 2), (19, 2), (20, 2), (200, 2), (19, 1), (20, 1))
+# each setting fit reads, at a value other than its default where the
+# training CSV allows (its columns are named time and event)
+FIT_SETTINGS = {"seed": "7", "time_col": "time", "event_col": "event",
+                "features": "group,x1,x2,x3", "grid_k": "48",
+                "hidden": "8,8", "alpha0": "2.0", "beta0": "0.5",
+                "rho": "1.5", "em_tol": "1e-7", "em_max_iter": "400",
+                "em_init_scale": "0.2", "cavi_tol": "1e-7",
+                "cavi_max_iter": "900"}
 
 
 def digest(*parts) -> str:
@@ -109,14 +121,22 @@ def fit_lines(n, key, hidden, scale):
                    + digest(curves.values, band.median, band.lo, band.hi))
 
 
-def run_cli(*argv) -> None:
+def run_cli(*argv) -> str:
+    """The command's stdout; exits unless the command exits 0."""
     from sigsurv import cli
 
-    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the extrapolation warning
         code = cli.main(list(argv))
     if code != 0:
         raise SystemExit(f"sigsurv {argv[0]} exited {code}")
+    return out.getvalue()
+
+
+def checkpoint_body(path) -> bytes:
+    with open(path, "rb") as fh:
+        return re.sub(rb'"created": *"[^"]*"', b"", fh.read())
 
 
 def cli_lines():
@@ -139,13 +159,29 @@ def cli_lines():
         # 40 horizons out, most cells fall below 1e-4
         t_hi = 40 * fit_from_doc(load_checkpoint(model)[1]).t_max
         run_cli("predict", *common, "--t-hi", repr(t_hi), "--out", far)
-        with open(model, "rb") as fh:
-            body = re.sub(rb'"created": *"[^"]*"', b"", fh.read())
         for what, path in (("predict", curves), ("eval", metrics),
                            ("predict 40 horizons", far)):
             with open(path, "rb") as fh:
                 yield f"  cli {what:<7s} " + digest(fh.read())
-        yield "  cli fit     " + digest(body)
+        yield "  cli fit     " + digest(checkpoint_body(model))
+
+        flags = [f"--{k.replace('_', '-')}={v}"
+                 for k, v in FIT_SETTINGS.items()]
+        run_cli("fit", "--data", train, "--out", model, *flags)
+        yield "  cli fit set by flags                       " + digest(
+            checkpoint_body(model))
+        config = os.path.join(work, "fit.cfg")
+        with open(config, "w") as fh:
+            fh.writelines(f"{k} = {v}\n" for k, v in FIT_SETTINGS.items()
+                          if k != "seed")
+        os.environ["SIGSURV_SEED"] = FIT_SETTINGS["seed"]
+        try:
+            run_cli("fit", "--data", train, "--out", model, "--config", config)
+        finally:
+            os.environ.pop("SIGSURV_SEED")
+        yield "  cli fit set by --config and $SIGSURV_SEED  " + digest(
+            checkpoint_body(model))
+    yield "  cli selftest " + digest(run_cli("selftest").encode())
 
 
 def main(argv) -> int:
