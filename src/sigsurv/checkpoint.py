@@ -5,7 +5,9 @@ non-deterministic part); `body` holds everything a later predict/eval
 needs — architecture, prior, normalization statistics, the MAP point,
 and the variational state — with every float array embedded as a
 base64 little-endian float64 buffer. Same seed + same config produce a
-byte-identical body; file paths are never part of the hashed config.
+byte-identical body from `sigsurv fit` whatever the core count, unless
+a BLAS thread variable is exported; file paths are never part of the
+hashed config.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ failure, 4 finished-but-not-converged (outputs are still written), 1
 standard output closed before everything was printed, e.g. piped into
 `head` (output files are written before anything is printed).
 
-numpy is imported lazily inside the command handlers so that the BLAS
-thread pools can be sized before they initialize: `predict` and `eval`
-run one-thread BLAS in each prediction worker, and for the other
-commands --threads caps the BLAS pools.
+numpy is imported lazily inside the command handlers so that every
+command can pin BLAS to one thread before its pools initialize: the
+order of BLAS reductions, and so every bit of a fit, does not depend
+on the core count, and `predict`'s and `eval`'s workers do not
+oversubscribe the CPUs. A BLAS variable the user exported is kept.
 """
 
 from __future__ import annotations
@@ -82,16 +83,11 @@ _BLAS_VARS = (
 )
 
 
-def _size_blas_pools(command: str, threads: int | None) -> None:
-    """Set the BLAS/OpenMP thread counts before numpy loads. predict and
-    eval parallelize over prediction workers, so each gets one-thread
-    BLAS unless the variable is already exported; elsewhere --threads
-    caps the pools."""
+def _size_blas_pools() -> None:
+    """One-thread BLAS/OpenMP pools, set before numpy loads, unless the
+    variable is already exported."""
     for var in _BLAS_VARS:
-        if command in ("predict", "eval"):
-            os.environ.setdefault(var, "1")
-        elif threads is not None:
-            os.environ[var] = str(threads)
+        os.environ.setdefault(var, "1")
 
 
 def _coerce(key: str, text: str, where: str):
@@ -170,10 +166,10 @@ def _schema(cfg: dict) -> dict:
 
 def _hidden_sizes(cfg: dict) -> tuple:
     try:
-        sizes = tuple(int(s) for s in str(cfg["hidden"]).split(",") if s.strip())
-    except ValueError:
+        sizes = tuple(int(s) for s in str(cfg["hidden"]).split(","))
+    except ValueError:  # an empty field included
         raise InputError(f"bad --hidden value {cfg['hidden']!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
+    if any(s < 1 for s in sizes):
         raise InputError("--hidden needs positive comma-separated sizes")
     return sizes
 
@@ -656,12 +652,12 @@ def _add_settings(p: argparse.ArgumentParser, *keys: str) -> None:
                        type=type(CONFIG_DEFAULTS[key]), help=_HELP.get(key))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
     _add_settings(p, "seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="predict/eval: cap the prediction workers (default: "
-                        "one per CPU, each with one-thread BLAS); other "
-                        "commands: cap the BLAS/OpenMP thread pools")
+    if workers:
+        p.add_argument("--threads", type=int, default=None,
+                       help="cap the prediction workers (default: one per "
+                            "CPU, each with one-thread BLAS)")
     p.add_argument("--config", default=None,
                    help="key = value config file; flags override it")
 
@@ -692,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="posterior survival curves to CSV")
-    _add_common(p)
+    _add_common(p, workers=True)
     _add_settings(p, *schema)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
@@ -703,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="C-index and integrated Brier score")
-    _add_common(p)
+    _add_common(p, workers=True)
     _add_settings(p, *schema)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
@@ -721,9 +717,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise InputError(f"--threads must be >= 1, got {args.threads}")
-        _size_blas_pools(args.command, args.threads)
+        threads = getattr(args, "threads", None)
+        if threads is not None and threads < 1:
+            raise InputError(f"--threads must be >= 1, got {threads}")
+        _size_blas_pools()
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, inside the try
         return code

@@ -139,13 +139,18 @@ def _parse_cell(text: str, path, line: int, col: str) -> float:
     return value
 
 
+def _repeated(names: list) -> list:
+    return sorted({c for c in names if names.count(c) > 1})
+
+
 def load_csv(path, schema: dict, stats: FeatureStats | None = None):
     """Load a headered numeric CSV (UTF-8, a leading byte-order mark
     skipped) into a Dataset.
 
     schema: {"time_col": str, "event_col": str,
              "feature_cols": list[str] | "rest"}.
-    Column names must be unique, and errors name a record by its last
+    Column names must be unique, feature columns distinct and neither
+    the time nor the event column, and errors name a record by its last
     file line. Rows with missing values (empty/NA cells) are dropped
     with one RuntimeWarning that counts them and names the first few by
     file line. Covariates are standardized: with `stats=None` the
@@ -164,11 +169,15 @@ def load_csv(path, schema: dict, stats: FeatureStats | None = None):
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:
+        if repeated := _repeated(header):
             raise InputError(f"{path}: repeated column names {repeated}")
         if feature_cols == "rest":
             feature_cols = [c for c in header if c not in (time_col, event_col)]
+        if outcome := [c for c in feature_cols if c in (time_col, event_col)]:
+            raise InputError(f"{path}: feature columns {outcome} are the "
+                             f"time or event column")
+        if repeated := _repeated(feature_cols):
+            raise InputError(f"{path}: repeated feature columns {repeated}")
         missing = [c for c in [time_col, event_col, *feature_cols]
                    if c not in header]
         if missing:

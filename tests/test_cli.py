@@ -277,6 +277,19 @@ def test_fit_input_errors(workdir, tmp_path, capsys):
     rc = main(["fit", "--data", str(workdir / "train.csv"),
                "--out", str(tmp_path / "x.json"), "--hidden", "0"])
     assert rc == 2
+    capsys.readouterr()
+    for flag, value, message in (
+            ("--hidden", "16,,16", "bad --hidden value '16,,16'"),
+            ("--features", "event,x1", "feature columns ['event'] are the "
+                                       "time or event column"),
+            ("--features", "time", "feature columns ['time'] are the time "
+                                   "or event column"),
+            ("--features", "x1,x1", "repeated feature columns ['x1']")):
+        rc = main(["fit", "--data", str(workdir / "train.csv"),
+                   "--out", str(tmp_path / "x.json"), flag, value])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
     # --data is the one way in: argparse exits 2 without it
     code, err = _exit_code(["fit", "--out", str(tmp_path / "x.json")])
     assert code == 2
@@ -669,14 +682,46 @@ def test_predict_eval_run_one_thread_blas(workdir, tmp_path, monkeypatch,
         assert workers.pop() == (int(threads) if threads else None)
 
 
-def test_other_commands_size_blas_by_threads(tmp_path, monkeypatch, capsys):
-    out = str(tmp_path / "s.csv")
+def test_every_command_runs_one_thread_blas(workdir, tmp_path, monkeypatch,
+                                            capsys):
+    synth = ["synth", "--n", "3", "--out", str(tmp_path / "s.csv")]
+    fit = ["fit", "--data", str(workdir / "train.csv"), "--hidden", "4",
+           "--grid-k", "16", "--out", str(tmp_path / "m.json")]
+    for argv in (synth, fit):
+        _clear_blas_vars(monkeypatch)
+        assert main(argv) == 0
+        assert all(os.environ[var] == "1" for var in _BLAS_VARS)
     _clear_blas_vars(monkeypatch)
-    assert main(["synth", "--n", "3", "--out", out]) == 0
-    assert not any(var in os.environ for var in _BLAS_VARS)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    assert main(["synth", "--n", "3", "--out", out, "--threads", "2"]) == 0
-    assert all(os.environ[var] == "2" for var in _BLAS_VARS)
+    assert main(synth) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    # --threads caps the prediction workers, so only predict and eval
+    # take it
+    for argv in (synth, fit, ["selftest"]):
+        code, err = _exit_code([*argv, "--threads", "2"])
+        assert code == 2
+        assert "unrecognized arguments: --threads 2" in err
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU runs one BLAS thread either way")
+def test_fit_body_does_not_depend_on_the_core_count(workdir, tmp_path):
+    # each environment is built here: in-process main() calls have
+    # exported the variables into this one
+    unset = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    one = {**unset, **dict.fromkeys(_BLAS_VARS, "1")}
+    bodies = []
+    for name, env in (("unset", unset), ("one", one)):
+        out = tmp_path / f"{name}.json"
+        # at the default --hidden: --hidden 4's products are too small
+        # for BLAS to split over threads
+        subprocess.run(
+            [sys.executable, "-m", "sigsurv.cli", "fit",
+             "--data", str(workdir / "train.csv"), "--out", str(out),
+             "--grid-k", "16", "--seed", "3"],
+            check=True, capture_output=True, env=env, timeout=120)
+        bodies.append(body_bytes(load_checkpoint(out)[1]))
+    assert bodies[0] == bodies[1]
 
 
 def test_predict_threads_1_writes_the_default_bytes(workdir, tmp_path,

@@ -81,6 +81,14 @@ def test_load_csv_explicit_feature_subset(tmp_path):
     schema = {"time_col": "time", "event_col": "event", "feature_cols": ["a"]}
     ds, _ = load_csv(path, schema)
     assert ds.p == 1
+    # an outcome column or a repeat would be fitted as a covariate
+    for cols, message in ((["event", "a"], r"feature columns \['event'\] "
+                                           "are the time or event column"),
+                          (["time"], r"feature columns \['time'\]"),
+                          (["a", "b", "a"], r"repeated feature columns "
+                                            r"\['a'\]")):
+        with pytest.raises(InputError, match=message):
+            load_csv(path, {**schema, "feature_cols": cols})
 
 
 def test_load_csv_reuses_training_stats(tmp_path):

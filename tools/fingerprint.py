@@ -28,10 +28,13 @@ workers and at 19 and 20 draws with one, on a grid from 0 and one from
 CLI's ``synth``, ``fit``, ``predict`` and ``eval`` on the cohort
 benchmark's inputs and hashes the checkpoint (creation time removed),
 the curves CSV, the metrics JSON and a second curves CSV on a grid to
-40 times the training horizon, where most cells are below 1e-4. It
-then fits the same training set at ``FIT_SETTINGS``, once given as
-flags and once through a ``--config`` file and ``$SIGSURV_SEED``: the
-two checkpoint lines must be equal. Last comes the stdout of
+40 times the training horizon, where most cells are below 1e-4. The
+same ``sigsurv fit`` then runs as a child process with the BLAS
+variables removed from its environment, so that only the CLI's own
+rule pins BLAS: its line must equal the in-process fit's. It then
+fits the same training set at ``FIT_SETTINGS``, once given as flags
+and once through a ``--config`` file and ``$SIGSURV_SEED``: the two
+checkpoint lines must be equal. Last comes the stdout of
 ``sigsurv selftest``.
 """
 
@@ -39,8 +42,10 @@ from __future__ import annotations
 
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS"):
+# the variables `sigsurv.cli` sets to 1 unless they are exported
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _var in BLAS_VARS:
     os.environ[_var] = "1"
 os.environ.pop("SIGSURV_SEED", None)  # the CLI would read it as a default
 
@@ -48,6 +53,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import re  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -139,7 +145,7 @@ def checkpoint_body(path) -> bytes:
         return re.sub(rb'"created": *"[^"]*"', b"", fh.read())
 
 
-def cli_lines():
+def cli_lines(src):
     from sigsurv.checkpoint import fit_from_doc, load_checkpoint
 
     with tempfile.TemporaryDirectory() as work:
@@ -164,6 +170,14 @@ def cli_lines():
             with open(path, "rb") as fh:
                 yield f"  cli {what:<7s} " + digest(fh.read())
         yield "  cli fit     " + digest(checkpoint_body(model))
+        # the same fit in a process whose BLAS the CLI alone pins
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["PYTHONPATH"] = src
+        subprocess.run([sys.executable, "-m", "sigsurv.cli", "fit", "--data",
+                        train, "--out", model, "--seed", str(ROOT_SEED)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        yield "  cli fit in a process, BLAS variables unset " + digest(
+            checkpoint_body(model))
 
         flags = [f"--{k.replace('_', '-')}={v}"
                  for k, v in FIT_SETTINGS.items()]
@@ -189,12 +203,13 @@ def main(argv) -> int:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python3 tools/fingerprint.py SRC_DIR", file=sys.stderr)
         return 2
-    sys.path.insert(0, os.path.abspath(argv[1]))
+    src = os.path.abspath(argv[1])
+    sys.path.insert(0, src)
     for fit in FITS:
         for line in fit_lines(*fit):
             print(line, flush=True)
     print("cli: score_cohort inputs", flush=True)
-    for line in cli_lines():
+    for line in cli_lines(src):
         print(line, flush=True)
     return 0
 
